@@ -41,16 +41,13 @@ from .saturation import (
 from .planner import (
     SINGLE_ANCHOR,
     TIERING,
-    Architecture,
     ClusterPlan,
     FloppScore,
     PlanRequest,
-    architectures,
     flopp,
     plan_single_anchor,
     plan_tiering,
     recommend,
-    register_architecture,
 )
 from .baselines import plan_cost_first, plan_noscale, plan_performance_first
 from .simulator import (

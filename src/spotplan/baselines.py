@@ -4,13 +4,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .catalog import Catalog, InstanceSpec
-from .planner import (
-    SINGLE_ANCHOR,
-    ClusterPlan,
-    PlanRequest,
-    flopp,
-    recommend,
-)
+from .planner import ClusterPlan, PlanRequest, _plan, _single_anchor_rows, recommend
 from .saturation import SaturationTable
 from .scaling import ScalingSource, UnitScaling
 
@@ -20,22 +14,9 @@ __all__ = ["plan_cost_first", "plan_performance_first", "plan_noscale"]
 def _single_anchor_at_max_n(
     v: InstanceSpec, req: PlanRequest, scaling: ScalingSource
 ) -> Optional[ClusterPlan]:
-    # Largest n with (n-1) spot nodes plus one on-demand anchor within budget.
-    spot_budget = req.pw - v.od_price
-    if spot_budget < 0:
-        return None
-    n = min(req.max_instances, 1 + int(spot_budget // v.spot_price))
-    score = flopp(v)
-    z = ((n - 1) * score.spfp + score.odfp) * scaling.factor(v, n)
-    return ClusterPlan(
-        architecture=SINGLE_ANCHOR,
-        gpu_instance=v,
-        n_gpu=n,
-        cpu_instance=None,
-        m_cpu=None,
-        hourly_price=v.od_price + (n - 1) * v.spot_price,
-        score_z=z,
-    )
+    # The first candidate of v's single-anchor row has the largest n in budget.
+    top = next(_single_anchor_rows((v,), req, scaling), None)
+    return _plan(top) if top else None
 
 
 def plan_cost_first(

@@ -14,7 +14,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Any, Union
 
-from .scaling import LogisticParams
+from .scaling import LogisticParams, ScalingModel, s_hybrid
 
 __all__ = [
     "Kind",
@@ -49,19 +49,20 @@ class Kind(Enum):
 
 
 def as_price(value: Union[Decimal, int, str, float]) -> Decimal:
-    """Convert a price-like value to an exact Decimal.
+    """Convert a price-like value to an exact, finite Decimal.
 
     Floats are routed through their shortest repr, so ``as_price(0.1941)``
-    gives exactly ``Decimal("0.1941")``.
+    gives exactly ``Decimal("0.1941")``.  NaN and infinities are rejected.
     """
-    if isinstance(value, Decimal):
-        return value
     if isinstance(value, float):
-        return Decimal(str(value))
+        value = str(value)
     try:
-        return Decimal(value)
+        price = Decimal(value)
     except InvalidOperation as exc:
         raise CatalogParseError(f"not a valid price: {value!r}") from exc
+    if not price.is_finite():
+        raise CatalogParseError(f"not a finite price: {value!r}")
+    return price
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,10 @@ class InstanceSpec:
                 raise bad("eflops must not be negative")
         elif self.eflops != 0:
             raise bad("eflops must be 0 for cpu instances")
+        # The planner relies on Z rising with n, which needs S_hybrid(1) > 0.
+        params = self.scaling_params
+        if params is not None and not s_hybrid(ScalingModel(params), 1) > 0:
+            raise bad("scaling gives S_hybrid(1) <= 0, that is a * (b - 1) >= 2")
 
 
 @dataclass(frozen=True)

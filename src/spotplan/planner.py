@@ -1,26 +1,42 @@
 """Cluster planning: price-performance search under an hourly budget.
 
-The search enumerates, for every registered architecture, all feasible
-(instance, count) combinations whose exact hourly price stays within the
-user's pricing willingness, scores each with the performance-per-price
-function Z, and ranks deterministically: higher Z first, then lower price,
-then architecture registration order, then catalog order.
-
-Two architectures ship by default:
+Two architectures ship:
 
 * single_anchor: one On-Demand GPU trainer (the checkpoint target) plus
   n - 1 Spot GPU trainers of the same type.
 * tiering: n Spot GPU trainers plus m On-Demand CPU memory nodes that
-  receive sharded checkpoints; m is the minimum count that keeps the
-  sender/receiver ratio below the network saturation point, since memory
-  nodes add cost but no training throughput.
+  receive sharded checkpoints; m = min_cpu_count(n, n_sat) is the minimum
+  count that keeps the sender/receiver ratio below the network saturation
+  point, since memory nodes add cost but no training throughput.
+
+The search runs over rows: one architecture with one GPU type v and, for
+tiering, one CPU type w.  Within a row the hourly price rises strictly with
+the GPU count n, so the feasible counts are exactly 1..n_top, and n_top is
+computed exactly in Decimal.  The score Z does not fall as n rises within a
+row, by these invariants (checked by property tests):
+
+* S_hybrid(n) does not fall over n, and S_hybrid(1) > 0; the catalog and
+  ScalingSource reject scaling models with S_hybrid(1) <= 0;
+* single_anchor: Z = ((n - 1) * SPFP + ODFP) / n * S_hybrid(n), and that
+  weighted mean does not fall because spot <= od gives SPFP >= ODFP;
+* tiering: Z = n * SPFP * K(n) = SPFP * S_hybrid(n).
+
+So each row walks n down from n_top.  In float, Z stops rising where
+S_hybrid saturates (n around 255-298 for the reference fits) and jitters by
+a few ulps there, and equal Z goes to the cheaper, smaller n.  The walk
+therefore stops only once Z is below the row's top_k-th best Z by the
+relative slack _SLACK, far above that rounding noise.  The rows' candidates
+are pooled and ranked deterministically: higher Z first, then lower price,
+then architecture (single_anchor before tiering), then catalog order.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator, NamedTuple, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .catalog import Catalog, InstanceSpec, Kind, as_price
 from .saturation import SaturationTable, default_saturation_table, min_cpu_count, n_sat_lookup
@@ -30,13 +46,8 @@ __all__ = [
     "PlanRequest",
     "FloppScore",
     "ClusterPlan",
-    "Architecture",
-    "SingleAnchor",
-    "Tiering",
     "SINGLE_ANCHOR",
     "TIERING",
-    "architectures",
-    "register_architecture",
     "flopp",
     "plan_single_anchor",
     "plan_tiering",
@@ -45,6 +56,11 @@ __all__ = [
 
 SINGLE_ANCHOR = "single_anchor"
 TIERING = "tiering"
+_ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
+
+# Relative margin by which Z must fall below a row's top_k-th best Z before
+# the walk stops; float rounding moves Z by a few ulps (~1e-16) only.
+_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,134 +143,83 @@ class ClusterPlan:
         }
 
 
-class _Candidate(NamedTuple):
-    z: float
-    price: Decimal
-    arch_rank: int
-    v_idx: int
-    w_idx: int
-    n: int
-    m: int
-    arch_name: str
-    v: InstanceSpec
-    w: Optional[InstanceSpec]
+def _walk(n_top: int, top_k: int, z_of: Callable[[int], float]) -> Iterator[tuple[int, float]]:
+    """(n, Z) for n = n_top, n_top - 1, ..., 1, until Z falls below the
+    top_k-th best Z seen so far by the relative slack."""
+    best: list[float] = []  # min-heap of the top_k largest Z
+    for n in range(n_top, 0, -1):
+        z = z_of(n)
+        if len(best) < top_k:
+            heapq.heappush(best, z)
+        elif z < best[0] * (1.0 - _SLACK):
+            return
+        else:
+            heapq.heappushpop(best, z)
+        yield n, z
 
 
-def _sort_key(c: _Candidate):
-    return (-c.z, c.price, c.arch_rank, c.v_idx, c.w_idx, c.n, c.m)
+def _single_anchor_rows(
+    gpus: Iterable[InstanceSpec], req: PlanRequest, scaling: ScalingSource
+) -> Iterator[tuple]:
+    """Each GPU's single-anchor candidates, its largest feasible n first.
+
+    A candidate is (sort key, v, w), the sort key being
+    (-Z, price, architecture rank, v index, w index or -1, n, m or 0).
+    """
+    for v_idx, v in enumerate(gpus):
+        spot_budget = req.pw - v.od_price
+        if spot_budget < 0:
+            continue
+        n_top = min(req.max_instances, 1 + int(spot_budget // v.spot_price))
+        score = flopp(v)
+        z_of = lambda n: ((n - 1) * score.spfp + score.odfp) * scaling.factor(v, n)
+        for n, z in _walk(n_top, req.top_k, z_of):
+            yield (-z, v.od_price + (n - 1) * v.spot_price, 0, v_idx, -1, n, 0), v, None
 
 
-def _materialize(c: _Candidate) -> ClusterPlan:
+def _tiering_rows(
+    catalog: Catalog, req: PlanRequest, scaling: ScalingSource, sat: SaturationTable
+) -> Iterator[tuple]:
+    """Each (GPU, CPU) pair's tiering candidates, its largest feasible n first."""
+    cpus = catalog.cpu_view
+    for v_idx, v in enumerate(catalog.gpu_view):
+        spfp = flopp(v).spfp
+        z_of = lambda n: n * spfp * scaling.factor(v, n)
+        for w_idx, w in enumerate(cpus):
+            if w.memory < req.required_memory:
+                continue
+            n_sat = n_sat_lookup(sat, v, w)
+            spot, cpu = v.spot_price, w.od_price
+            # n_top is the top of the range of the largest receiver count m
+            # whose smallest n, max(1, (m - 1) * n_sat), fits the budget and
+            # max_instances.  With no such m, n_top < 1 and the row is empty.
+            m = min(
+                req.max_instances,
+                min_cpu_count(req.max_instances, n_sat),
+                int((req.pw + n_sat * spot) // (n_sat * spot + cpu)),
+            )
+            n_top = min(req.max_instances, m * n_sat - 1, int((req.pw - m * cpu) // spot))
+            for n, z in _walk(n_top, req.top_k, z_of):
+                m = min_cpu_count(n, n_sat)
+                yield (-z, n * spot + m * cpu, 1, v_idx, w_idx, n, m), v, w
+
+
+def _plan(candidate: tuple) -> ClusterPlan:
+    (neg_z, price, rank, _, _, n, m), v, w = candidate
     return ClusterPlan(
-        architecture=c.arch_name,
-        gpu_instance=c.v,
-        n_gpu=c.n,
-        cpu_instance=c.w,
-        m_cpu=c.m if c.w is not None else None,
-        hourly_price=c.price,
-        score_z=c.z,
+        architecture=_ARCHITECTURES[rank],
+        gpu_instance=v,
+        n_gpu=n,
+        cpu_instance=w,
+        m_cpu=m if w is not None else None,
+        hourly_price=price,
+        score_z=-neg_z,
     )
 
 
-class Architecture:
-    """One entry of the architecture registry.
-
-    Subclasses supply the feasibility constraints and the Z evaluator by
-    generating every feasible candidate for a request.
-    """
-
-    name: str = "abstract"
-
-    def __init__(self):
-        self.rank = -1  # assigned by register_architecture
-
-    def candidates(
-        self,
-        catalog: Catalog,
-        req: PlanRequest,
-        scaling: ScalingSource,
-        sat: SaturationTable,
-    ) -> Iterator[_Candidate]:
-        raise NotImplementedError
-
-
-class SingleAnchor(Architecture):
-    """One On-Demand GPU anchor plus n - 1 Spot GPUs of the same type."""
-
-    name = SINGLE_ANCHOR
-
-    def candidates(self, catalog, req, scaling, sat):
-        for v_idx, v in enumerate(catalog.gpu_view):
-            spot_budget = req.pw - v.od_price
-            if spot_budget < 0:
-                continue
-            n_hi = min(req.max_instances, 1 + int(spot_budget // v.spot_price))
-            if n_hi < 1:
-                continue
-            score = flopp(v)
-            for n in range(1, n_hi + 1):
-                z = ((n - 1) * score.spfp + score.odfp) * scaling.factor(v, n)
-                price = v.od_price + (n - 1) * v.spot_price
-                yield _Candidate(z, price, self.rank, v_idx, -1, n, 0, self.name, v, None)
-
-
-class Tiering(Architecture):
-    """n Spot GPU trainers plus m On-Demand CPU checkpoint receivers."""
-
-    name = TIERING
-
-    def candidates(self, catalog, req, scaling, sat):
-        needed_mem = req.required_memory
-        for v_idx, v in enumerate(catalog.gpu_view):
-            score = flopp(v)
-            for w_idx, w in enumerate(catalog.cpu_view):
-                if w.memory < needed_mem:
-                    continue
-                n_sat = n_sat_lookup(sat, v, w)
-                for m in range(1, req.max_instances + 1):
-                    n_lo = max(1, (m - 1) * n_sat)
-                    if n_lo > req.max_instances:
-                        break
-                    gpu_budget = req.pw - m * w.od_price
-                    if gpu_budget < v.spot_price:
-                        break
-                    n_hi = min(
-                        req.max_instances,
-                        m * n_sat - 1,
-                        int(gpu_budget // v.spot_price),
-                    )
-                    if n_hi < n_lo:
-                        break
-                    cpu_price = m * w.od_price
-                    for n in range(n_lo, n_hi + 1):
-                        z = n * score.spfp * scaling.factor(v, n)
-                        price = n * v.spot_price + cpu_price
-                        yield _Candidate(
-                            z, price, self.rank, v_idx, w_idx, n, m, self.name, v, w
-                        )
-
-
-_REGISTRY: list[Architecture] = []
-
-
-def register_architecture(arch: Architecture) -> Architecture:
-    """Append an architecture to the registry; rank fixes tie-break order."""
-    arch.rank = len(_REGISTRY)
-    _REGISTRY.append(arch)
-    return arch
-
-
-register_architecture(SingleAnchor())
-register_architecture(Tiering())
-
-
-def architectures() -> tuple[Architecture, ...]:
-    return tuple(_REGISTRY)
-
-
-def _all_candidates(catalog, req, scaling, sat) -> Iterator[_Candidate]:
-    for arch in _REGISTRY:
-        yield from arch.candidates(catalog, req, scaling, sat)
+def _best(candidates: Iterator[tuple]) -> Optional[ClusterPlan]:
+    best = min(candidates, key=itemgetter(0), default=None)
+    return _plan(best) if best else None
 
 
 def _defaults(scaling, sat):
@@ -269,10 +234,7 @@ def plan_single_anchor(
     catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
 ) -> Optional[ClusterPlan]:
     """Best single-anchor plan under the budget, or None if infeasible."""
-    scaling, sat = _defaults(scaling, None)
-    arch = next(a for a in _REGISTRY if a.name == SINGLE_ANCHOR)
-    best = min(arch.candidates(catalog, req, scaling, sat), key=_sort_key, default=None)
-    return _materialize(best) if best else None
+    return _best(_single_anchor_rows(catalog.gpu_view, req, scaling or ScalingSource()))
 
 
 def plan_tiering(
@@ -282,10 +244,7 @@ def plan_tiering(
     sat: SaturationTable | None = None,
 ) -> Optional[ClusterPlan]:
     """Best tiering plan under budget, memory, and saturation constraints."""
-    scaling, sat = _defaults(scaling, sat)
-    arch = next(a for a in _REGISTRY if a.name == TIERING)
-    best = min(arch.candidates(catalog, req, scaling, sat), key=_sort_key, default=None)
-    return _materialize(best) if best else None
+    return _best(_tiering_rows(catalog, req, *_defaults(scaling, sat)))
 
 
 def recommend(
@@ -294,12 +253,15 @@ def recommend(
     scaling: ScalingSource | None = None,
     sat: SaturationTable | None = None,
 ) -> list[ClusterPlan]:
-    """Pool every architecture's feasible candidates and return the top_k.
+    """Pool every row's frontier candidates and return the top_k.
 
     The returned list is sorted by Z descending with fully deterministic
     tie-breaking (price, architecture order, catalog order).  Empty when no
     configuration fits the budget.
     """
     scaling, sat = _defaults(scaling, sat)
-    top = heapq.nsmallest(req.top_k, _all_candidates(catalog, req, scaling, sat), key=_sort_key)
-    return [_materialize(c) for c in top]
+    candidates = chain(
+        _single_anchor_rows(catalog.gpu_view, req, scaling),
+        _tiering_rows(catalog, req, scaling, sat),
+    )
+    return [_plan(c) for c in heapq.nsmallest(req.top_k, candidates, key=itemgetter(0))]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .catalog import InstanceSpec
 
 __all__ = [
@@ -167,11 +167,19 @@ def sum_squared_residuals(params: LogisticParams, samples: Iterable[SpeedupSampl
     return total
 
 
+# numpy is imported only on the fit path, so that processes that only plan
+# do not pay its import time and memory.
+
+
 def _logistic(ns: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    import numpy as np
+
     return c / (1.0 + np.exp(-a * (ns - b)))
 
 
 def _jacobian(ns: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    import numpy as np
+
     e = np.exp(-a * (ns - b))
     g = 1.0 / (1.0 + e)
     common = c * e * g * g
@@ -204,6 +212,8 @@ def fit_logistic(samples: Sequence[SpeedupSample]) -> LogisticParams:
             f"need samples at 3 or more distinct node counts, got {len(distinct)}"
         )
 
+    import numpy as np
+
     ns = np.array([float(s.n) for s in samples])
     ys = np.array([s.speedup for s in samples])
     y_max = float(ys.max())
@@ -234,6 +244,8 @@ def _refine(
     ns: np.ndarray, ys: np.ndarray, start: tuple[float, float, float]
 ) -> tuple[tuple[float, float, float], float, bool]:
     """Damped Gauss-Newton from one start; returns (theta, ssr, converged)."""
+    import numpy as np
+
     theta = np.array(start, dtype=float)
     resid = _logistic(ns, *theta) - ys
     ssr = float(resid @ resid)
@@ -270,11 +282,14 @@ class ScalingSource:
 
     A catalog entry may carry its own fitted parameters; instances without
     one fall back to the supplied default (the bundled reference average
-    unless overridden).  A warning is emitted the first time an instance's
-    model implies a superlinear scaling factor; the value is used as-is.
+    unless overridden), which must give S_hybrid(1) > 0.  A warning is
+    emitted the first time an instance's model implies a superlinear scaling
+    factor; the value is used as-is.
     """
 
     def __init__(self, default: ScalingModel = DEFAULT_MODEL):
+        if not s_hybrid(default, 1) > 0:
+            raise ValueError(f"scaling model {default.params} gives S_hybrid(1) <= 0")
         self.default = default
         self._warned: set[str] = set()
 

@@ -165,6 +165,29 @@ def test_as_price_exact():
     assert as_price(3) == Decimal(3)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "sNaN", float("nan"),
+                                   float("inf"), Decimal("NaN"), Decimal("-Infinity")])
+def test_as_price_rejects_non_finite(value):
+    with pytest.raises(CatalogParseError, match="not a finite price"):
+        as_price(value)
+
+
+def test_nan_price_in_document_rejected():
+    doc = {"instances": [{"name": "A", "kind": "gpu", "od_price": "NaN",
+                          "spot_price": 0.5, "network_gbps": 10, "eflops": 100}]}
+    with pytest.raises(CatalogParseError, match="not a finite price"):
+        load_catalog(json.dumps(doc))
+
+
+def test_scaling_with_nonpositive_start_rejected():
+    # a * (b - 1) >= 2 puts the tangent, and so S_hybrid(1), at or below 0.
+    doc = {"instances": [{"name": "A", "kind": "gpu", "od_price": 1,
+                          "spot_price": 0.5, "network_gbps": 10, "eflops": 100,
+                          "scaling": {"a": 0.05, "b": 50, "c": 4}}]}
+    with pytest.raises(CatalogValidationError, match="'A': scaling gives S_hybrid"):
+        load_catalog(json.dumps(doc))
+
+
 price_4dp = st.integers(min_value=1, max_value=10**8).map(lambda i: Decimal(i) / 10000)
 
 

@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spotplan
 from spotplan.cli import main
 
 REF_ROWS = {
@@ -53,6 +57,29 @@ class TestPlanCommand:
     def test_missing_catalog_file_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "plan", "--catalog", str(tmp_path / "nope.json"))
         assert code == 1
+
+    @pytest.mark.parametrize("pw", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_pw_exits_1(self, capsys, pw):
+        code, out, err = run(capsys, "plan", f"--pw={pw}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"od_price": "NaN"}, "not a finite price"),
+            ({"scaling": {"a": 0.05, "b": 50, "c": 4}}, "S_hybrid(1) <= 0"),
+        ],
+    )
+    def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):
+        doc = {"instances": [{"name": "solo", "kind": "gpu", "od_price": 0.2,
+                              "spot_price": 0.1, "network_gbps": 10,
+                              "eflops": 10, **entry}]}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "plan", "--catalog", str(path))
+        assert code == 1 and out == ""
+        assert message in err and err.count("\n") == 1
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "plan", "--format", "json", "--top-k", "2")
@@ -108,6 +135,14 @@ class TestPlanCommand:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "plan", "--catalog", str(path), "--format", "json")
         assert code == 0
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is needed only by `fit`; every other command starts without it.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spotplan.__file__))}
+    code = "import sys, spotplan.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestSimulateCommand:

@@ -1,21 +1,32 @@
+import heapq
+import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_best, brute_force_candidates, plan_tuple, random_catalog, random_request
 from spotplan import (
     Catalog,
+    CatalogParseError,
     InstanceSpec,
     Kind,
+    LogisticParams,
     PlanRequest,
+    SaturationTable,
+    ScalingModel,
     ScalingSource,
-    architectures,
+    UnitScaling,
     flopp,
+    n_sat_lookup,
+    plan_noscale,
     plan_single_anchor,
     plan_tiering,
     recommend,
+    s_hybrid,
 )
-import spotplan.planner as planner_mod
 
 
 def gpu(name, od, spot, bw=10, eflops=100, **kw):
@@ -71,6 +82,11 @@ class TestPlanRequest:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             PlanRequest(**kw)
+
+    @pytest.mark.parametrize("pw", ["NaN", "Infinity", float("inf")])
+    def test_non_finite_pw_rejected(self, pw):
+        with pytest.raises(CatalogParseError):
+            PlanRequest(pw=pw)
 
 
 class TestSingleAnchor:
@@ -159,6 +175,19 @@ class TestTiering:
                        cpu("w_second", od="0.2", bw=10)))
         plan = plan_tiering(cat, PlanRequest(pw="10"), sat=sat_table)
         assert plan.cpu_instance.name == "w_first"
+
+    def test_saturation_of_one_still_tiers(self):
+        # With n_sat = 1 even n = 1 needs m = 2 receivers: the m = 1 range is empty.
+        cat = Catalog((gpu("v", od="1", spot="0.1"), cpu("w", od="0.05")))
+        sat = SaturationTable(((0.3, 1),))
+        req = PlanRequest(pw="0.5")
+        expected = brute_force_best(cat, req, sat=sat)
+        assert expected["config"] == ("tiering", "v", 3, "w", 4)
+        assert expected["price"] == Decimal("0.50")
+        plans = recommend(cat, req, sat=sat)
+        assert plan_tuple(plans[0]) == expected["config"]
+        assert plans[0].hourly_price == expected["price"]
+        assert plan_tuple(plan_tiering(cat, req, sat=sat)) == expected["config"]
 
 
 class TestRecommend:
@@ -249,29 +278,60 @@ class TestRecommend:
                 assert top.hourly_price == expected["price"]
 
 
-class TestRegistry:
-    def test_default_registry_order(self):
-        names = [a.name for a in architectures()]
-        assert names[:2] == ["single_anchor", "tiering"]
+class TestFrontier:
+    """What the per-row walk relies on, and its result against the oracle."""
 
-    def test_custom_architecture_extends_search(self, simulated_catalog):
-        class AllSpot(planner_mod.Architecture):
-            name = "all_spot"
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(min_value=1e-3, max_value=10.0),
+        b=st.floats(min_value=1e-2, max_value=1000.0),
+        c=st.floats(min_value=1e-2, max_value=1e4),
+    )
+    def test_s_hybrid_does_not_fall(self, a, b, c):
+        model = ScalingModel(LogisticParams(a, b, c))
+        assume(s_hybrid(model, 1) > 0)
+        values = [s_hybrid(model, n) for n in range(1, 1025)]
+        assert all(hi >= lo for lo, hi in zip(values, values[1:]))
 
-            def candidates(self, catalog, req, scaling, sat):
-                for v_idx, v in enumerate(catalog.gpu_view):
-                    n_hi = min(req.max_instances, int(req.pw // v.spot_price))
-                    score = planner_mod.flopp(v)
-                    for n in range(1, n_hi + 1):
-                        z = n * score.spfp * scaling.factor(v, n)
-                        yield planner_mod._Candidate(
-                            z, n * v.spot_price, self.rank, v_idx, -1, n, 0,
-                            self.name, v, None,
-                        )
+    @settings(max_examples=50, deadline=None)
+    @given(
+        prices=st.integers(100, 40000).flatmap(lambda od: st.tuples(st.just(od), st.integers(100, od))),
+        eflops=st.integers(1, 2000),
+    )
+    def test_single_anchor_mean_does_not_fall(self, prices, eflops):
+        # In exact arithmetic; float Z moves by a few ulps, which the walk's slack covers.
+        od, spot = (Decimal(p) / 10000 for p in prices)
+        score = flopp(gpu("v", od=od, spot=spot, eflops=eflops))
+        spfp, odfp = Fraction(score.spfp), Fraction(score.odfp)
+        means = [((n - 1) * spfp + odfp) / n for n in range(1, 1025)]
+        assert all(hi >= lo for lo, hi in zip(means, means[1:]))
 
-        arch = planner_mod.register_architecture(AllSpot())
-        try:
-            plans = recommend(simulated_catalog, PlanRequest(pw="3", top_k=10))
-            assert any(p.architecture == "all_spot" for p in plans)
-        finally:
-            planner_mod._REGISTRY.remove(arch)
+    def test_top_k_matches_minimal_m_oracle(self, sat_table):
+        # max_instances=300 reaches the float plateau of Z (n around 255-298),
+        # where a walk that stops at the first fall of Z returns other plans.
+        rng = random.Random(20261017)
+        for _ in range(60):
+            catalog = random_catalog(rng, max_gpu=2, max_cpu=2)
+            n_sat = {
+                (v.name, w.name): n_sat_lookup(sat_table, v, w)
+                for v in catalog.gpu_view
+                for w in catalog.cpu_view
+            }
+            req = PlanRequest(
+                pw=Decimal(rng.randint(20000, 60000)) / 1000,
+                buffer_count=1,
+                max_instances=300,
+                top_k=rng.randint(1, 3),
+            )
+            for scaling, plans in (
+                (ScalingSource(), recommend(catalog, req, sat=sat_table)),
+                (UnitScaling(), plan_noscale(catalog, req, sat=sat_table)),
+            ):
+                expected = heapq.nsmallest(req.top_k, (
+                    (key, (arch, v, n, w, m))
+                    for key, (arch, v, n, w, m) in brute_force_candidates(catalog, req, scaling, sat_table)
+                    if w is None or m == n // n_sat[v, w] + 1
+                ))
+                assert [(plan_tuple(p), p.hourly_price, p.score_z) for p in plans] == [
+                    (desc, key[1], -key[0]) for key, desc in expected
+                ]

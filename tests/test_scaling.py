@@ -242,6 +242,12 @@ class TestScalingSource:
             warnings_mod.simplefilter("error")
             source.factor(inst, 1)  # second call for the same instance is silent
 
+    def test_default_with_nonpositive_start_rejected(self):
+        from spotplan import ScalingSource
+
+        with pytest.raises(ValueError, match="S_hybrid"):
+            ScalingSource(ScalingModel(LogisticParams(0.05, 50.0, 4.0)))
+
     def test_unit_scaling_is_constant_one(self):
         from spotplan import UnitScaling
 

@@ -1,21 +1,34 @@
 """Comparison policies: cost-first, performance-first, and no-scale."""
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .catalog import Catalog, InstanceSpec
-from .planner import ClusterPlan, PlanRequest, _plan, _single_anchor_rows, recommend
+from .planner import ClusterPlan, PlanRequest, _candidates, _plan, _SingleAnchorRow, flopp, recommend
 from .saturation import SaturationTable
 from .scaling import ScalingSource, UnitScaling
 
 __all__ = ["plan_cost_first", "plan_performance_first", "plan_noscale"]
 
 
+def _cost_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
+    """Index of the cheapest-spot GPU, the higher eflops first on ties."""
+    return min(range(len(gpus)), key=lambda i: (gpus[i].spot_price, -gpus[i].eflops, i), default=None)
+
+
+def _performance_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
+    """Index of the highest-eflops GPU, the cheaper spot first on ties."""
+    return min(range(len(gpus)), key=lambda i: (-gpus[i].eflops, gpus[i].spot_price, i), default=None)
+
+
 def _single_anchor_at_max_n(
-    v: InstanceSpec, req: PlanRequest, scaling: ScalingSource
+    gpus: Sequence[InstanceSpec], v_idx: Optional[int], req: PlanRequest, scaling: ScalingSource | None
 ) -> Optional[ClusterPlan]:
+    if v_idx is None:
+        return None
+    v = gpus[v_idx]
     # The first candidate of v's single-anchor row has the largest n in budget.
-    top = next(_single_anchor_rows((v,), req, scaling), None)
+    top = next(_candidates([_SingleAnchorRow(v_idx, v, flopp(v))], req, scaling or ScalingSource()), None)
     return _plan(top) if top else None
 
 
@@ -24,11 +37,7 @@ def plan_cost_first(
 ) -> Optional[ClusterPlan]:
     """Cheapest-spot GPU as a single anchor, packed with as many nodes as fit."""
     gpus = catalog.gpu_view
-    if not gpus:
-        return None
-    scaling = scaling or ScalingSource()
-    v = min(enumerate(gpus), key=lambda iv: (iv[1].spot_price, -iv[1].eflops, iv[0]))[1]
-    return _single_anchor_at_max_n(v, req, scaling)
+    return _single_anchor_at_max_n(gpus, _cost_first_gpu(gpus), req, scaling)
 
 
 def plan_performance_first(
@@ -36,11 +45,7 @@ def plan_performance_first(
 ) -> Optional[ClusterPlan]:
     """Highest-eflops GPU as a single anchor; no fallback when unaffordable."""
     gpus = catalog.gpu_view
-    if not gpus:
-        return None
-    scaling = scaling or ScalingSource()
-    v = min(enumerate(gpus), key=lambda iv: (-iv[1].eflops, iv[1].spot_price, iv[0]))[1]
-    return _single_anchor_at_max_n(v, req, scaling)
+    return _single_anchor_at_max_n(gpus, _performance_first_gpu(gpus), req, scaling)
 
 
 def plan_noscale(

@@ -7,6 +7,7 @@ share across concurrent planner workers.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -109,6 +110,9 @@ class InstanceSpec:
             raise bad("network_bw must be positive")
         if not self.memory > 0:
             raise bad("memory must be positive")
+        for name in ("network_bw", "eflops", "memory"):
+            if not math.isfinite(getattr(self, name)):
+                raise bad(f"{name} must be finite")
         if self.kind is Kind.GPU:
             # Unavailable GPU entries may lack a benchmark (eflops 0); they
             # are excluded from planning anyway.

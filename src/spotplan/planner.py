@@ -28,15 +28,18 @@ therefore stops only once Z is below the row's top_k-th best Z by the
 relative slack _SLACK, far above that rounding noise.  The rows' candidates
 are pooled and ranked deterministically: higher Z first, then lower price,
 then architecture (single_anchor before tiering), then catalog order.
+
+With top_k = 1 a row's best candidate is therefore the first n <= n_top with the
+largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
+classes and reads that candidate from tables of Z instead of walking.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from decimal import Decimal
-from itertools import chain
+from decimal import Decimal, InvalidOperation
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .catalog import Catalog, InstanceSpec, Kind, as_price
 from .saturation import SaturationTable, default_saturation_table, min_cpu_count, n_sat_lookup
@@ -143,65 +146,101 @@ class ClusterPlan:
         }
 
 
-def _walk(n_top: int, top_k: int, z_of: Callable[[int], float]) -> Iterator[tuple[int, float]]:
-    """(n, Z) for n = n_top, n_top - 1, ..., 1, until Z falls below the
-    top_k-th best Z seen so far by the relative slack."""
+def _quotient(x: Decimal, y: Decimal, cap: int) -> int:
+    """x // y for positive y, or cap when the quotient is too long for the
+    Decimal context (DivisionImpossible), and so far above cap."""
+    try:
+        return int(x // y)
+    except InvalidOperation:
+        return cap
+
+
+class _SingleAnchorRow:
+    """GPU v as one On-Demand anchor plus n - 1 Spot trainers."""
+
+    __slots__ = ("v_idx", "v", "od", "spot", "spfp", "odfp")
+    rank = 0
+
+    def __init__(self, v_idx: int, v: InstanceSpec, score: FloppScore):
+        self.v_idx, self.v, self.od, self.spot = v_idx, v, v.od_price, v.spot_price
+        self.spfp, self.odfp = score.spfp, score.odfp
+
+    def n_top(self, pw: Decimal, cap: int) -> int:
+        """Largest n that fits pw and cap, exactly; below 1 when none does."""
+        spot_budget = pw - self.od
+        return min(cap, 1 + _quotient(spot_budget, self.spot, cap)) if spot_budget >= 0 else 0
+
+    def price(self, n: int) -> Decimal:
+        return self.od + (n - 1) * self.spot
+
+    def z(self, n: int, k: float) -> float:
+        return ((n - 1) * self.spfp + self.odfp) * k
+
+    def candidate(self, n: int, z: float) -> tuple:
+        """(sort key, v, w), the sort key being
+        (-Z, price, architecture rank, v index, w index or -1, n, m or 0)."""
+        return (-z, self.price(n), 0, self.v_idx, -1, n, 0), self.v, None
+
+
+class _TieringRow:
+    """n Spot trainers of GPU v plus m = min_cpu_count(n, n_sat) On-Demand
+    memory nodes of CPU w."""
+
+    __slots__ = ("v_idx", "v", "spot", "spfp", "w_idx", "w", "cpu", "n_sat")
+    rank = 1
+
+    def __init__(self, v_idx: int, v: InstanceSpec, score: FloppScore, w_idx: int, w: InstanceSpec, n_sat: int):
+        self.v_idx, self.v, self.spot, self.spfp = v_idx, v, v.spot_price, score.spfp
+        self.w_idx, self.w, self.cpu, self.n_sat = w_idx, w, w.od_price, n_sat
+
+    def n_top(self, pw: Decimal, cap: int) -> int:
+        """Largest n that fits pw and cap, exactly; below 1 when none does.
+
+        It is the top of the range of the largest receiver count m whose
+        smallest n, max(1, (m - 1) * n_sat), fits the budget and cap.
+        """
+        spot, cpu, n_sat = self.spot, self.cpu, self.n_sat
+        block = n_sat * spot
+        m = min(cap, min_cpu_count(cap, n_sat), _quotient(pw + block, block + cpu, cap))
+        return min(cap, m * n_sat - 1, _quotient(pw - m * cpu, spot, cap))
+
+    def price(self, n: int) -> Decimal:
+        return n * self.spot + min_cpu_count(n, self.n_sat) * self.cpu
+
+    def z(self, n: int, k: float) -> float:
+        return n * self.spfp * k
+
+    def candidate(self, n: int, z: float) -> tuple:
+        key = (-z, self.price(n), 1, self.v_idx, self.w_idx, n, min_cpu_count(n, self.n_sat))
+        return key, self.v, self.w
+
+
+def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable | None) -> list:
+    """The single-anchor row of each GPU then, given a saturation table, the
+    tiering row of each (GPU, CPU) pair whose CPU holds the checkpoints."""
+    scores = [flopp(v) for v in catalog.gpu_view]
+    rows: list = [_SingleAnchorRow(i, v, score) for i, (v, score) in enumerate(zip(catalog.gpu_view, scores))]
+    if sat is not None:
+        cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
+        for i, (v, score) in enumerate(zip(catalog.gpu_view, scores)):
+            rows += [_TieringRow(i, v, score, j, w, n_sat_lookup(sat, v, w)) for j, w in cpus]
+    return rows
+
+
+def _walk(row, n_top: int, top_k: int, scaling: ScalingSource) -> Iterator[tuple]:
+    """The row's candidates for n = n_top, n_top - 1, ..., 1, until Z falls
+    below the top_k-th best Z seen so far by the relative slack."""
+    v = row.v
     best: list[float] = []  # min-heap of the top_k largest Z
     for n in range(n_top, 0, -1):
-        z = z_of(n)
+        z = row.z(n, scaling.factor(v, n))
         if len(best) < top_k:
             heapq.heappush(best, z)
         elif z < best[0] * (1.0 - _SLACK):
             return
         else:
             heapq.heappushpop(best, z)
-        yield n, z
-
-
-def _single_anchor_rows(
-    gpus: Iterable[InstanceSpec], req: PlanRequest, scaling: ScalingSource
-) -> Iterator[tuple]:
-    """Each GPU's single-anchor candidates, its largest feasible n first.
-
-    A candidate is (sort key, v, w), the sort key being
-    (-Z, price, architecture rank, v index, w index or -1, n, m or 0).
-    """
-    for v_idx, v in enumerate(gpus):
-        spot_budget = req.pw - v.od_price
-        if spot_budget < 0:
-            continue
-        n_top = min(req.max_instances, 1 + int(spot_budget // v.spot_price))
-        score = flopp(v)
-        z_of = lambda n: ((n - 1) * score.spfp + score.odfp) * scaling.factor(v, n)
-        for n, z in _walk(n_top, req.top_k, z_of):
-            yield (-z, v.od_price + (n - 1) * v.spot_price, 0, v_idx, -1, n, 0), v, None
-
-
-def _tiering_rows(
-    catalog: Catalog, req: PlanRequest, scaling: ScalingSource, sat: SaturationTable
-) -> Iterator[tuple]:
-    """Each (GPU, CPU) pair's tiering candidates, its largest feasible n first."""
-    cpus = catalog.cpu_view
-    for v_idx, v in enumerate(catalog.gpu_view):
-        spfp = flopp(v).spfp
-        z_of = lambda n: n * spfp * scaling.factor(v, n)
-        for w_idx, w in enumerate(cpus):
-            if w.memory < req.required_memory:
-                continue
-            n_sat = n_sat_lookup(sat, v, w)
-            spot, cpu = v.spot_price, w.od_price
-            # n_top is the top of the range of the largest receiver count m
-            # whose smallest n, max(1, (m - 1) * n_sat), fits the budget and
-            # max_instances.  With no such m, n_top < 1 and the row is empty.
-            m = min(
-                req.max_instances,
-                min_cpu_count(req.max_instances, n_sat),
-                int((req.pw + n_sat * spot) // (n_sat * spot + cpu)),
-            )
-            n_top = min(req.max_instances, m * n_sat - 1, int((req.pw - m * cpu) // spot))
-            for n, z in _walk(n_top, req.top_k, z_of):
-                m = min_cpu_count(n, n_sat)
-                yield (-z, n * spot + m * cpu, 1, v_idx, w_idx, n, m), v, w
+        yield row.candidate(n, z)
 
 
 def _plan(candidate: tuple) -> ClusterPlan:
@@ -217,8 +256,17 @@ def _plan(candidate: tuple) -> ClusterPlan:
     )
 
 
-def _best(candidates: Iterator[tuple]) -> Optional[ClusterPlan]:
-    best = min(candidates, key=itemgetter(0), default=None)
+def _candidates(rows: Iterable, req: PlanRequest, scaling: ScalingSource) -> Iterator[tuple]:
+    """Every row's walk, from its largest n that fits the request."""
+    pw, cap, top_k = req.pw, req.max_instances, req.top_k
+    for row in rows:
+        n_top = row.n_top(pw, cap)
+        if n_top > 0:
+            yield from _walk(row, n_top, top_k, scaling)
+
+
+def _best(rows: Iterable, req: PlanRequest, scaling: ScalingSource) -> Optional[ClusterPlan]:
+    best = min(_candidates(rows, req, scaling), key=itemgetter(0), default=None)
     return _plan(best) if best else None
 
 
@@ -234,7 +282,7 @@ def plan_single_anchor(
     catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
 ) -> Optional[ClusterPlan]:
     """Best single-anchor plan under the budget, or None if infeasible."""
-    return _best(_single_anchor_rows(catalog.gpu_view, req, scaling or ScalingSource()))
+    return _best(_rows(catalog, req, None), req, scaling or ScalingSource())
 
 
 def plan_tiering(
@@ -244,7 +292,8 @@ def plan_tiering(
     sat: SaturationTable | None = None,
 ) -> Optional[ClusterPlan]:
     """Best tiering plan under budget, memory, and saturation constraints."""
-    return _best(_tiering_rows(catalog, req, *_defaults(scaling, sat)))
+    scaling, sat = _defaults(scaling, sat)
+    return _best([row for row in _rows(catalog, req, sat) if row.rank], req, scaling)
 
 
 def recommend(
@@ -260,8 +309,5 @@ def recommend(
     configuration fits the budget.
     """
     scaling, sat = _defaults(scaling, sat)
-    candidates = chain(
-        _single_anchor_rows(catalog.gpu_view, req, scaling),
-        _tiering_rows(catalog, req, scaling, sat),
-    )
+    candidates = _candidates(_rows(catalog, req, sat), req, scaling)
     return [_plan(c) for c in heapq.nsmallest(req.top_k, candidates, key=itemgetter(0))]

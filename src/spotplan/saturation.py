@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
+from operator import itemgetter
 from typing import IO, Union
 
 from .catalog import InstanceSpec
@@ -53,8 +54,7 @@ def n_sat_lookup(table: SaturationTable, v: InstanceSpec, w: InstanceSpec) -> in
     if not table.entries:
         raise ValueError("saturation table is empty")
     beta = min(v.network_bw, w.network_bw)
-    keys = [bw for bw, _ in table.entries]
-    idx = bisect_right(keys, beta) - 1
+    idx = bisect_right(table.entries, beta, key=itemgetter(0)) - 1
     if idx < 0:
         idx = 0
     return table.entries[idx][1]

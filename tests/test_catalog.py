@@ -179,6 +179,23 @@ def test_nan_price_in_document_rejected():
         load_catalog(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("network_gbps", "Infinity", "network_bw must be finite"),
+        ("eflops", "Infinity", "eflops must be finite"),
+        ("memory_gib", "Infinity", "memory must be finite"),
+        ("eflops", "NaN", "eflops must be finite"),  # an unavailable gpu skips the eflops > 0 check
+    ],
+)
+def test_non_finite_numbers_rejected(field, value, message):
+    entry = {"name": "bad", "kind": "gpu", "od_price": 1, "spot_price": 0.5,
+             "network_gbps": 10, "eflops": 100, "memory_gib": 16, "available": False}
+    entry[field] = value
+    with pytest.raises(CatalogValidationError, match=f"'bad': {message}"):
+        load_catalog(json.dumps({"instances": [entry]}))
+
+
 def test_scaling_with_nonpositive_start_rejected():
     # a * (b - 1) >= 2 puts the tangent, and so S_hybrid(1), at or below 0.
     doc = {"instances": [{"name": "A", "kind": "gpu", "od_price": 1,

@@ -69,6 +69,8 @@ class TestPlanCommand:
         [
             ({"od_price": "NaN"}, "not a finite price"),
             ({"scaling": {"a": 0.05, "b": 50, "c": 4}}, "S_hybrid(1) <= 0"),
+            ({"network_gbps": "Infinity"}, "network_bw must be finite"),
+            ({"eflops": "Infinity"}, "eflops must be finite"),
         ],
     )
     def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):
@@ -80,6 +82,13 @@ class TestPlanCommand:
         code, out, err = run(capsys, "plan", "--catalog", str(path))
         assert code == 1 and out == ""
         assert message in err and err.count("\n") == 1
+
+    def test_huge_budget_is_capped_by_max_limit(self, capsys):
+        code, out, err = run(capsys, "plan", "--pw", "1e40", "--max-limit", "40", "--format", "json")
+        assert code == 0 and err == ""
+        plans = json.loads(out)["plans"]
+        assert plans and all(p["gpu_count"] <= 40 for p in plans)
+        assert all(p["cpu_count"] is None or p["cpu_count"] <= 40 for p in plans)
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "plan", "--format", "json", "--top-k", "2")
@@ -176,6 +185,12 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("step, count", [("1e-9", "10000000001"), ("1e-40", "more than 10**28")])
+    def test_oversized_grid_exits_1(self, capsys, step, count):
+        code, out, err = run(capsys, "simulate", "--pw-step", step)
+        assert code == 1 and out == ""
+        assert f"grid has {count} points" in err and err.count("\n") == 1
+
     def test_bad_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--bogus"])
@@ -238,6 +253,16 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate-catalog")
         assert code == 0
         assert "17 instances (10 gpu, 7 cpu available)" in out
+
+    @pytest.mark.parametrize("field", ["network_gbps", "eflops"])
+    def test_infinite_number_exits_1(self, capsys, tmp_path, field):
+        entry = {"name": "X", "kind": "gpu", "od_price": 0.2, "spot_price": 0.1,
+                 "network_gbps": 10, "eflops": 5, field: "Infinity"}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"instances": [entry]}))
+        code, out, err = run(capsys, "validate-catalog", str(path))
+        assert code == 1 and out == ""
+        assert "must be finite" in err and err.count("\n") == 1
 
     def test_invalid_catalog_reports_and_exits_1(self, capsys, tmp_path):
         doc = {"instances": [{"name": "X", "kind": "gpu", "od_price": 0.2,

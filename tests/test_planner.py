@@ -259,6 +259,17 @@ class TestRecommend:
             plans = recommend(scaled, PlanRequest(pw=Decimal("3") * lam))
             assert plan_tuple(plans[0]) == base
 
+    def test_huge_budget_fills_max_instances(self, simulated_catalog):
+        # The Decimal quotient budget // price needs more than 28 digits here.
+        req = PlanRequest(pw="1e40", top_k=5)
+        plans = recommend(simulated_catalog, req)
+        assert len(plans) == 5
+        assert all(p.n_gpu == req.max_instances for p in plans)
+        assert all(p.m_cpu is None or p.m_cpu <= req.max_instances for p in plans)
+        assert plan_noscale(simulated_catalog, req)[0].n_gpu == req.max_instances
+        single = plan_single_anchor(simulated_catalog, req)
+        assert single.n_gpu == req.max_instances
+
     def test_matches_brute_force_on_random_catalogs(self):
         import random
 

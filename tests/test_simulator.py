@@ -1,22 +1,32 @@
 import csv
+import hashlib
 import io
 import json
+import random
 from decimal import Decimal
 
 import pytest
 
 from spotplan import (
+    Catalog,
+    InstanceSpec,
+    Kind,
+    LogisticParams,
     PlanRequest,
     ScalingSource,
     SweepSpec,
     estimate_cost,
     evaluate_performance,
+    plan_cost_first,
+    plan_noscale,
+    plan_performance_first,
     recommend,
     run_sweep,
     sweep_rows,
     sweep_to_csv,
     sweep_to_json,
 )
+from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -123,6 +133,18 @@ class TestSweepSpec:
             SweepSpec(policies=("nonsense",))
 
 
+    def test_grid_size_is_capped(self):
+        with pytest.raises(ValueError, match="grid has 10000000001 points"):
+            SweepSpec(pw_step="1e-9")
+        with pytest.raises(ValueError, match=r"grid has more than 10\*\*28 points"):
+            SweepSpec(pw_step="1e-40")
+        step = Decimal("0.001")
+        largest = SweepSpec(pw_max=(MAX_GRID_POINTS - 1) * step, pw_step=step)
+        assert len(largest.grid()) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"grid has {MAX_GRID_POINTS + 1} points"):
+            SweepSpec(pw_max=MAX_GRID_POINTS * step, pw_step=step)
+
+
 class TestRunSweep:
     def test_planner_curve_non_decreasing(self, default_sweep):
         raws = [p.raw for p in default_sweep.curve("planner")]
@@ -165,6 +187,15 @@ class TestRunSweep:
                 assert (a.plan is None) == (b.plan is None)
                 if a.plan is not None:
                     assert a.plan.summary() == b.plan.summary()
+
+    def test_huge_budgets_fill_max_instances(self, simulated_catalog):
+        spec = SweepSpec(pw_min="1e39", pw_max="1e40", pw_step="1e39")
+        result = run_sweep(simulated_catalog, spec)
+        assert len(result.grid) == 10
+        for policy in spec.policies:
+            plans = [point.plan for point in result.curve(policy)]
+            assert all(p.n_gpu == spec.max_instances for p in plans)
+            assert len({p.summary()["hourly_price"] for p in plans}) == 1
 
     def test_deterministic_across_runs(self, simulated_catalog):
         spec = SweepSpec(pw_max="3", pw_step="0.7")
@@ -213,3 +244,120 @@ class TestSerialization:
         assert pws == sorted(pws)
         first_four = [r["policy"] for r in rows[:4]]
         assert first_four == ["planner", "noscale", "cost_first", "performance_first"]
+
+
+# sha256 of the default sweep's CSV per bundled catalog; the benchmark's
+# output check (perfbench/check.py) pins the same values.
+PINNED_SWEEP_CSV_SHA256 = {
+    "simulated_catalog": "453c0da135057f7cc8cfa9b3bdc268a454d54869968d3d0ce32fa1b97c7c1398",
+    "aws_catalog": "ca1ca79993477537d3cffbf8a6a989302863ffb2dc3568c3c509f696db6a5544",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_SWEEP_CSV_SHA256))
+def test_bundled_sweep_csv_bytes_are_pinned(request, fixture):
+    text = sweep_to_csv(run_sweep(request.getfixturevalue(fixture), SweepSpec()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEP_CSV_SHA256[fixture]
+
+
+def _sweep_case(rng):
+    """A random catalog and SweepSpec.
+
+    Half the catalogs price everything in multiples of the grid step or of a
+    half or quarter of it, so grid points land exactly on the price of some
+    row's next n, several of them within one step.  About a third of the GPU
+    types carry their own scaling fit (some superlinear).  A quarter of the
+    cases have cheap spot prices and max_instances 300, which reaches the
+    float plateau of Z, where Z stops rising and ties.
+    """
+    step = Decimal(rng.choice(["0.05", "0.07", "0.1", "0.13", "0.25"]))
+    unit = step / rng.choice([1, 2, 4]) if rng.random() < 0.5 else None
+    plateau = rng.random() < 0.25
+
+    def price(lo, hi):
+        if unit is not None:
+            return unit * rng.randint(max(1, int(lo / unit)), max(1, int(hi / unit)))
+        return Decimal(rng.randint(int(lo * 10000), int(hi * 10000))) / 10000
+
+    specs = []
+    for i in range(rng.randint(1, 4)):
+        od = price(Decimal("0.1"), Decimal("2.5"))
+        spot = price(Decimal("0.01"), Decimal("0.03")) if plateau else price(Decimal("0.03"), od)
+        scaling = None
+        if rng.random() < 0.35:
+            a = rng.uniform(0.05, 0.4)
+            scaling = LogisticParams(a=a, b=rng.uniform(0.5, 1 + 1.9 / a), c=rng.uniform(1.5, 40))
+        specs.append(InstanceSpec(
+            name=f"g{i}", kind=Kind.GPU, od_price=od, spot_price=min(od, spot),
+            network_bw=rng.choice([1.7, 5, 10, 25, 40]), eflops=rng.randint(20, 1200),
+            memory=16, scaling_params=scaling,
+        ))
+    for i in range(rng.randint(0, 4)):
+        od = price(Decimal("0.03"), Decimal("0.6"))
+        specs.append(InstanceSpec(
+            name=f"c{i}", kind=Kind.CPU, od_price=od, spot_price=od,
+            network_bw=rng.choice([5, 10]), eflops=0, memory=rng.choice([0.5, 8]),
+        ))
+    pw_min = rng.choice([Decimal(0), step * rng.randint(1, 5), Decimal("0.31")])
+    if plateau:
+        pw_min += rng.randint(8, 30)
+    spec = SweepSpec(
+        pw_min=pw_min,
+        pw_max=pw_min + step * rng.randint(5, 60),
+        pw_step=step,
+        policies=rng.choice([DEFAULT_POLICIES, ("noscale", "cost_first"), ("performance_first",)]),
+        buffer_count=rng.choice([1, 2, 20]),
+        max_instances=300 if plateau else rng.choice([1, 2, 5, 17, 40, 256]),
+    )
+    return Catalog(tuple(specs)), spec
+
+
+def test_equal_z_goes_to_the_cheaper_cpu(sat_table):
+    # In the step to pw = 0.5 both tiering rows of v reach n = 2 = max_instances.
+    # The dearer CPU's row comes first in that step, and the tie on Z must
+    # still go to the cheaper CPU.
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="0.4403", spot_price="0.1012",
+                     network_bw=1.7, eflops=100, memory=16)
+    dear, cheap = (
+        InstanceSpec(name=name, kind=Kind.CPU, od_price=price, spot_price=price,
+                     network_bw=10, eflops=0, memory=8)
+        for name, price in (("dear", "0.1798"), ("cheap", "0.1116"))
+    )
+    catalog = Catalog((v, dear, cheap))
+    spec = SweepSpec(pw_max="0.5", pw_step="0.25", max_instances=2)
+    plan = run_sweep(catalog, spec, sat=sat_table).curve("planner")[-1].plan
+    assert (plan.n_gpu, plan.cpu_instance.name) == (2, "cheap")
+    assert plan == recommend(catalog, spec.request_at(Decimal("0.5")), sat=sat_table)[0]
+
+
+@pytest.mark.filterwarnings("ignore:.*superlinear:RuntimeWarning")
+def test_sweep_equals_per_point_policies(sat_table):
+    """run_sweep's one pass gives each point what the per-point calls give."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        catalog, spec = _sweep_case(rng)
+        result = run_sweep(catalog, spec, sat=sat_table)
+        scaling = ScalingSource()
+
+        def at(pw):
+            if pw <= 0:
+                return dict.fromkeys(DEFAULT_POLICIES)
+            req = spec.request_at(pw)
+            return {
+                "planner": next(iter(recommend(catalog, req, scaling, sat_table)), None),
+                "noscale": next(iter(plan_noscale(catalog, req, sat_table)), None),
+                "cost_first": plan_cost_first(catalog, req, scaling),
+                "performance_first": plan_performance_first(catalog, req, scaling),
+            }
+
+        normalizer = evaluate_performance(at(spec.grid()[-1])["planner"], scaling)
+        assert result.normalizer == normalizer
+        assert result.grid == spec.grid()
+        assert tuple(result.curves) == spec.policies
+        for i, pw in enumerate(spec.grid()):
+            expected = at(pw)
+            for policy in spec.policies:
+                point = result.curve(policy)[i]
+                raw = evaluate_performance(expected[policy], scaling)
+                assert (point.pw, point.plan, point.raw) == (pw, expected[policy], raw), (spec, policy)
+                assert point.normalized == (raw / normalizer if normalizer > 0 else 0.0)

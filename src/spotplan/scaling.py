@@ -12,6 +12,7 @@ factor K(n) = S_hybrid(n) / n used to discount cluster performance.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +20,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .catalog import InstanceSpec
 
 __all__ = [
@@ -158,32 +157,48 @@ def average_params(models: Sequence[LogisticParams]) -> LogisticParams:
     )
 
 
+def _denominators(a: float, b: float, ns: Sequence[float]) -> list[float]:
+    """1 + exp(-a(n - b)) at each n: the logistic at n is c over it.
+
+    inf where the exponential overflows, so that the logistic there is 0.
+    """
+    try:
+        return [1.0 + math.exp(-a * (n - b)) for n in ns]
+    except OverflowError:
+        pass
+    dens = []
+    for n in ns:
+        try:
+            dens.append(1.0 + math.exp(-a * (n - b)))
+        except OverflowError:
+            dens.append(math.inf)
+    return dens
+
+
+def _residuals(
+    ns: Sequence[float], ys: Sequence[float], a: float, b: float, c: float
+) -> tuple[list[float], list[float], float]:
+    """Denominators, residuals and their sum of squares at (a, b, c)."""
+    dens = _denominators(a, b, ns)
+    resid = [c / d - y for d, y in zip(dens, ys)]
+    ssr = 0.0
+    for r in resid:
+        ssr += r * r
+    return dens, resid, ssr
+
+
 def sum_squared_residuals(params: LogisticParams, samples: Iterable[SpeedupSample]) -> float:
     """Sum of squared residuals of the logistic curve against samples."""
-    total = 0.0
-    for s in samples:
-        r = params.c / (1.0 + math.exp(-params.a * (s.n - params.b))) - s.speedup
-        total += r * r
-    return total
+    samples = list(samples)
+    ns = [s.n for s in samples]
+    ys = [s.speedup for s in samples]
+    return _residuals(ns, ys, params.a, params.b, params.c)[2]
 
 
-# numpy is imported only on the fit path, so that processes that only plan
-# do not pay its import time and memory.
-
-
-def _logistic(ns: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    import numpy as np
-
-    return c / (1.0 + np.exp(-a * (ns - b)))
-
-
-def _jacobian(ns: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    import numpy as np
-
-    e = np.exp(-a * (ns - b))
-    g = 1.0 / (1.0 + e)
-    common = c * e * g * g
-    return np.column_stack((common * (ns - b), -common * a, g))
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced values from start to stop, as numpy.linspace computes them."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 _GRID_A = 12
@@ -191,6 +206,9 @@ _GRID_B = 12
 _GRID_C = 8
 _MAX_ITER = 500
 _REL_TOL = 1e-10
+
+# Start values of a: numpy.geomspace(0.01, 1.0, _GRID_A).
+_A_STARTS = [0.01, *(10.0 ** x for x in _linspace(-2.0, 0.0, _GRID_A)[1:-1]), 1.0]
 
 
 def fit_logistic(samples: Sequence[SpeedupSample]) -> LogisticParams:
@@ -202,7 +220,8 @@ def fit_logistic(samples: Sequence[SpeedupSample]) -> LogisticParams:
 
     Requires at least four samples spanning at least three distinct node
     counts.  Raises NonConvergenceError (carrying the best iterate and its
-    residual) if no start converges within the iteration cap.
+    residual) if no start converges within the iteration cap, or if the best
+    residual is not finite.
     """
     if len(samples) < 4:
         raise InsufficientDataError(f"need at least 4 samples, got {len(samples)}")
@@ -212,69 +231,119 @@ def fit_logistic(samples: Sequence[SpeedupSample]) -> LogisticParams:
             f"need samples at 3 or more distinct node counts, got {len(distinct)}"
         )
 
-    import numpy as np
+    ns = [float(s.n) for s in samples]
+    ys = [s.speedup for s in samples]
+    y_max = max(ys)
+    b_starts = _linspace(1.0, 2.0 * max(ns), _GRID_B)
+    c_starts = _linspace(y_max, 4.0 * y_max, _GRID_C)
 
-    ns = np.array([float(s.n) for s in samples])
-    ys = np.array([s.speedup for s in samples])
-    y_max = float(ys.max())
-
-    a_grid = np.geomspace(0.01, 1.0, _GRID_A)
-    b_grid = np.linspace(1.0, 2.0 * float(ns.max()), _GRID_B)
-    c_grid = np.linspace(y_max, 4.0 * y_max, _GRID_C)
-
-    # Vectorized residual scan over the whole grid.
-    aa, bb, cc = np.meshgrid(a_grid, b_grid, c_grid, indexing="ij")
-    preds = cc[..., None] / (1.0 + np.exp(-aa[..., None] * (ns - bb[..., None])))
-    ssr = ((preds - ys) ** 2).sum(axis=-1)
-    order = np.argsort(ssr, axis=None, kind="stable")
+    # Residual scan over the whole grid; the flat index of (i, j, k) is
+    # (i * _GRID_B + j) * _GRID_C + k.  The residuals at (a, b, c) are c times
+    # those of the unit logistic against ys / c, so each (a, b) pair's unit
+    # curve and each c's scaled samples are computed once, and math.dist sums
+    # the squares in C.
+    scaled_ys = [(c, [y / c for y in ys]) for c in c_starts]
+    ssr = []
+    for a in _A_STARTS:
+        for b in b_starts:
+            unit = [1.0 / d for d in _denominators(a, b, ns)]
+            for c, scaled in scaled_ys:
+                root = c * math.dist(unit, scaled)
+                ssr.append(root * root)
+    # The three best starts by (residual, flat index): nsmallest is stable.
+    best = heapq.nsmallest(3, range(len(ssr)), key=ssr.__getitem__)
 
     runs = []
-    for flat in order[:3]:
-        i, j, k = np.unravel_index(flat, ssr.shape)
-        runs.append(_refine(ns, ys, (a_grid[i], b_grid[j], c_grid[k])))
+    for flat in best:
+        ij, k = divmod(flat, _GRID_C)
+        i, j = divmod(ij, _GRID_B)
+        runs.append(_refine(ns, ys, (_A_STARTS[i], b_starts[j], c_starts[k])))
     theta, best_ssr, converged = min(runs, key=lambda run: run[1])
 
     params = LogisticParams(*theta)
-    if not converged:
+    if not (converged and math.isfinite(best_ssr)):
         raise NonConvergenceError(params, best_ssr)
     return params
 
 
+def _normal_equations(
+    ns: Sequence[float], dens: Sequence[float], resid: Sequence[float], a: float, b: float, c: float
+) -> list[list[float]]:
+    """The Gauss-Newton system J^T J x = -J^T r as augmented rows.
+
+    J is the Jacobian of the logistic in (a, b, c) at the samples.
+    """
+    haa = hab = hac = hbb = hbc = hcc = ga = gb = gc = 0.0
+    for n, d, r in zip(ns, dens, resid):
+        g = 1.0 / d  # the derivative in c
+        slope = c * g * (1.0 - g)
+        ja = slope * (n - b)
+        jb = -slope * a
+        haa += ja * ja
+        hab += ja * jb
+        hac += ja * g
+        hbb += jb * jb
+        hbc += jb * g
+        hcc += g * g
+        ga += ja * r
+        gb += jb * r
+        gc += g * r
+    return [[haa, hab, hac, -ga], [hab, hbb, hbc, -gb], [hac, hbc, hcc, -gc]]
+
+
+def _solve3(system: list[list[float]], lam: float) -> list[float] | None:
+    """Solve (M + lam I) x = v, given as augmented rows [M_i0, M_i1, M_i2, v_i].
+
+    Gaussian elimination with partial pivoting; None if a pivot is zero.
+    """
+    rows = [list(row) for row in system]
+    for i in range(3):
+        rows[i][i] += lam
+    for col in range(3):
+        pivot = max(range(col, 3), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        if p == 0.0:
+            return None
+        for r in range(col + 1, 3):
+            f = rows[r][col] / p
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    x = [0.0, 0.0, 0.0]
+    for r in (2, 1, 0):
+        row = rows[r]
+        x[r] = (row[3] - sum(row[k] * x[k] for k in range(r + 1, 3))) / row[r]
+    return x
+
+
 def _refine(
-    ns: np.ndarray, ys: np.ndarray, start: tuple[float, float, float]
+    ns: list[float], ys: list[float], start: tuple[float, float, float]
 ) -> tuple[tuple[float, float, float], float, bool]:
     """Damped Gauss-Newton from one start; returns (theta, ssr, converged)."""
-    import numpy as np
-
-    theta = np.array(start, dtype=float)
-    resid = _logistic(ns, *theta) - ys
-    ssr = float(resid @ resid)
+    theta = start
+    dens, resid, ssr = _residuals(ns, ys, *theta)
+    system = _normal_equations(ns, dens, resid, *theta)
     lam = 1e-3
     for _ in range(_MAX_ITER):
-        jac = _jacobian(ns, *theta)
-        grad = jac.T @ resid
-        hess = jac.T @ jac
-        try:
-            step = np.linalg.solve(hess + lam * np.eye(3), -grad)
-        except np.linalg.LinAlgError:
+        step = _solve3(system, lam)
+        if step is None:
             lam *= 10.0
             continue
-        candidate = theta + step
-        if np.all(candidate > 0) and np.all(np.isfinite(candidate)):
-            cand_resid = _logistic(ns, *candidate) - ys
-            cand_ssr = float(cand_resid @ cand_resid)
+        candidate = tuple(t + s for t, s in zip(theta, step))
+        if all(0.0 < t < math.inf for t in candidate):
+            cand_dens, cand_resid, cand_ssr = _residuals(ns, ys, *candidate)
             if cand_ssr <= ssr:
                 improved = ssr - cand_ssr
-                theta, resid, ssr = candidate, cand_resid, cand_ssr
+                theta, dens, resid, ssr = candidate, cand_dens, cand_resid, cand_ssr
                 lam = max(lam * 0.3, 1e-12)
                 if improved <= _REL_TOL * max(ssr, 1e-30):
-                    return tuple(theta), ssr, True
+                    return theta, ssr, True
+                system = _normal_equations(ns, dens, resid, *theta)
                 continue
         lam *= 10.0
         if lam > 1e12:
             # Step size has collapsed; nothing further to gain.
-            return tuple(theta), ssr, True
-    return tuple(theta), ssr, False
+            return theta, ssr, True
+    return theta, ssr, False
 
 
 class ScalingSource:

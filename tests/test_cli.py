@@ -146,12 +146,39 @@ class TestPlanCommand:
         assert code == 0
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is needed only by `fit`; every other command starts without it.
+def _python(code, *args):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spotplan.__file__))}
-    code = "import sys, spotplan.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_numpy_unloaded():
+    # The package has no runtime dependencies: importing the CLI loads no numpy.
+    proc = _python("import sys, spotplan.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    paths = []
+    for name, row in REF_ROWS.items():
+        path = tmp_path / f"{name}.csv"
+        write_samples(path, *row)
+        paths.append(str(path))
+    code = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from spotplan.cli import main
+out = sys.argv[1]
+codes = [
+    main(["plan", "--out", out]),
+    main(["validate-catalog"]),
+    main(["fit", *sys.argv[2:], "--average", "--out", out]),
+    main(["simulate", "--out", out]),
+]
+print(codes)
+"""
+    proc = _python(code, str(tmp_path / "out.txt"), *paths)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 class TestSimulateCommand:
@@ -246,6 +273,29 @@ class TestFitCommand:
         code, out, _ = run(capsys, "fit", str(path), "--format", "table")
         assert code == 0
         assert out.startswith("a=")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_overflowing_start_exits_0(self, capsys, tmp_path, fmt):
+        path = tmp_path / "far.csv"
+        path.write_text("n,speedup\n1,1\n2,2\n3,3\n100000,4\n")
+        code, out, err = run(capsys, "fit", str(path), "--format", fmt)
+        assert code == 0 and err == ""
+
+    def test_not_converging_exits_1_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "stuck.csv"
+        path.write_text("n,speedup\n1,1\n2,1\n3,1\n400,900\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: logistic fit did not converge; best iterate LogisticParams(a=0.0251")
+        assert "np." not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_finite_residual_exits_1_in_one_line(self, capsys, tmp_path, fmt):
+        path = tmp_path / "huge.csv"
+        path.write_text("n,speedup\n1,1e300\n2,1e300\n3,1e300\n4,1e300\n")
+        code, out, err = run(capsys, "fit", str(path), "--format", fmt)
+        assert code == 1 and out == ""
+        assert "did not converge" in err and "residual inf" in err and err.count("\n") == 1
 
 
 class TestValidateCommand:

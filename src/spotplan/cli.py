@@ -21,7 +21,7 @@ from .scaling import (
     fit_logistic,
     sum_squared_residuals,
 )
-from .simulator import SweepSpec, run_sweep, sweep_rows, sweep_to_csv, sweep_to_json
+from .simulator import SweepSpec, _ordered, _plan_fields, run_sweep, sweep_to_csv, sweep_to_json
 
 __all__ = ["main"]
 
@@ -173,15 +173,16 @@ def cmd_simulate(args) -> int:
         text = sweep_to_json(result) + "\n"
     elif args.format == "table":
         lines = [f"{'pw':>8}  {'policy':<18} {'raw':>12}  {'normalized':>10}  plan"]
-        for row in sweep_rows(result):
+        for point, policy in _ordered(result):
+            architecture, gpu, gpu_count, cpu, cpu_count, _ = _plan_fields(point.plan)
             plan = "-"
-            if row["gpu"]:
-                plan = f"{row['architecture']} {row['gpu']}x{row['gpu_count']}"
-                if row["cpu"]:
-                    plan += f" + {row['cpu']}x{row['cpu_count']}"
+            if gpu:
+                plan = f"{architecture} {gpu}x{gpu_count}"
+                if cpu:
+                    plan += f" + {cpu}x{cpu_count}"
             lines.append(
-                f"{_fmt(row['pw']):>8}  {row['policy']:<18} {_fmt(row['raw']):>12}  "
-                f"{_fmt(row['normalized']):>10}  {plan}"
+                f"{_fmt(float(point.pw)):>8}  {policy:<18} {_fmt(point.raw):>12}  "
+                f"{_fmt(point.normalized):>10}  {plan}"
             )
         text = "\n".join(lines) + "\n"
     else:

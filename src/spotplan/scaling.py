@@ -101,6 +101,12 @@ class SpeedupSample:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
+        try:
+            finite = math.isfinite(self.n)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            raise ValueError("node count must be finite and within float range")
         if not (self.speedup > 0 and math.isfinite(self.speedup)):
             raise ValueError(f"speedup must be positive, got {self.speedup}")
 

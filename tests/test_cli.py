@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -207,6 +208,14 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 3 * 4
         assert lines[0].split()[:2] == ["pw", "policy"]
 
+    def test_table_bytes_are_pinned(self, capsys):
+        # sha256 of the default sweep's table, as the row-dict table loop printed it.
+        code, out, _ = run(capsys, "simulate", "--format", "table")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4c1fa009bda3c5fb92a80a4fe0b1de3fe2f0ce8de0cb3682abbc2c290248e5dd"
+        )
+
     def test_usage_error_exits_1(self, capsys):
         code = main(["simulate", "--pw-step", "0"])
         capsys.readouterr()
@@ -288,6 +297,13 @@ class TestFitCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: logistic fit did not converge; best iterate LogisticParams(a=0.0251")
         assert "np." not in err and err.count("\n") == 1
+
+    def test_node_count_beyond_float_range_exits_1_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"n,speedup\n1,1\n2,2\n3,3\n{10**400},4\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: node count must be finite and within float range\n"
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_non_finite_residual_exits_1_in_one_line(self, capsys, tmp_path, fmt):

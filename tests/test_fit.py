@@ -140,3 +140,13 @@ def test_non_finite_residual_does_not_converge():
         fit_logistic(samples([(n, 1e300) for n in (1, 2, 3, 4)]))
     assert excinfo.value.residual == math.inf
     assert math.isfinite(excinfo.value.params.c)
+
+
+@pytest.mark.parametrize("n", [10**400, math.inf, math.nan], ids=["10**400", "inf", "nan"])
+def test_node_count_beyond_float_range_is_rejected(n):
+    with pytest.raises(ValueError, match="node count must be finite and within float range"):
+        SpeedupSample(n, 1.0)
+
+
+def test_largest_float_node_count_is_accepted():
+    assert SpeedupSample(10**308, 1.0).n == 10**308

@@ -29,6 +29,7 @@ from .scaling import (
     s_average,
     s_hybrid,
     scaling_factor,
+    superlinear_from,
 )
 from .saturation import (
     SaturationTable,

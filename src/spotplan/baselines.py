@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 from .catalog import Catalog, InstanceSpec
 from .planner import ClusterPlan, PlanRequest, _candidates, _plan, _SingleAnchorRow, flopp, recommend
 from .saturation import SaturationTable
-from .scaling import ScalingSource, UnitScaling
+from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
 
 __all__ = ["plan_cost_first", "plan_performance_first", "plan_noscale"]
 
@@ -28,7 +28,7 @@ def _single_anchor_at_max_n(
         return None
     v = gpus[v_idx]
     # The first candidate of v's single-anchor row has the largest n in budget.
-    top = next(_candidates([_SingleAnchorRow(v_idx, v, flopp(v))], req, scaling or ScalingSource()), None)
+    top = next(_candidates([_SingleAnchorRow(v_idx, v, flopp(v))], req, scaling or DEFAULT_SCALING), None)
     return _plan(top) if top else None
 
 

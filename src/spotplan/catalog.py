@@ -15,7 +15,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Any, Union
 
-from .scaling import LogisticParams, ScalingModel, s_hybrid
+from .scaling import LogisticParams, _hybrid
 
 __all__ = [
     "Kind",
@@ -124,7 +124,7 @@ class InstanceSpec:
             raise bad("eflops must be 0 for cpu instances")
         # The planner relies on Z rising with n, which needs S_hybrid(1) > 0.
         params = self.scaling_params
-        if params is not None and not s_hybrid(ScalingModel(params), 1) > 0:
+        if params is not None and not _hybrid(params, 1) > 0:
             raise bad("scaling gives S_hybrid(1) <= 0, that is a * (b - 1) >= 2")
 
 

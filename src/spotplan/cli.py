@@ -13,6 +13,7 @@ from .catalog import Catalog, CatalogError, bundled_simulated_catalog, load_cata
 from .planner import PlanRequest, recommend
 from .saturation import SaturationTable, default_saturation_table, load_saturation_file
 from .scaling import (
+    DEFAULT_SCALING,
     InsufficientDataError,
     LogisticParams,
     NonConvergenceError,
@@ -20,6 +21,7 @@ from .scaling import (
     average_params,
     fit_logistic,
     sum_squared_residuals,
+    superlinear_from,
 )
 from .simulator import SweepSpec, _ordered, _plan_fields, run_sweep, sweep_to_csv, sweep_to_json
 
@@ -251,6 +253,13 @@ def cmd_validate(args) -> int:
         f"catalog OK: {len(catalog.instances)} instances "
         f"({len(catalog.gpu_view)} gpu, {len(catalog.cpu_view)} cpu available)"
     )
+    for spec in catalog.instances:
+        n = superlinear_from(DEFAULT_SCALING.model_for(spec).params)
+        if n is not None:
+            print(
+                f"note: instance {spec.name!r}: scaling factor K(n) exceeds 1 from n={n} "
+                "(superlinear speedup model); it is used as-is"
+            )
     return EXIT_OK
 
 

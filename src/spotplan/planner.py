@@ -17,6 +17,11 @@ row, by these invariants (checked by property tests):
 
 * S_hybrid(n) does not fall over n, and S_hybrid(1) > 0; the catalog and
   ScalingSource reject scaling models with S_hybrid(1) <= 0;
+* S_hybrid is concave: linear up to b, logistic beyond it, with the slopes
+  matching at b.  So the n with K(n) > 1 form one interval, whose start
+  scaling.superlinear_from finds by bisection.  The planner uses such
+  models as-is and warns about nothing; `spotplan validate-catalog` notes
+  them;
 * single_anchor: Z = ((n - 1) * SPFP + ODFP) / n * S_hybrid(n), and that
   weighted mean does not fall because spot <= od gives SPFP >= ODFP;
 * tiering: Z = n * SPFP * K(n) = SPFP * S_hybrid(n).
@@ -43,7 +48,7 @@ from typing import Iterable, Iterator, Optional
 
 from .catalog import Catalog, InstanceSpec, Kind, as_price
 from .saturation import SaturationTable, default_saturation_table, min_cpu_count, n_sat_lookup
-from .scaling import ScalingSource
+from .scaling import DEFAULT_SCALING, ScalingSource
 
 __all__ = [
     "PlanRequest",
@@ -271,18 +276,14 @@ def _best(rows: Iterable, req: PlanRequest, scaling: ScalingSource) -> Optional[
 
 
 def _defaults(scaling, sat):
-    if scaling is None:
-        scaling = ScalingSource()
-    if sat is None:
-        sat = default_saturation_table()
-    return scaling, sat
+    return scaling or DEFAULT_SCALING, sat or default_saturation_table()
 
 
 def plan_single_anchor(
     catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
 ) -> Optional[ClusterPlan]:
     """Best single-anchor plan under the budget, or None if infeasible."""
-    return _best(_rows(catalog, req, None), req, scaling or ScalingSource())
+    return _best(_rows(catalog, req, None), req, scaling or DEFAULT_SCALING)
 
 
 def plan_tiering(

@@ -8,9 +8,11 @@ bottleneck (minimum) of the two, and lookups floor to the nearest lower key.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from importlib import resources
 from operator import itemgetter
 from typing import IO, Union
@@ -27,6 +29,35 @@ __all__ = [
 ]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, Decimal)) and not isinstance(x, bool)
+
+
+def _shown(x) -> str:
+    return str(x) if isinstance(x, Decimal) else repr(x)  # JSON numbers parse to Decimal
+
+
+def _entry(row) -> tuple[float, int]:
+    """One [bandwidth, n_sat] pair: a finite positive bandwidth and an
+    integral n_sat."""
+    if not isinstance(row, (list, tuple)) or len(row) != 2:
+        raise ValueError(f"saturation entry {row!r} is not a [bandwidth, n_sat] pair")
+    bw, n = row
+    try:
+        bw_ok = _is_number(bw) and 0 < float(bw) < math.inf
+    except OverflowError:  # an int beyond float range
+        bw_ok = False
+    if not bw_ok:
+        raise ValueError(f"saturation bandwidth {_shown(bw)} is not a finite positive number")
+    try:
+        n_ok = _is_number(n) and int(n) == n
+    except (ValueError, OverflowError):  # NaN or infinite
+        n_ok = False
+    if not n_ok:
+        raise ValueError(f"n_sat {_shown(n)} is not an integer")
+    return float(bw), int(n)
+
+
 @dataclass(frozen=True)
 class SaturationTable:
     """(bandwidth Gbps, n_sat) pairs, ascending by bandwidth."""
@@ -34,7 +65,7 @@ class SaturationTable:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        normalized = tuple((float(bw), int(n)) for bw, n in self.entries)
+        normalized = tuple(_entry(row) for row in self.entries)
         object.__setattr__(self, "entries", normalized)
         prev_bw, prev_n = 0.0, 0
         for bw, n in normalized:
@@ -74,9 +105,9 @@ def load_saturation(source: Union[bytes, str, IO]) -> SaturationTable:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     doc = json.loads(source, parse_float=Decimal)
-    if not isinstance(doc, dict) or "entries" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError('saturation document must contain an "entries" list')
-    return SaturationTable(tuple((float(bw), int(n)) for bw, n in doc["entries"]))
+    return SaturationTable(doc["entries"])
 
 
 def load_saturation_file(path) -> SaturationTable:
@@ -84,7 +115,8 @@ def load_saturation_file(path) -> SaturationTable:
         return load_saturation(fh)
 
 
+@cache
 def default_saturation_table() -> SaturationTable:
-    """The bundled measured table."""
+    """The bundled measured table, read and parsed once per process."""
     data = resources.files("spotplan").joinpath("data/saturation.json")
     return load_saturation(data.read_bytes())

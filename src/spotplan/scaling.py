@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -36,6 +36,7 @@ __all__ = [
     "s_average",
     "s_hybrid",
     "scaling_factor",
+    "superlinear_from",
     "fit_logistic",
     "average_params",
     "sum_squared_residuals",
@@ -131,24 +132,56 @@ def s_average(model: ScalingModel, n: float) -> float:
     return p.c / (1.0 + math.exp(-p.a * (n - p.b)))
 
 
-def _tangent(model: ScalingModel, n: float) -> float:
-    # Tangent of the logistic at its inflection: value c/2, slope a*c/4.
-    p = model.params
-    return p.c / 2.0 + (p.a * p.c / 4.0) * (n - p.b)
+def _hybrid(p: LogisticParams, n: float) -> float:
+    """S_hybrid(n) from the parameters: below b, the tangent of the logistic
+    at its inflection (value c/2, slope a*c/4); above b, the logistic."""
+    if n <= p.b:
+        return p.c / 2.0 + (p.a * p.c / 4.0) * (n - p.b)
+    return p.c / (1.0 + math.exp(-p.a * (n - p.b)))
 
 
 def s_hybrid(model: ScalingModel, n: float) -> float:
     """Hybrid speedup: inflection tangent for n <= b, logistic for n > b."""
-    if n <= model.params.b:
-        return _tangent(model, n)
-    return s_average(model, n)
+    return _hybrid(model.params, n)
 
 
 def scaling_factor(model: ScalingModel, n: int) -> float:
     """K(n) = S_hybrid(n) / n, the ratio of modeled to ideal linear speedup."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    return s_hybrid(model, n) / n
+    return _hybrid(model.params, n) / n
+
+
+def _first(pred, lo: int, hi: int) -> int:
+    """The first n in [lo, hi] with pred(n), or hi if there is none, given
+    that pred is false and then true over the range."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@lru_cache(maxsize=256)
+def superlinear_from(params: LogisticParams) -> int | None:
+    """The first integer n >= 1 with K(n) > 1, or None if K(n) <= 1 for all n.
+
+    S_hybrid is linear up to b and concave beyond it, and the slopes match at
+    b, so S_hybrid(n) - n is concave and the n with K(n) > 1 form one
+    interval.  Every such n is below c, since S_hybrid <= c.  Two bisections
+    find its start: one for the peak of S_hybrid(n) - n over 1..ceil(c) (the
+    first n where it stops rising), then one for the first n up to the peak
+    with K(n) > 1.  Cached, as the result depends on the parameters only.
+    """
+    def k_above_one(n: int) -> bool:
+        return _hybrid(params, n) / n > 1.0
+
+    peak = _first(lambda n: _hybrid(params, n + 1) - _hybrid(params, n) <= 1.0, 1, math.ceil(params.c))
+    if not k_above_one(peak):
+        return None
+    return _first(k_above_one, 1, peak)
 
 
 def average_params(models: Sequence[LogisticParams]) -> LogisticParams:
@@ -352,21 +385,24 @@ def _refine(
     return theta, ssr, False
 
 
+@dataclass(frozen=True)
 class ScalingSource:
     """Resolves the speedup model to use for a given instance.
 
     A catalog entry may carry its own fitted parameters; instances without
     one fall back to the supplied default (the bundled reference average
-    unless overridden), which must give S_hybrid(1) > 0.  A warning is
-    emitted the first time an instance's model implies a superlinear scaling
-    factor; the value is used as-is.
+    unless overridden), which must give S_hybrid(1) > 0.  A source is
+    immutable and hashable and keeps no state between calls, so planning with
+    it is a pure function of its inputs.  A model that implies K(n) > 1 for
+    some n (a superlinear speedup) is used as-is; superlinear_from reports
+    from which n.
     """
 
-    def __init__(self, default: ScalingModel = DEFAULT_MODEL):
-        if not s_hybrid(default, 1) > 0:
-            raise ValueError(f"scaling model {default.params} gives S_hybrid(1) <= 0")
-        self.default = default
-        self._warned: set[str] = set()
+    default: ScalingModel = DEFAULT_MODEL
+
+    def __post_init__(self):
+        if not _hybrid(self.default.params, 1) > 0:
+            raise ValueError(f"scaling model {self.default.params} gives S_hybrid(1) <= 0")
 
     def model_for(self, instance: "InstanceSpec") -> ScalingModel:
         override = getattr(instance, "scaling_params", None)
@@ -375,16 +411,12 @@ class ScalingSource:
         return self.default
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
-        k = scaling_factor(self.model_for(instance), n)
-        if k > 1.0 and instance.name not in self._warned:
-            self._warned.add(instance.name)
-            warnings.warn(
-                f"instance {instance.name!r}: scaling factor {k:.4g} exceeds 1 "
-                f"at n={n} (superlinear speedup model); using it as-is",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return k
+        """K(n) for the instance's model, scaling_factor(model_for(instance), n),
+        computed from the parameters without building a model."""
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
+        params = instance.scaling_params
+        return _hybrid(self.default.params if params is None else params, n) / n
 
 
 class UnitScaling(ScalingSource):
@@ -394,3 +426,6 @@ class UnitScaling(ScalingSource):
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
         return 1.0
+
+
+DEFAULT_SCALING = ScalingSource()

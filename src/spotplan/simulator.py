@@ -21,7 +21,7 @@ from .baselines import _cost_first_gpu, _performance_first_gpu
 from .catalog import Catalog, as_price
 from .planner import ClusterPlan, PlanRequest, _plan, _rows
 from .saturation import SaturationTable, default_saturation_table
-from .scaling import ScalingSource, UnitScaling
+from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -56,7 +56,7 @@ def evaluate_performance(plan: Optional[ClusterPlan], scaling: ScalingSource | N
     """
     if plan is None:
         return 0.0
-    scaling = scaling or ScalingSource()
+    scaling = scaling or DEFAULT_SCALING
     v = plan.gpu_instance
     return plan.n_gpu * v.eflops * scaling.factor(v, plan.n_gpu)
 
@@ -257,7 +257,7 @@ def run_sweep(
     accepted and ignored: the pass is serial.  The normalizer is the full
     planner's raw performance at the last grid point.
     """
-    scaling = scaling or ScalingSource()
+    scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()
     grid = spec.grid()
     per_point = _sweep_plans(catalog, spec, grid, scaling, sat)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ import pytest
 
 import spotplan
 from spotplan.cli import main
+
+BUNDLED = pathlib.Path(spotplan.__file__).parent / "data" / "catalogs"
 
 REF_ROWS = {
     "resnet18": (0.1222, 11.7094, 4.0927),
@@ -83,6 +86,26 @@ class TestPlanCommand:
         code, out, err = run(capsys, "plan", "--catalog", str(path))
         assert code == 1 and out == ""
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"entries": 5}', 'must contain an "entries" list'),
+            ('{"entries": [["NaN", 3]]}', "bandwidth 'NaN' is not a finite positive number"),
+            ('{"entries": [["Infinity", 3]]}', "bandwidth 'Infinity' is not a finite positive number"),
+            ('{"entries": [[NaN, 3]]}', "bandwidth nan is not a finite positive number"),
+            ('{"entries": [[10, 20, 30]]}', "is not a [bandwidth, n_sat] pair"),
+            ('{"entries": [10]}', "is not a [bandwidth, n_sat] pair"),
+            ('{"entries": [[10, 3.7]]}', "n_sat 3.7 is not an integer"),
+        ],
+    )
+    def test_saturation_rejected_in_one_line(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "sat.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, command, "--saturation", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_huge_budget_is_capped_by_max_limit(self, capsys):
         code, out, err = run(capsys, "plan", "--pw", "1e40", "--max-limit", "40", "--format", "json")
@@ -319,6 +342,34 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate-catalog")
         assert code == 0
         assert "17 instances (10 gpu, 7 cpu available)" in out
+
+    def test_bundled_catalogs_have_no_notes(self, capsys):
+        for name in ("simulated.json", "aws-2023-10.json"):
+            code, out, err = run(capsys, "validate-catalog", str(BUNDLED / name))
+            assert code == 0 and err == "" and "note:" not in out
+
+    def test_superlinear_models_are_noted(self, capsys, tmp_path):
+        def gpu(name, scaling=None):
+            entry = {"name": name, "kind": "gpu", "od_price": 1, "spot_price": 0.5,
+                     "network_gbps": 10, "eflops": 100}
+            return {**entry, "scaling": scaling} if scaling else entry
+
+        doc = {"instances": [
+            gpu("S", {"a": 0.1, "b": 10.0, "c": 30.0}),
+            gpu("plain"),
+            gpu("T", {"a": 0.5, "b": 4.9, "c": 30.0}),
+            gpu("sublinear", {"a": 0.14, "b": 13.0, "c": 6.9}),
+        ]}
+        path = tmp_path / "super.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate-catalog", str(path))
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "note: instance 'S': scaling factor K(n) exceeds 1 from n=1 "
+            "(superlinear speedup model); it is used as-is",
+            "note: instance 'T': scaling factor K(n) exceeds 1 from n=2 "
+            "(superlinear speedup model); it is used as-is",
+        ]
 
     @pytest.mark.parametrize("field", ["network_gbps", "eflops"])
     def test_infinite_number_exits_1(self, capsys, tmp_path, field):

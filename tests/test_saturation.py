@@ -1,3 +1,8 @@
+import math
+import re
+from decimal import Decimal
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +10,15 @@ from hypothesis import strategies as st
 from spotplan import (
     InstanceSpec,
     Kind,
+    PlanRequest,
     SaturationTable,
+    default_saturation_table,
     load_saturation,
+    load_saturation_file,
     min_cpu_count,
     n_sat_lookup,
+    recommend,
+    saturation,
 )
 
 TABLE_V = {0.3: 3, 1.7: 12, 5: 16, 10: 20, 12.5: 24, 15: 24, 25: 28, 30: 32}
@@ -69,6 +79,77 @@ def test_load_saturation_document():
     assert table.entries == ((0.3, 3), (1.7, 12))
     with pytest.raises(ValueError):
         load_saturation('{"rows": []}')
+
+
+# Documents that must be refused, with the message each gives.
+BAD_DOCUMENTS = {
+    '{"entries": 5}': 'must contain an "entries" list',
+    '{"entries": {"0.3": 3}}': 'must contain an "entries" list',
+    '{"entries": [["NaN", 3]]}': "bandwidth 'NaN' is not a finite positive number",
+    '{"entries": [["Infinity", 3]]}': "bandwidth 'Infinity' is not a finite positive number",
+    '{"entries": [[NaN, 3]]}': "bandwidth nan is not a finite positive number",
+    '{"entries": [[Infinity, 3]]}': "bandwidth inf is not a finite positive number",
+    '{"entries": [[1e400, 3]]}': "bandwidth 1E+400 is not a finite positive number",
+    '{"entries": [[0, 3]]}': "bandwidth 0 is not a finite positive number",
+    '{"entries": [["0.3", 3]]}': "bandwidth '0.3' is not a finite positive number",
+    '{"entries": [[true, 3]]}': "bandwidth True is not a finite positive number",
+    '{"entries": [[0.3, 3, 4]]}': "entry [Decimal('0.3'), 3, 4] is not a [bandwidth, n_sat] pair",
+    '{"entries": [[0.3]]}': "entry [Decimal('0.3')] is not a [bandwidth, n_sat] pair",
+    '{"entries": [5]}': "entry 5 is not a [bandwidth, n_sat] pair",
+    '{"entries": ["ab"]}': "entry 'ab' is not a [bandwidth, n_sat] pair",
+    '{"entries": [[0.3, 3.7]]}': "n_sat 3.7 is not an integer",
+    '{"entries": [[0.3, NaN]]}': "n_sat nan is not an integer",
+    '{"entries": [[0.3, Infinity]]}': "n_sat inf is not an integer",
+    '{"entries": [[0.3, "3"]]}': "n_sat '3' is not an integer",
+    '{"entries": [[0.3, null]]}': "n_sat None is not an integer",
+}
+
+
+@pytest.mark.parametrize("doc", BAD_DOCUMENTS)
+def test_malformed_documents_are_refused(doc):
+    with pytest.raises(ValueError, match=re.escape(BAD_DOCUMENTS[doc]) + "$"):
+        load_saturation(doc)
+
+
+def test_integral_n_sat_is_kept_as_int():
+    table = load_saturation('{"entries": [[0.3, 3.0], [1.7, 1.2e1]]}')
+    assert table.entries == ((0.3, 3), (1.7, 12))
+    assert all(type(n) is int for _, n in table.entries)
+
+
+def test_table_refuses_non_finite_bandwidth_and_fractional_n_sat():
+    for entries in (((math.nan, 3),), ((math.inf, 3),), ((0.3, 3.7),), ((0.3, Decimal("3.5")),), ((0.3, Decimal("Infinity")),), ((0.3, 3, 4),)):
+        with pytest.raises(ValueError):
+            SaturationTable(entries)
+
+
+def test_default_table_is_parsed_once(monkeypatch):
+    calls = []
+    real = saturation.load_saturation
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(saturation, "load_saturation", counting)
+    default_saturation_table.cache_clear()
+    try:
+        first = default_saturation_table()
+        assert all(default_saturation_table() is first for _ in range(5))
+        assert len(calls) == 1
+    finally:
+        default_saturation_table.cache_clear()
+
+
+def test_recommend_without_sat_uses_the_bundled_table(simulated_catalog, aws_catalog):
+    path = resources.files("spotplan").joinpath("data/saturation.json")
+    with resources.as_file(path) as fs_path:
+        explicit = load_saturation_file(fs_path)
+    assert explicit == default_saturation_table()
+    for catalog in (simulated_catalog, aws_catalog):
+        for pw in ("0.5", "3", "12", "60"):
+            req = PlanRequest(pw=pw, top_k=5)
+            assert recommend(catalog, req) == recommend(catalog, req, sat=explicit)
 
 
 class TestMinCpuCount:

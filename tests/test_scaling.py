@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spotplan import (
@@ -18,6 +20,7 @@ from spotplan import (
     s_average,
     s_hybrid,
     scaling_factor,
+    superlinear_from,
 )
 
 REF = ScalingModel(DEFAULT_PARAMS)
@@ -27,6 +30,11 @@ REF = ScalingModel(DEFAULT_PARAMS)
 S_AVG_AT_20 = 4.459183585840938
 HYBRID_AT_5 = 1.460217139973
 HYBRID_AT_1 = 0.633170399973
+
+
+A_RANGE = st.floats(min_value=1e-3, max_value=10.0)
+B_RANGE = st.floats(min_value=1e-2, max_value=1000.0)
+C_RANGE = st.floats(min_value=1e-2, max_value=1e4)
 
 
 def logistic(params, n):
@@ -97,6 +105,46 @@ class TestScalingFactor:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             scaling_factor(REF, 0)
+
+
+class TestSuperlinear:
+    """superlinear_from against a scan of K(n), and the concavity it relies on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=A_RANGE, b=B_RANGE, c=st.floats(min_value=1e-2, max_value=2000.0))
+    def test_first_superlinear_n_matches_a_scan(self, a, b, c):
+        params = LogisticParams(a, b, c)
+        model = ScalingModel(params)
+        # No n >= c is superlinear, since S_hybrid <= c.
+        scan = next((n for n in range(1, math.ceil(c) + 2) if scaling_factor(model, n) > 1.0), None)
+        assert superlinear_from(params) == scan
+
+    @pytest.mark.parametrize(
+        "params, first",
+        [
+            (DEFAULT_PARAMS, None),
+            (LogisticParams(0.1, 10.0, 30.0), 1),
+            (LogisticParams(0.5, 4.9, 30.0), 2),  # S_hybrid(1) = 0.375
+            (LogisticParams(1.0, 2.0, 4.0), None),  # S_hybrid(n) = n exactly up to b
+        ],
+    )
+    def test_known_models(self, params, first):
+        assert superlinear_from(params) == first
+
+    def test_huge_asymptote_takes_few_steps(self):
+        # Bisection: no scan up to c.
+        params = LogisticParams(4.0, 1.0, 1e300)
+        assert superlinear_from(params) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=A_RANGE, b=B_RANGE, c=C_RANGE)
+    def test_s_hybrid_is_concave(self, a, b, c):
+        model = ScalingModel(LogisticParams(a, b, c))
+        values = [s_hybrid(model, n) for n in range(1, 1026)]
+        steps = [hi - lo for lo, hi in zip(values, values[1:])]
+        # Float rounding moves each value by about an ulp.
+        slack = 8 * math.ulp(max(abs(x) for x in values))
+        assert all(later <= earlier + slack for earlier, later in zip(steps, steps[1:]))
 
 
 class TestFit:
@@ -227,20 +275,60 @@ class TestScalingSource:
         assert model.origin is ModelOrigin.PER_INSTANCE
         assert source.model_for(self._instance()).params == DEFAULT_PARAMS
 
-    def test_superlinear_factor_warns_once(self):
+    def test_superlinear_factor_is_used_without_a_warning(self):
         from spotplan import ScalingSource
 
         # tangent value at n=1 is far above 1: K(1) > 1
         source = ScalingSource(ScalingModel(LogisticParams(0.1, 10.0, 30.0)))
         inst = self._instance()
-        with pytest.warns(RuntimeWarning, match="exceeds 1"):
-            k = source.factor(inst, 1)
-        assert k > 1.0
-        import warnings as warnings_mod
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert source.factor(inst, 1) == source.factor(inst, 1) > 1.0
 
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            source.factor(inst, 1)  # second call for the same instance is silent
+    def test_frozen_and_hashable(self):
+        from spotplan import ScalingSource, UnitScaling
+
+        source = ScalingSource()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            source.default = REF
+        assert hash(source) == hash(ScalingSource()) and source == ScalingSource()
+        assert len({source, ScalingSource(), UnitScaling()}) == 2
+
+    def test_subclass_may_keep_its_own_state(self):
+        from spotplan import ScalingSource
+
+        class Counting(ScalingSource):
+            def __init__(self):
+                super().__init__()
+                self.calls = 0
+
+            def factor(self, instance, n):
+                self.calls += 1
+                return super().factor(instance, n)
+
+        counter = Counting()
+        assert counter.factor(self._instance(), 3) == scaling_factor(REF, 3)
+        assert counter.calls == 1
+
+    def test_scaling_module_does_not_import_warnings(self):
+        import spotplan.scaling
+
+        assert "warnings" not in vars(spotplan.scaling)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.one_of(st.none(), st.builds(LogisticParams, a=A_RANGE, b=B_RANGE, c=C_RANGE)),
+        default=st.sampled_from([DEFAULT_PARAMS, *REFERENCE_MODEL_FITS.values()]),
+        n=st.integers(min_value=1, max_value=2048),
+    )
+    def test_factor_is_scaling_factor_of_model_for_bit_for_bit(self, params, default, n):
+        from spotplan import ScalingSource
+
+        if params is not None:
+            assume(s_hybrid(ScalingModel(params), 1) > 0)  # the catalog rejects the rest
+        source = ScalingSource(ScalingModel(default))
+        v = self._instance(params)
+        assert source.factor(v, n).hex() == scaling_factor(source.model_for(v), n).hex()
 
     def test_default_with_nonpositive_start_rejected(self):
         from spotplan import ScalingSource

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import warnings
 from decimal import Decimal
 
 import pytest
@@ -330,7 +331,26 @@ def test_equal_z_goes_to_the_cheaper_cpu(sat_table):
     assert plan == recommend(catalog, spec.request_at(Decimal("0.5")), sat=sat_table)[0]
 
 
-@pytest.mark.filterwarnings("ignore:.*superlinear:RuntimeWarning")
+def test_superlinear_catalog_plans_the_same_twice_without_warnings(sat_table):
+    # K(n) > 1 from n = 1 for "S" and from n = 2 for "T"; planning is pure.
+    fits = {"S": LogisticParams(0.1, 10.0, 30.0), "T": LogisticParams(0.5, 4.9, 30.0), "U": None}
+    catalog = Catalog(tuple(
+        InstanceSpec(name=name, kind=Kind.GPU, od_price="1", spot_price="0.3", network_bw=10,
+                     eflops=100, memory=16, scaling_params=params)
+        for name, params in fits.items()
+    ) + (InstanceSpec(name="w", kind=Kind.CPU, od_price="0.1", spot_price="0.1", network_bw=10),))
+    req = PlanRequest(pw="9", top_k=5)
+    spec = SweepSpec(pw_max="9", pw_step="0.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plans = [recommend(catalog, req, sat=sat_table) for _ in range(2)]
+        sweeps = [run_sweep(catalog, spec, sat=sat_table) for _ in range(2)]
+    assert plans[0] == plans[1] and len(plans[0]) == 5
+    assert {p.gpu_instance.name for p in plans[0]} <= {"S", "T"}
+    assert sweeps[0] == sweeps[1]
+    assert sweep_to_json(sweeps[0]) == sweep_to_json(sweeps[1])
+
+
 def test_sweep_equals_per_point_policies(sat_table):
     """run_sweep's one pass gives each point what the per-point calls give."""
     rng = random.Random(20261018)

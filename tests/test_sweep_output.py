@@ -98,7 +98,6 @@ def assert_same_output(result):
     assert sweep_to_json(result) == reference_sweep_to_json(result)
 
 
-@pytest.mark.filterwarnings("ignore:.*superlinear:RuntimeWarning")
 def test_seeded_sweeps_match_reference(sat_table):
     rng = random.Random(5150)
     for _ in range(40):

@@ -18,9 +18,7 @@ from .scaling import (
     REFERENCE_MODEL_FITS,
     InsufficientDataError,
     LogisticParams,
-    ModelOrigin,
     NonConvergenceError,
-    ScalingModel,
     ScalingSource,
     SpeedupSample,
     UnitScaling,

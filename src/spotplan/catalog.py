@@ -15,7 +15,7 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Any, Union
 
-from .scaling import LogisticParams, _hybrid
+from .scaling import LogisticParams, s_hybrid
 
 __all__ = [
     "Kind",
@@ -124,7 +124,7 @@ class InstanceSpec:
             raise bad("eflops must be 0 for cpu instances")
         # The planner relies on Z rising with n, which needs S_hybrid(1) > 0.
         params = self.scaling_params
-        if params is not None and not _hybrid(params, 1) > 0:
+        if params is not None and not s_hybrid(params, 1) > 0:
             raise bad("scaling gives S_hybrid(1) <= 0, that is a * (b - 1) >= 2")
 
 
@@ -230,8 +230,22 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     return Catalog(tuple(specs))
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int, float or Decimal, and not a bool."""
+    return isinstance(x, (int, float, Decimal)) and not isinstance(x, bool)
+
+
+def _number(key: str, value):
+    """value, given that it is a number or a string such as "Infinity"; a
+    TypeError names the key otherwise."""
+    if not (_is_number(value) or isinstance(value, str)):
+        raise TypeError(f"{key} must be a number, got {json.dumps(value, default=str)}")
+    return value
+
+
 def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
-    label = entry.get("name", f"#{idx}")
+    name = entry.get("name")
+    label = name if isinstance(name, str) else f"#{idx}"
     unknown = set(entry) - _KNOWN_ENTRY_KEYS
     if unknown:
         warnings.warn(
@@ -239,11 +253,17 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
             stacklevel=3,
         )
     try:
-        name = entry["name"]
+        if not isinstance(entry["name"], str):
+            raise TypeError(f"name must be a string, got {json.dumps(name, default=str)}")
         kind = Kind(entry["kind"])
-        od_price = as_price(entry["od_price"])
-        spot_price = as_price(entry["spot_price"])
-        network = float(entry["network_gbps"])
+        od_price = as_price(_number("od_price", entry["od_price"]))
+        spot_price = as_price(_number("spot_price", entry["spot_price"]))
+        network = float(_number("network_gbps", entry["network_gbps"]))
+        eflops = float(_number("eflops", entry.get("eflops", 0.0)))
+        memory = float(_number("memory_gib", entry.get("memory_gib", 8.0)))
+        available = entry.get("available", True)
+        if not isinstance(available, bool):
+            raise TypeError(f"available must be true or false, got {json.dumps(available, default=str)}")
     except KeyError as exc:
         raise CatalogParseError(f"instance {label!r}: missing required field {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -253,9 +273,9 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
     if entry.get("scaling") is not None:
         raw = entry["scaling"]
         try:
-            scaling = LogisticParams(
-                a=float(raw["a"]), b=float(raw["b"]), c=float(raw["c"])
-            )
+            if not isinstance(raw, dict):
+                raise TypeError("scaling must be an object with keys a, b and c")
+            scaling = LogisticParams(*(float(_number(key, raw[key])) for key in "abc"))
         except KeyError as exc:
             raise CatalogParseError(
                 f"instance {label!r}: scaling object missing key {exc}"
@@ -269,9 +289,9 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
         od_price=od_price,
         spot_price=spot_price,
         network_bw=network,
-        eflops=float(entry.get("eflops", 0.0)),
-        memory=float(entry.get("memory_gib", 8.0)),
-        available=bool(entry.get("available", True)),
+        eflops=eflops,
+        memory=memory,
+        available=available,
         scaling_params=scaling,
     )
 

@@ -14,7 +14,6 @@ from .planner import PlanRequest, recommend
 from .saturation import SaturationTable, default_saturation_table, load_saturation_file
 from .scaling import (
     DEFAULT_SCALING,
-    InsufficientDataError,
     LogisticParams,
     NonConvergenceError,
     SpeedupSample,
@@ -195,12 +194,21 @@ def cmd_simulate(args) -> int:
 
 def _read_samples(path: str) -> list[SpeedupSample]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["n", "speedup"]:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["n", "speedup"]:
             raise ValueError(f"{path}: expected CSV header 'n,speedup'")
         samples = []
         for row in reader:
-            samples.append(SpeedupSample(n=int(row["n"]), speedup=float(row["speedup"])))
+            if not row:
+                continue
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields n,speedup, got {len(row)}")
+                n, speedup = int(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            samples.append(SpeedupSample(n=n, speedup=speedup))
     return samples
 
 
@@ -254,7 +262,7 @@ def cmd_validate(args) -> int:
         f"({len(catalog.gpu_view)} gpu, {len(catalog.cpu_view)} cpu available)"
     )
     for spec in catalog.instances:
-        n = superlinear_from(DEFAULT_SCALING.model_for(spec).params)
+        n = superlinear_from(DEFAULT_SCALING.model_for(spec))
         if n is not None:
             print(
                 f"note: instance {spec.name!r}: scaling factor K(n) exceeds 1 from n={n} "
@@ -268,10 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, InsufficientDataError, NonConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (CatalogError, NonConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

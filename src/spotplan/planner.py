@@ -41,6 +41,7 @@ classes and reads that candidate from tables of Z instead of walking.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
@@ -249,7 +250,13 @@ def _walk(row, n_top: int, top_k: int, scaling: ScalingSource) -> Iterator[tuple
 
 
 def _plan(candidate: tuple) -> ClusterPlan:
+    """The plan of a chosen candidate, whose Z must be finite."""
     (neg_z, price, rank, _, _, n, m), v, w = candidate
+    if not math.isfinite(neg_z):
+        raise ValueError(
+            f"the {_ARCHITECTURES[rank]} plan of {n} x {v.name!r} scores Z = {-neg_z}: "
+            "the instance's eflops, prices or scaling overflow float"
+        )
     return ClusterPlan(
         architecture=_ARCHITECTURES[rank],
         gpu_instance=v,
@@ -307,7 +314,8 @@ def recommend(
 
     The returned list is sorted by Z descending with fully deterministic
     tie-breaking (price, architecture order, catalog order).  Empty when no
-    configuration fits the budget.
+    configuration fits the budget.  Raises ValueError when a returned plan's
+    Z is not finite.
     """
     scaling, sat = _defaults(scaling, sat)
     candidates = _candidates(_rows(catalog, req, sat), req, scaling)

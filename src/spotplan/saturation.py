@@ -17,7 +17,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import IO, Union
 
-from .catalog import InstanceSpec
+from .catalog import InstanceSpec, _is_number
 
 __all__ = [
     "SaturationTable",
@@ -27,10 +27,6 @@ __all__ = [
     "load_saturation_file",
     "default_saturation_table",
 ]
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, Decimal)) and not isinstance(x, bool)
 
 
 def _shown(x) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -24,8 +23,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LogisticParams",
-    "ModelOrigin",
-    "ScalingModel",
     "SpeedupSample",
     "ScalingSource",
     "UnitScaling",
@@ -61,10 +58,11 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LogisticParams:
-    """Parameters of the logistic speedup curve.
+    """Parameters of the logistic speedup curve: the speedup model.
 
     a is the growth rate, b the node count at the inflection point, and c the
-    asymptotic speedup.  All three must be positive.
+    asymptotic speedup.  All three must be positive.  s_average, s_hybrid and
+    scaling_factor evaluate the model.
     """
 
     a: float
@@ -76,20 +74,6 @@ class LogisticParams:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"logistic parameter {name} must be positive, got {value}")
-
-
-class ModelOrigin(Enum):
-    REFERENCE = "reference"
-    PER_INSTANCE = "per_instance"
-    FITTED = "fitted"
-
-
-@dataclass(frozen=True)
-class ScalingModel:
-    """A logistic speedup curve plus where it came from."""
-
-    params: LogisticParams
-    origin: ModelOrigin = ModelOrigin.REFERENCE
 
 
 @dataclass(frozen=True)
@@ -123,33 +107,25 @@ REFERENCE_MODEL_FITS = {
     "efficientnet_v2l": LogisticParams(a=0.1380, b=13.8657, c=7.5652),
 }
 
-DEFAULT_MODEL = ScalingModel(DEFAULT_PARAMS, ModelOrigin.REFERENCE)
 
-
-def s_average(model: ScalingModel, n: float) -> float:
+def s_average(p: LogisticParams, n: float) -> float:
     """Logistic speedup c / (1 + exp(-a(n-b))) at node count n."""
-    p = model.params
     return p.c / (1.0 + math.exp(-p.a * (n - p.b)))
 
 
-def _hybrid(p: LogisticParams, n: float) -> float:
-    """S_hybrid(n) from the parameters: below b, the tangent of the logistic
-    at its inflection (value c/2, slope a*c/4); above b, the logistic."""
+def s_hybrid(p: LogisticParams, n: float) -> float:
+    """Hybrid speedup: below b, the tangent of the logistic at its inflection
+    (value c/2, slope a*c/4); above b, the logistic."""
     if n <= p.b:
         return p.c / 2.0 + (p.a * p.c / 4.0) * (n - p.b)
     return p.c / (1.0 + math.exp(-p.a * (n - p.b)))
 
 
-def s_hybrid(model: ScalingModel, n: float) -> float:
-    """Hybrid speedup: inflection tangent for n <= b, logistic for n > b."""
-    return _hybrid(model.params, n)
-
-
-def scaling_factor(model: ScalingModel, n: int) -> float:
+def scaling_factor(p: LogisticParams, n: int) -> float:
     """K(n) = S_hybrid(n) / n, the ratio of modeled to ideal linear speedup."""
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
-    return _hybrid(model.params, n) / n
+    return s_hybrid(p, n) / n
 
 
 def _first(pred, lo: int, hi: int) -> int:
@@ -176,9 +152,9 @@ def superlinear_from(params: LogisticParams) -> int | None:
     with K(n) > 1.  Cached, as the result depends on the parameters only.
     """
     def k_above_one(n: int) -> bool:
-        return _hybrid(params, n) / n > 1.0
+        return s_hybrid(params, n) / n > 1.0
 
-    peak = _first(lambda n: _hybrid(params, n + 1) - _hybrid(params, n) <= 1.0, 1, math.ceil(params.c))
+    peak = _first(lambda n: s_hybrid(params, n + 1) - s_hybrid(params, n) <= 1.0, 1, math.ceil(params.c))
     if not k_above_one(peak):
         return None
     return _first(k_above_one, 1, peak)
@@ -387,36 +363,35 @@ def _refine(
 
 @dataclass(frozen=True)
 class ScalingSource:
-    """Resolves the speedup model to use for a given instance.
+    """Resolves the speedup model, a LogisticParams, to use for an instance.
 
     A catalog entry may carry its own fitted parameters; instances without
-    one fall back to the supplied default (the bundled reference average
-    unless overridden), which must give S_hybrid(1) > 0.  A source is
-    immutable and hashable and keeps no state between calls, so planning with
-    it is a pure function of its inputs.  A model that implies K(n) > 1 for
-    some n (a superlinear speedup) is used as-is; superlinear_from reports
-    from which n.
+    one fall back to the default (DEFAULT_PARAMS, the bundled reference
+    average, unless overridden), which must give S_hybrid(1) > 0.  A source
+    is immutable and hashable and keeps no state between calls, so planning
+    with it is a pure function of its inputs.  A model that implies K(n) > 1
+    for some n (a superlinear speedup) is used as-is; superlinear_from
+    reports from which n.
     """
 
-    default: ScalingModel = DEFAULT_MODEL
+    default: LogisticParams = DEFAULT_PARAMS
 
     def __post_init__(self):
-        if not _hybrid(self.default.params, 1) > 0:
-            raise ValueError(f"scaling model {self.default.params} gives S_hybrid(1) <= 0")
+        if not s_hybrid(self.default, 1) > 0:
+            raise ValueError(f"scaling model {self.default} gives S_hybrid(1) <= 0")
 
-    def model_for(self, instance: "InstanceSpec") -> ScalingModel:
-        override = getattr(instance, "scaling_params", None)
-        if override is not None:
-            return ScalingModel(override, ModelOrigin.PER_INSTANCE)
-        return self.default
+    def model_for(self, instance: "InstanceSpec") -> LogisticParams:
+        """The instance's own scaling_params, or the default."""
+        params = getattr(instance, "scaling_params", None)
+        return self.default if params is None else params
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
-        """K(n) for the instance's model, scaling_factor(model_for(instance), n),
-        computed from the parameters without building a model."""
+        """K(n) for the instance's model, bit for bit
+        scaling_factor(model_for(instance), n)."""
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
         params = instance.scaling_params
-        return _hybrid(self.default.params if params is None else params, n) / n
+        return s_hybrid(self.default if params is None else params, n) / n
 
 
 class UnitScaling(ScalingSource):

@@ -209,7 +209,10 @@ def _sweep_plans(
 
     def evaluated(candidate: tuple) -> tuple[ClusterPlan, float]:
         plan = _plan(candidate)
-        return plan, evaluate_performance(plan, scaling)
+        raw = evaluate_performance(plan, scaling)
+        if not math.isfinite(raw):
+            raise ValueError(f"the plan of {plan.n_gpu} x {plan.gpu_instance.name!r} performs {raw}: it overflows float")
+        return plan, raw
 
     best_key = dict.fromkeys(scored, (math.inf,))
     current = dict.fromkeys(DEFAULT_POLICIES, (None, 0.0))
@@ -255,13 +258,17 @@ def run_sweep(
     recommend(), plan_noscale(), plan_cost_first() and
     plan_performance_first() return there with top_k = 1.  ``workers`` is
     accepted and ignored: the pass is serial.  The normalizer is the full
-    planner's raw performance at the last grid point.
+    planner's raw performance at the last grid point.  Raises ValueError
+    when a plan's Z, or a raw or normalized performance, is not finite.
     """
     scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()
     grid = spec.grid()
     per_point = _sweep_plans(catalog, spec, grid, scaling, sat)
     normalizer = per_point[PLANNER_POLICY][-1][1]
+    top = max((raw for policy in spec.policies for _, raw in per_point[policy]), default=0.0)
+    if normalizer > 0 and not math.isfinite(top / normalizer):
+        raise ValueError(f"raw performance {top} over the normalizer {normalizer} overflows float")
     curves = {
         policy: tuple(
             SweepPoint(pw=pw, raw=raw, normalized=raw / normalizer if normalizer > 0 else 0.0, plan=plan)

@@ -19,7 +19,6 @@ from spotplan import (
     LogisticParams,
     PlanRequest,
     REFERENCE_MODEL_FITS,
-    ScalingModel,
     ScalingSource,
     SpeedupSample,
     SweepSpec,
@@ -114,7 +113,7 @@ def test_criterion_3_reference_regression_parameters():
 def test_criterion_4_scaling_model_analytics():
     start = perf_counter()
     failures = []
-    model = ScalingModel(DEFAULT_PARAMS)
+    model = DEFAULT_PARAMS
     b = DEFAULT_PARAMS.b
     gap = abs(s_hybrid(model, b) - s_average(model, b))
     if not gap < 1e-12:

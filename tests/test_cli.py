@@ -75,6 +75,21 @@ class TestPlanCommand:
             ({"scaling": {"a": 0.05, "b": 50, "c": 4}}, "S_hybrid(1) <= 0"),
             ({"network_gbps": "Infinity"}, "network_bw must be finite"),
             ({"eflops": "Infinity"}, "eflops must be finite"),
+            ({"name": ["solo"]}, "instance '#0': name must be a string, got [\"solo\"]"),
+            ({"name": {"first": "solo"}}, "instance '#0': name must be a string"),
+            ({"name": 5}, "instance '#0': name must be a string, got 5"),
+            ({"eflops": None}, "instance 'solo': eflops must be a number, got null"),
+            ({"eflops": [10]}, "instance 'solo': eflops must be a number, got [10]"),
+            ({"memory_gib": None}, "instance 'solo': memory_gib must be a number, got null"),
+            ({"memory_gib": [16]}, "instance 'solo': memory_gib must be a number, got [16]"),
+            ({"available": "false"}, "instance 'solo': available must be true or false, got \"false\""),
+            ({"available": None}, "instance 'solo': available must be true or false, got null"),
+            ({"od_price": True}, "instance 'solo': od_price must be a number, got true"),
+            ({"network_gbps": True}, "instance 'solo': network_gbps must be a number, got true"),
+            ({"scaling": 5}, "instance 'solo': scaling must be an object"),
+            ({"scaling": {"a": True, "b": 10, "c": 5}}, "instance 'solo': a must be a number, got true"),
+            ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
+            ({"eflops": 1e308}, "x 'solo' scores Z = "),
         ],
     )
     def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):
@@ -250,6 +265,22 @@ class TestSimulateCommand:
         assert code == 1 and out == ""
         assert f"grid has {count} points" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
+            ({"eflops": 1e308}, "plan of 1 x 'solo' scores Z = nan"),
+        ],
+    )
+    def test_overflowing_scores_exit_1_in_one_line(self, capsys, tmp_path, entry, message):
+        doc = {"instances": [{"name": "solo", "kind": "gpu", "od_price": 0.2,
+                              "spot_price": 0.1, "network_gbps": 10, "eflops": 10, **entry}]}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--catalog", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_bad_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--bogus"])
@@ -298,6 +329,21 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", str(path))
         assert code == 1
         assert "expected CSV header" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2", "expected 2 fields n,speedup, got 1"),
+            ("2,1.9,7", "expected 2 fields n,speedup, got 3"),
+            ("2,fast", "could not convert string to float: 'fast'"),
+        ],
+    )
+    def test_malformed_row_exits_1_naming_file_and_line(self, capsys, tmp_path, row, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"n,speedup\n1,1\n{row}\n4,3.2\n8,4.1\n16,4.9\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}, line 3: {message}\n"
 
     def test_table_format(self, capsys, tmp_path):
         path = tmp_path / "fit.csv"
@@ -380,6 +426,16 @@ class TestValidateCommand:
         code, out, err = run(capsys, "validate-catalog", str(path))
         assert code == 1 and out == ""
         assert "must be finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", [["X"], {"first": "X"}])
+    def test_unhashable_name_exits_1_in_one_line(self, capsys, tmp_path, name):
+        entry = {"name": name, "kind": "gpu", "od_price": 0.2, "spot_price": 0.1,
+                 "network_gbps": 10, "eflops": 5}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"instances": [entry]}))
+        code, out, err = run(capsys, "validate-catalog", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: instance '#0': name must be a string") and err.count("\n") == 1
 
     def test_invalid_catalog_reports_and_exits_1(self, capsys, tmp_path):
         doc = {"instances": [{"name": "X", "kind": "gpu", "od_price": 0.2,

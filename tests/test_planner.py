@@ -16,7 +16,6 @@ from spotplan import (
     LogisticParams,
     PlanRequest,
     SaturationTable,
-    ScalingModel,
     ScalingSource,
     UnitScaling,
     flopp,
@@ -299,7 +298,7 @@ class TestFrontier:
         c=st.floats(min_value=1e-2, max_value=1e4),
     )
     def test_s_hybrid_does_not_fall(self, a, b, c):
-        model = ScalingModel(LogisticParams(a, b, c))
+        model = LogisticParams(a, b, c)
         assume(s_hybrid(model, 1) > 0)
         values = [s_hybrid(model, n) for n in range(1, 1025)]
         assert all(hi >= lo for lo, hi in zip(values, values[1:]))

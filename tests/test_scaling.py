@@ -13,7 +13,6 @@ from spotplan import (
     InsufficientDataError,
     LogisticParams,
     NonConvergenceError,
-    ScalingModel,
     SpeedupSample,
     average_params,
     fit_logistic,
@@ -23,7 +22,7 @@ from spotplan import (
     superlinear_from,
 )
 
-REF = ScalingModel(DEFAULT_PARAMS)
+REF = DEFAULT_PARAMS
 
 # Frozen oracle values: direct high-precision evaluation of the formulas
 # with the reference parameters (a=0.1339, b=12.8742, c=6.1766).
@@ -86,7 +85,7 @@ class TestSHybrid:
         c=st.floats(min_value=0.1, max_value=50.0),
     )
     def test_continuity_property(self, a, b, c):
-        model = ScalingModel(LogisticParams(a, b, c))
+        model = LogisticParams(a, b, c)
         assert abs(s_hybrid(model, b) - s_average(model, b)) < 1e-12
 
 
@@ -114,9 +113,8 @@ class TestSuperlinear:
     @given(a=A_RANGE, b=B_RANGE, c=st.floats(min_value=1e-2, max_value=2000.0))
     def test_first_superlinear_n_matches_a_scan(self, a, b, c):
         params = LogisticParams(a, b, c)
-        model = ScalingModel(params)
         # No n >= c is superlinear, since S_hybrid <= c.
-        scan = next((n for n in range(1, math.ceil(c) + 2) if scaling_factor(model, n) > 1.0), None)
+        scan = next((n for n in range(1, math.ceil(c) + 2) if scaling_factor(params, n) > 1.0), None)
         assert superlinear_from(params) == scan
 
     @pytest.mark.parametrize(
@@ -139,7 +137,7 @@ class TestSuperlinear:
     @settings(max_examples=200, deadline=None)
     @given(a=A_RANGE, b=B_RANGE, c=C_RANGE)
     def test_s_hybrid_is_concave(self, a, b, c):
-        model = ScalingModel(LogisticParams(a, b, c))
+        model = LogisticParams(a, b, c)
         values = [s_hybrid(model, n) for n in range(1, 1026)]
         steps = [hi - lo for lo, hi in zip(values, values[1:])]
         # Float rounding moves each value by about an ulp.
@@ -266,20 +264,19 @@ class TestScalingSource:
                             scaling_params=params)
 
     def test_per_instance_override_wins(self):
-        from spotplan import ModelOrigin, ScalingSource
+        from spotplan import ScalingSource
 
         override = LogisticParams(0.5, 2.0, 3.0)
         source = ScalingSource()
         model = source.model_for(self._instance(override))
-        assert model.params == override
-        assert model.origin is ModelOrigin.PER_INSTANCE
-        assert source.model_for(self._instance()).params == DEFAULT_PARAMS
+        assert model == override
+        assert source.model_for(self._instance()) == DEFAULT_PARAMS
 
     def test_superlinear_factor_is_used_without_a_warning(self):
         from spotplan import ScalingSource
 
         # tangent value at n=1 is far above 1: K(1) > 1
-        source = ScalingSource(ScalingModel(LogisticParams(0.1, 10.0, 30.0)))
+        source = ScalingSource(LogisticParams(0.1, 10.0, 30.0))
         inst = self._instance()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -325,8 +322,8 @@ class TestScalingSource:
         from spotplan import ScalingSource
 
         if params is not None:
-            assume(s_hybrid(ScalingModel(params), 1) > 0)  # the catalog rejects the rest
-        source = ScalingSource(ScalingModel(default))
+            assume(s_hybrid(params, 1) > 0)  # the catalog rejects the rest
+        source = ScalingSource(default)
         v = self._instance(params)
         assert source.factor(v, n).hex() == scaling_factor(source.model_for(v), n).hex()
 
@@ -334,7 +331,7 @@ class TestScalingSource:
         from spotplan import ScalingSource
 
         with pytest.raises(ValueError, match="S_hybrid"):
-            ScalingSource(ScalingModel(LogisticParams(0.05, 50.0, 4.0)))
+            ScalingSource(LogisticParams(0.05, 50.0, 4.0))
 
     def test_unit_scaling_is_constant_one(self):
         from spotplan import UnitScaling

@@ -381,3 +381,42 @@ def test_sweep_equals_per_point_policies(sat_table):
                 raw = evaluate_performance(expected[policy], scaling)
                 assert (point.pw, point.plan, point.raw) == (pw, expected[policy], raw), (spec, policy)
                 assert point.normalized == (raw / normalizer if normalizer > 0 else 0.0)
+
+
+@pytest.mark.parametrize("eflops, params", [(100, LogisticParams(0.1, 10.0, 1e308)), (1e308, None)])
+def test_overflowing_scores_are_refused(sat_table, eflops, params):
+    # Z overflows to inf, or to nan where n - 1 = 0 multiplies an infinite SPFP.
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="0.2", spot_price="0.1", network_bw=10,
+                     eflops=eflops, memory=16, scaling_params=params)
+    catalog = Catalog((v,))
+    for plans in (
+        lambda: recommend(catalog, PlanRequest(pw="3", top_k=30), sat=sat_table),
+        lambda: run_sweep(catalog, SweepSpec(pw_max="3", pw_step="0.5"), sat=sat_table),
+    ):
+        with pytest.raises(ValueError, match="x 'v' scores Z = (inf|nan): .* overflow float"):
+            plans()
+
+
+def test_overflowing_raw_performance_is_refused(sat_table):
+    # Z = ((n - 1) * SPFP + ODFP) * K(n) stays finite; n * eflops * K(n) does not.
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="100", spot_price="100", network_bw=10,
+                     eflops=1e308, memory=16)
+    catalog = Catalog((v,))
+    assert recommend(catalog, PlanRequest(pw="2000"), sat=sat_table)[0].score_z < 1e307
+    with pytest.raises(ValueError, match="plan of 5 x 'v' performs inf"):
+        run_sweep(catalog, SweepSpec(pw_max="2000", pw_step="500"), sat=sat_table)
+
+
+def test_overflowing_normalized_performance_is_refused(sat_table):
+    # The planner takes "tiny" (raw ~6e-300); performance_first takes "huge" (raw ~8e99).
+    tiny, huge = (
+        InstanceSpec(name=name, kind=Kind.GPU, od_price=price, spot_price=price, network_bw=10,
+                     eflops=eflops, memory=16)
+        for name, price, eflops in (("tiny", "1e-300", 1e-300), ("huge", "1e120", 1e100))
+    )
+    catalog = Catalog((tiny, huge))
+    spec = SweepSpec(pw_max="2e120", pw_step="1e120")
+    planner_only = run_sweep(catalog, SweepSpec(pw_max="2e120", pw_step="1e120", policies=("planner",)), sat=sat_table)
+    assert [p.normalized for p in planner_only.curve("planner")] == [0.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="overflows float"):
+        run_sweep(catalog, spec, sat=sat_table)

@@ -120,6 +120,11 @@ class InstanceSpec:
                 raise bad("eflops must be positive for an available gpu instance")
             if self.eflops < 0:
                 raise bad("eflops must not be negative")
+            # The planner's FLOPP divides eflops by each price as floats.  With
+            # spot_price <= od_price, a finite SPFP makes the ODFP finite too.
+            spot = float(self.spot_price)
+            if not (spot > 0 and math.isfinite(self.eflops / spot)):
+                raise bad(f"eflops / spot_price is not a finite float ({self.eflops!r} / {spot!r})")
         elif self.eflops != 0:
             raise bad("eflops must be 0 for cpu instances")
         # The planner relies on Z rising with n, which needs S_hybrid(1) > 0.
@@ -209,7 +214,7 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
         source = source.decode("utf-8")
     try:
         doc = json.loads(source, parse_float=Decimal)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CatalogParseError(f"malformed catalog document: {exc}") from exc
     if not isinstance(doc, dict):
         raise CatalogParseError("catalog document must be a JSON object")

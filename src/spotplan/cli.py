@@ -1,28 +1,11 @@
-"""Command-line interface: plan, simulate, fit, validate-catalog."""
-from __future__ import annotations
+"""Command-line interface: plan, simulate, fit, validate-catalog.
 
+Each command imports the package modules it runs inside its own function, so
+one CLI process loads and compiles no more of the package than it needs.
+"""
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from typing import Optional
-
-from .catalog import Catalog, CatalogError, bundled_simulated_catalog, load_catalog_file
-from .planner import PlanRequest, recommend
-from .saturation import SaturationTable, default_saturation_table, load_saturation_file
-from .scaling import (
-    DEFAULT_SCALING,
-    LogisticParams,
-    NonConvergenceError,
-    SpeedupSample,
-    average_params,
-    fit_logistic,
-    sum_squared_residuals,
-    superlinear_from,
-)
-from .simulator import SweepSpec, _ordered, _plan_fields, run_sweep, sweep_to_csv, sweep_to_json
 
 __all__ = ["main"]
 
@@ -89,21 +72,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_catalog(args) -> Catalog:
+def _resolve_catalog(args):
+    from .catalog import bundled_simulated_catalog, load_catalog_file
+
     path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
     if path:
         return load_catalog_file(path)
     return bundled_simulated_catalog()
 
 
-def _resolve_saturation(args) -> SaturationTable:
+def _resolve_saturation(args):
+    from .saturation import default_saturation_table, load_saturation_file
+
     path = getattr(args, "saturation", None)
     if path:
         return load_saturation_file(path)
     return default_saturation_table()
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -116,6 +103,8 @@ def _fmt(x: float) -> str:
 
 
 def cmd_plan(args) -> int:
+    from .planner import PlanRequest, recommend
+
     catalog = _resolve_catalog(args)
     sat = _resolve_saturation(args)
     req = PlanRequest(
@@ -131,8 +120,13 @@ def cmd_plan(args) -> int:
         return EXIT_INFEASIBLE
 
     if args.format == "json":
+        import json
+
         text = json.dumps({"plans": [p.summary() for p in plans]}, indent=2) + "\n"
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         cols = ["rank", "architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price", "score_z"]
         writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
@@ -159,6 +153,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SweepSpec, _ordered, _plan_fields, run_sweep, sweep_to_csv, sweep_to_json
+
     catalog = _resolve_catalog(args)
     sat = _resolve_saturation(args)
     spec = SweepSpec(
@@ -192,27 +188,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_samples(path: str) -> list[SpeedupSample]:
+def _read_samples(path: str) -> list:
+    import csv
+
+    from .scaling import SpeedupSample
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [f.strip() for f in header] != ["n", "speedup"]:
-            raise ValueError(f"{path}: expected CSV header 'n,speedup'")
-        samples = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != 2:
-                    raise ValueError(f"expected 2 fields n,speedup, got {len(row)}")
-                n, speedup = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            samples.append(SpeedupSample(n=n, speedup=speedup))
+        try:
+            header = next(reader, None)
+            if header is None or [f.strip() for f in header] != ["n", "speedup"]:
+                raise ValueError(f"{path}: expected CSV header 'n,speedup'")
+            samples = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != 2:
+                        raise ValueError(f"expected 2 fields n,speedup, got {len(row)}")
+                    n, speedup = int(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+                samples.append(SpeedupSample(n=n, speedup=speedup))
+        except csv.Error as exc:
+            # A row the reader cannot split, such as a field over csv.field_size_limit().
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return samples
 
 
 def cmd_fit(args) -> int:
+    from .scaling import LogisticParams, average_params, fit_logistic, sum_squared_residuals
+
     fits = []
     for path in args.inputs:
         samples = _read_samples(path)
@@ -249,12 +255,17 @@ def cmd_fit(args) -> int:
             )
         text = "\n".join(lines) + "\n"
     else:
+        import json
+
         text = json.dumps(payload, indent=2) + "\n"
     _write(text, args.out)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
+    from .catalog import bundled_simulated_catalog, load_catalog_file
+    from .scaling import DEFAULT_SCALING, superlinear_from
+
     path = args.path or os.environ.get(CATALOG_ENV)
     catalog = load_catalog_file(path) if path else bundled_simulated_catalog()
     print(
@@ -271,12 +282,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _reported_errors() -> tuple:
+    """The exceptions main reports in one line.
+
+    CatalogError and NonConvergenceError are taken only from modules the
+    command loaded, so that handling an error imports nothing: a command that
+    never loaded a module cannot raise its errors.
+    """
+    errors = [ValueError, OSError]
+    for module, name in (("catalog", "CatalogError"), ("scaling", "NonConvergenceError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, NonConvergenceError, ValueError, OSError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -100,7 +100,10 @@ def load_saturation(source: Union[bytes, str, IO]) -> SaturationTable:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    doc = json.loads(source, parse_float=Decimal)
+    try:
+        doc = json.loads(source, parse_float=Decimal)
+    except RecursionError as exc:
+        raise ValueError(f"malformed saturation document: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError('saturation document must contain an "entries" list')
     return SaturationTable(doc["entries"])

@@ -11,8 +11,12 @@ from spotplan import (
     CatalogValidationError,
     InstanceSpec,
     Kind,
+    PlanRequest,
+    SweepSpec,
     as_price,
     load_catalog,
+    recommend,
+    run_sweep,
 )
 
 
@@ -77,6 +81,19 @@ def test_invariant_violations_name_instance(field, value, message):
     entry[field] = value
     with pytest.raises(CatalogValidationError, match=f"'bad'.*{message}"):
         load_catalog(json.dumps({"instances": [entry]}))
+
+
+def test_non_finite_flopp_is_refused(non_finite_flopp, sat_table):
+    doc, message = non_finite_flopp
+    text = json.dumps(doc)
+    for use in (
+        lambda: recommend(load_catalog(text), PlanRequest(pw="1.5e-10"), sat=sat_table),
+        lambda: run_sweep(load_catalog(text), SweepSpec(pw_min="1.5e-10", pw_max="1.6e-10", pw_step="1e-11"),
+                          sat=sat_table),
+    ):
+        with pytest.raises(CatalogValidationError) as excinfo:
+            use()
+        assert str(excinfo.value) == message
 
 
 def test_cpu_with_nonzero_eflops_rejected():

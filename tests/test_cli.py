@@ -89,7 +89,7 @@ class TestPlanCommand:
             ({"scaling": 5}, "instance 'solo': scaling must be an object"),
             ({"scaling": {"a": True, "b": 10, "c": 5}}, "instance 'solo': a must be a number, got true"),
             ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
-            ({"eflops": 1e308}, "x 'solo' scores Z = "),
+            ({"eflops": 1e307}, "x 'solo' scores Z = "),
         ],
     )
     def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):
@@ -113,6 +113,8 @@ class TestPlanCommand:
             ('{"entries": [[10, 20, 30]]}', "is not a [bandwidth, n_sat] pair"),
             ('{"entries": [10]}', "is not a [bandwidth, n_sat] pair"),
             ('{"entries": [[10, 3.7]]}', "n_sat 3.7 is not an integer"),
+            pytest.param("[" * 200_000 + "]" * 200_000, "malformed saturation document: maximum recursion",
+                         id="nested-200000-deep"),
         ],
     )
     def test_saturation_rejected_in_one_line(self, capsys, tmp_path, command, doc, message):
@@ -220,6 +222,35 @@ print(codes)
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
+# The spotplan modules a fresh interpreter holds, printed as the last line.
+_PRINT_LOADED = "\nimport sys\nprint(*sorted(m[9:] for m in sys.modules if m.startswith('spotplan.')))"
+_PLAN_MODULES = ["catalog", "cli", "planner", "saturation", "scaling"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ("import spotplan", []),
+        ("import spotplan.cli", ["cli"]),
+        (["fit", "{csv}"], ["cli", "scaling"]),
+        (["validate-catalog"], ["catalog", "cli", "scaling"]),
+        (["plan"], _PLAN_MODULES),
+        (["plan", "--catalog", str(BUNDLED / "aws-2023-10.json"), "--format", "json"], _PLAN_MODULES),
+    ],
+    ids=["package", "cli", "fit", "validate-catalog", "plan", "plan-aws-json"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, loaded):
+    if isinstance(argv, str):
+        code = argv
+    else:
+        write_samples(tmp_path / "fit.csv", *REF_ROWS["resnet18"])
+        argv = [str(tmp_path / "fit.csv") if arg == "{csv}" else arg for arg in argv]
+        code = f"import spotplan.cli\nassert spotplan.cli.main({argv!r}) == 0"
+    proc = _python(code + _PRINT_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == loaded
+
+
 class TestSimulateCommand:
     def test_coarse_grid_row_count(self, capsys):
         code, out, _ = run(capsys, "simulate", "--pw-step", "5")
@@ -269,7 +300,7 @@ class TestSimulateCommand:
         "entry, message",
         [
             ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
-            ({"eflops": 1e308}, "plan of 1 x 'solo' scores Z = nan"),
+            ({"eflops": 1e307}, "plan of 3 x 'solo' scores Z = inf"),
         ],
     )
     def test_overflowing_scores_exit_1_in_one_line(self, capsys, tmp_path, entry, message):
@@ -336,6 +367,7 @@ class TestFitCommand:
             ("2", "expected 2 fields n,speedup, got 1"),
             ("2,1.9,7", "expected 2 fields n,speedup, got 3"),
             ("2,fast", "could not convert string to float: 'fast'"),
+            pytest.param("2," + "1" * 131_073, "field larger than field limit (131072)", id="oversized-field"),
         ],
     )
     def test_malformed_row_exits_1_naming_file_and_line(self, capsys, tmp_path, row, message):
@@ -446,3 +478,23 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate-catalog", str(path))
         assert code == 1
         assert "spot_price exceeds od_price" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "validate-catalog"])
+def test_non_finite_flopp_catalog_exits_1_in_one_line(capsys, tmp_path, command, non_finite_flopp):
+    doc, message = non_finite_flopp
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] if command == "validate-catalog" else [command, "--catalog", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["validate-catalog"], ["plan", "--catalog"]], ids=["validate-catalog", "plan"])
+def test_deeply_nested_catalog_exits_1_in_one_line(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text('{"instances": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed catalog document: maximum recursion") and err.count("\n") == 1

@@ -54,12 +54,12 @@ _EXPORTS = {
             "FloppScore",
             "PlanRequest",
             "flopp",
-            "plan_single_anchor",
-            "plan_tiering",
             "recommend",
         ),
-        "baselines": ("plan_cost_first", "plan_noscale", "plan_performance_first"),
         "simulator": (
+            "plan_cost_first",
+            "plan_noscale",
+            "plan_performance_first",
             "DEFAULT_POLICIES",
             "SweepPoint",
             "SweepResult",

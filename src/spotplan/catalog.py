@@ -106,6 +106,10 @@ class InstanceSpec:
             raise bad("spot_price must be positive")
         if self.spot_price > self.od_price:
             raise bad("spot_price exceeds od_price")
+        # Plans report prices as floats.  With spot_price <= od_price, a finite
+        # float od_price makes the spot price finite too.
+        if not math.isfinite(float(self.od_price)):
+            raise bad(f"od_price is not a finite float ({self.od_price})")
         if not self.network_bw > 0:
             raise bad("network_bw must be positive")
         if not self.memory > 0:

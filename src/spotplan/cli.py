@@ -153,7 +153,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import SweepSpec, _ordered, _plan_fields, run_sweep, sweep_to_csv, sweep_to_json
+    from .simulator import SweepSpec, run_sweep, sweep_rows, sweep_to_csv, sweep_to_json
 
     catalog = _resolve_catalog(args)
     sat = _resolve_saturation(args)
@@ -170,16 +170,15 @@ def cmd_simulate(args) -> int:
         text = sweep_to_json(result) + "\n"
     elif args.format == "table":
         lines = [f"{'pw':>8}  {'policy':<18} {'raw':>12}  {'normalized':>10}  plan"]
-        for point, policy in _ordered(result):
-            architecture, gpu, gpu_count, cpu, cpu_count, _ = _plan_fields(point.plan)
+        for row in sweep_rows(result):
             plan = "-"
-            if gpu:
-                plan = f"{architecture} {gpu}x{gpu_count}"
-                if cpu:
-                    plan += f" + {cpu}x{cpu_count}"
+            if row["gpu"]:
+                plan = f"{row['architecture']} {row['gpu']}x{row['gpu_count']}"
+                if row["cpu"]:
+                    plan += f" + {row['cpu']}x{row['cpu_count']}"
             lines.append(
-                f"{_fmt(float(point.pw)):>8}  {policy:<18} {_fmt(point.raw):>12}  "
-                f"{_fmt(point.normalized):>10}  {plan}"
+                f"{_fmt(row['pw']):>8}  {row['policy']:<18} {_fmt(row['raw']):>12}  "
+                f"{_fmt(row['normalized']):>10}  {plan}"
             )
         text = "\n".join(lines) + "\n"
     else:

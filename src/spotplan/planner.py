@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .catalog import Catalog, InstanceSpec, Kind, as_price
 from .saturation import SaturationTable, default_saturation_table, min_cpu_count, n_sat_lookup
@@ -58,8 +58,6 @@ __all__ = [
     "SINGLE_ANCHOR",
     "TIERING",
     "flopp",
-    "plan_single_anchor",
-    "plan_tiering",
     "recommend",
 ]
 
@@ -93,8 +91,8 @@ class PlanRequest:
         object.__setattr__(self, "ckpt_size", float(self.ckpt_size))
         if not self.pw > 0:
             raise ValueError("pw must be positive")
-        if not self.ckpt_size > 0:
-            raise ValueError("ckpt_size must be positive")
+        if not 0 < self.ckpt_size < math.inf:
+            raise ValueError("ckpt_size must be positive and finite")
         if self.buffer_count < 1:
             raise ValueError("buffer_count must be >= 1")
         if self.max_instances < 1:
@@ -221,15 +219,14 @@ class _TieringRow:
         return key, self.v, self.w
 
 
-def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable | None) -> list:
-    """The single-anchor row of each GPU then, given a saturation table, the
-    tiering row of each (GPU, CPU) pair whose CPU holds the checkpoints."""
+def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
+    """The single-anchor row of each GPU, then the tiering row of each
+    (GPU, CPU) pair whose CPU holds the checkpoints."""
     scores = [flopp(v) for v in catalog.gpu_view]
     rows: list = [_SingleAnchorRow(i, v, score) for i, (v, score) in enumerate(zip(catalog.gpu_view, scores))]
-    if sat is not None:
-        cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
-        for i, (v, score) in enumerate(zip(catalog.gpu_view, scores)):
-            rows += [_TieringRow(i, v, score, j, w, n_sat_lookup(sat, v, w)) for j, w in cpus]
+    cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
+    for i, (v, score) in enumerate(zip(catalog.gpu_view, scores)):
+        rows += [_TieringRow(i, v, score, j, w, n_sat_lookup(sat, v, w)) for j, w in cpus]
     return rows
 
 
@@ -268,42 +265,6 @@ def _plan(candidate: tuple) -> ClusterPlan:
     )
 
 
-def _candidates(rows: Iterable, req: PlanRequest, scaling: ScalingSource) -> Iterator[tuple]:
-    """Every row's walk, from its largest n that fits the request."""
-    pw, cap, top_k = req.pw, req.max_instances, req.top_k
-    for row in rows:
-        n_top = row.n_top(pw, cap)
-        if n_top > 0:
-            yield from _walk(row, n_top, top_k, scaling)
-
-
-def _best(rows: Iterable, req: PlanRequest, scaling: ScalingSource) -> Optional[ClusterPlan]:
-    best = min(_candidates(rows, req, scaling), key=itemgetter(0), default=None)
-    return _plan(best) if best else None
-
-
-def _defaults(scaling, sat):
-    return scaling or DEFAULT_SCALING, sat or default_saturation_table()
-
-
-def plan_single_anchor(
-    catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
-) -> Optional[ClusterPlan]:
-    """Best single-anchor plan under the budget, or None if infeasible."""
-    return _best(_rows(catalog, req, None), req, scaling or DEFAULT_SCALING)
-
-
-def plan_tiering(
-    catalog: Catalog,
-    req: PlanRequest,
-    scaling: ScalingSource | None = None,
-    sat: SaturationTable | None = None,
-) -> Optional[ClusterPlan]:
-    """Best tiering plan under budget, memory, and saturation constraints."""
-    scaling, sat = _defaults(scaling, sat)
-    return _best([row for row in _rows(catalog, req, sat) if row.rank], req, scaling)
-
-
 def recommend(
     catalog: Catalog,
     req: PlanRequest,
@@ -317,6 +278,12 @@ def recommend(
     configuration fits the budget.  Raises ValueError when a returned plan's
     Z is not finite.
     """
-    scaling, sat = _defaults(scaling, sat)
-    candidates = _candidates(_rows(catalog, req, sat), req, scaling)
-    return [_plan(c) for c in heapq.nsmallest(req.top_k, candidates, key=itemgetter(0))]
+    scaling = scaling or DEFAULT_SCALING
+    pw, cap, top_k = req.pw, req.max_instances, req.top_k
+    candidates = (
+        candidate
+        for row in _rows(catalog, req, sat or default_saturation_table())
+        if (n_top := row.n_top(pw, cap)) > 0
+        for candidate in _walk(row, n_top, top_k, scaling)
+    )
+    return [_plan(c) for c in heapq.nsmallest(top_k, candidates, key=itemgetter(0))]

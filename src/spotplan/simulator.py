@@ -1,6 +1,9 @@
 """Price-ceiling sweeps: evaluate every policy across a PW grid.
 
-Each policy's recommended configuration at each grid point is scored with a
+The policies are the full planner and three baselines: noscale (the full
+search as if speedup were linear), and cost_first and performance_first (one
+GPU type as a single anchor, packed with as many nodes as fit).  Each
+policy's recommended configuration at each grid point is scored with a
 common performance metric (trainer count times eflops times the scaling
 factor), and curves are normalized to the full planner's value at the top of
 the grid.  Grid values are exact decimals, so a 0.1 step never drifts.
@@ -15,16 +18,18 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, getcontext
-from typing import Optional
+from typing import Optional, Sequence
 
-from .baselines import _cost_first_gpu, _performance_first_gpu
-from .catalog import Catalog, as_price
-from .planner import ClusterPlan, PlanRequest, _plan, _rows
+from .catalog import Catalog, InstanceSpec, as_price
+from .planner import ClusterPlan, PlanRequest, _plan, _rows, _SingleAnchorRow, flopp, recommend
 from .saturation import SaturationTable, default_saturation_table
 from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
 
 __all__ = [
     "DEFAULT_POLICIES",
+    "plan_cost_first",
+    "plan_performance_first",
+    "plan_noscale",
     "SweepSpec",
     "SweepPoint",
     "SweepResult",
@@ -40,8 +45,58 @@ PLANNER_POLICY = "planner"
 
 DEFAULT_POLICIES = (PLANNER_POLICY, "noscale", "cost_first", "performance_first")
 
+
+def _cost_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
+    """Index of the cheapest-spot GPU, the higher eflops first on ties."""
+    return min(range(len(gpus)), key=lambda i: (gpus[i].spot_price, -gpus[i].eflops, i), default=None)
+
+
+def _performance_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
+    """Index of the highest-eflops GPU, the cheaper spot first on ties."""
+    return min(range(len(gpus)), key=lambda i: (-gpus[i].eflops, gpus[i].spot_price, i), default=None)
+
+
 # The single-anchor GPU each baseline packs.
 _BASELINE_GPUS = {"cost_first": _cost_first_gpu, "performance_first": _performance_first_gpu}
+
+
+def _packed(row: _SingleAnchorRow, n_top: int, scaling: ScalingSource) -> tuple:
+    """A baseline's candidate: its GPU's single-anchor row at n = n_top."""
+    return row.candidate(n_top, row.z(n_top, scaling.factor(row.v, n_top)))
+
+
+def _baseline(
+    policy: str, catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None
+) -> Optional[ClusterPlan]:
+    gpus = catalog.gpu_view
+    v_idx = _BASELINE_GPUS[policy](gpus)
+    if v_idx is None:
+        return None
+    row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
+    n_top = row.n_top(req.pw, req.max_instances)
+    return _plan(_packed(row, n_top, scaling or DEFAULT_SCALING)) if n_top > 0 else None
+
+
+def plan_cost_first(
+    catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
+) -> Optional[ClusterPlan]:
+    """Cheapest-spot GPU as a single anchor, packed with as many nodes as fit."""
+    return _baseline("cost_first", catalog, req, scaling)
+
+
+def plan_performance_first(
+    catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None = None
+) -> Optional[ClusterPlan]:
+    """Highest-eflops GPU as a single anchor; no fallback when unaffordable."""
+    return _baseline("performance_first", catalog, req, scaling)
+
+
+def plan_noscale(
+    catalog: Catalog, req: PlanRequest, sat: SaturationTable | None = None
+) -> list[ClusterPlan]:
+    """Full search, but scoring every candidate as if speedup were linear."""
+    return recommend(catalog, req, scaling=UnitScaling(), sat=sat)
+
 
 # Largest grid a SweepSpec accepts.  Every point is planned, kept and
 # serialized: `simulate --format json` on 10,000 points peaks at about 80 MiB.
@@ -188,8 +243,8 @@ def _sweep_plans(
     what the walk of recommend() finds with top_k = 1.  That candidate's key
     can only fall as pw rises, so the planner's plan at a point is the
     smallest key any row has produced so far; noscale is the same with K = 1.
-    cost_first and performance_first take the n_top candidate of one
-    single-anchor row.
+    cost_first and performance_first take the n_top candidate of their GPU's
+    single-anchor row, as plan_cost_first and plan_performance_first do.
     """
     per_point = {policy: [(None, 0.0)] * len(grid) for policy in DEFAULT_POLICIES}
     if not grid[-1] > 0:
@@ -200,12 +255,7 @@ def _sweep_plans(
     rows = [(row, top) for row in _rows(catalog, req, sat) if (top := row.n_top(req.pw, cap)) >= 1]
     scored = {PLANNER_POLICY: scaling, "noscale": UnitScaling()}
     tables = {policy: _z_tables(rows, source) for policy, source in scored.items()}
-    single_anchor = {row.v_idx: r for r, (row, _) in enumerate(rows) if not row.rank}
-    followers: dict[int, list[str]] = {}
-    for policy, pick in _BASELINE_GPUS.items():
-        r = single_anchor.get(pick(catalog.gpu_view))
-        if r is not None:
-            followers.setdefault(r, []).append(policy)
+    baselines = {policy: pick(catalog.gpu_view) for policy, pick in _BASELINE_GPUS.items()}
 
     def evaluated(candidate: tuple) -> tuple[ClusterPlan, float]:
         plan = _plan(candidate)
@@ -237,9 +287,10 @@ def _sweep_plans(
                     if candidate[0] < best_key[policy]:
                         best_key[policy] = candidate[0]
                         current[policy] = evaluated(candidate)
-            for policy in followers.get(r, ()):
-                zs = tables[PLANNER_POLICY][row.v_idx, row.rank][0]
-                current[policy] = evaluated(row.candidate(n_top, zs[n_top - 1]))
+            if not row.rank:
+                for policy, v_idx in baselines.items():
+                    if v_idx == row.v_idx:
+                        current[policy] = evaluated(_packed(row, n_top, scaling))
         for policy, points in per_point.items():
             points[i] = current[policy]
     return per_point
@@ -250,16 +301,15 @@ def run_sweep(
     spec: SweepSpec,
     scaling: ScalingSource | None = None,
     sat: SaturationTable | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
     """Evaluate every policy at every grid point.
 
     One ascending pass over the grid gives every point the plans that
     recommend(), plan_noscale(), plan_cost_first() and
-    plan_performance_first() return there with top_k = 1.  ``workers`` is
-    accepted and ignored: the pass is serial.  The normalizer is the full
-    planner's raw performance at the last grid point.  Raises ValueError
-    when a plan's Z, or a raw or normalized performance, is not finite.
+    plan_performance_first() return there with top_k = 1.  The normalizer
+    is the full planner's raw performance at the last grid point.  Raises
+    ValueError when a plan's Z, or a raw or normalized performance, is not
+    finite.
     """
     scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()

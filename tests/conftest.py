@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spotplan import (
@@ -5,6 +7,7 @@ from spotplan import (
     bundled_aws_catalog,
     bundled_simulated_catalog,
     default_saturation_table,
+    recommend,
 )
 
 
@@ -28,9 +31,30 @@ def scaling_source():
     return ScalingSource()
 
 
+def _best_of(architecture, catalog, req, scaling=None, sat=None):
+    """The best plan of one architecture, or None.
+
+    top_k is at least the number of candidates, so no row's walk stops early
+    and recommend returns every candidate in rank order.
+    """
+    rows = len(catalog.gpu_view) * (1 + len(catalog.cpu_view))
+    plans = recommend(catalog, replace(req, top_k=max(1, rows * req.max_instances)), scaling, sat)
+    return next((plan for plan in plans if plan.architecture == architecture), None)
+
+
+@pytest.fixture(scope="session")
+def best_of():
+    """_best_of, the best plan of one architecture under a request."""
+    return _best_of
+
+
 def _gpu(name, price, eflops):
     return {"name": name, "kind": "gpu", "od_price": price, "spot_price": price,
             "network_gbps": 10, "eflops": eflops}
+
+
+def _cpu(name, od, spot):
+    return {"name": name, "kind": "cpu", "od_price": od, "spot_price": spot, "network_gbps": 10}
 
 
 @pytest.fixture(
@@ -41,9 +65,15 @@ def _gpu(name, price, eflops):
         # 1e-400 is a positive Decimal but 0.0 as a float.
         ({"instances": [_gpu("tiny", "1e-400", 1)]},
          "instance 'tiny': eflops / spot_price is not a finite float (1.0 / 0.0)"),
+        # Prices beyond float range, of a GPU and of a CPU.
+        ({"instances": [_gpu("v", "1e400", 1)]},
+         "instance 'v': od_price is not a finite float (1E+400)"),
+        ({"instances": [_gpu("v", "1", 1), _cpu("w", "1e400", "1")]},
+         "instance 'w': od_price is not a finite float (1E+400)"),
     ],
-    ids=["overflow", "underflow"],
+    ids=["overflow", "underflow", "gpu-price", "cpu-price"],
 )
 def non_finite_flopp(request):
-    """A catalog document with a GPU whose FLOPP is not a finite float, and the refusal."""
+    """A catalog document with a GPU whose FLOPP is not a finite float, or an
+    instance whose price is not, and the refusal."""
     return request.param

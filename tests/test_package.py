@@ -4,7 +4,7 @@ import pytest
 
 import spotplan
 
-MODULES = ["baselines", "catalog", "cli", "planner", "saturation", "scaling", "simulator"]
+MODULES = ["catalog", "cli", "planner", "saturation", "scaling", "simulator"]
 
 
 @pytest.mark.parametrize("module", MODULES)

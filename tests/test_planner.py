@@ -14,6 +14,8 @@ from spotplan import (
     InstanceSpec,
     Kind,
     LogisticParams,
+    SINGLE_ANCHOR,
+    TIERING,
     PlanRequest,
     SaturationTable,
     ScalingSource,
@@ -21,8 +23,6 @@ from spotplan import (
     flopp,
     n_sat_lookup,
     plan_noscale,
-    plan_single_anchor,
-    plan_tiering,
     recommend,
     s_hybrid,
 )
@@ -76,6 +76,8 @@ class TestPlanRequest:
             {"pw": "1", "buffer_count": 0},
             {"pw": "1", "max_instances": 0},
             {"pw": "1", "top_k": 0},
+            {"pw": "1", "ckpt_size": float("inf")},
+            {"pw": "1", "ckpt_size": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -89,26 +91,26 @@ class TestPlanRequest:
 
 
 class TestSingleAnchor:
-    def test_budget_packs_five_nodes(self, simulated_catalog):
+    def test_budget_packs_five_nodes(self, simulated_catalog, best_of):
         cat = Catalog((simulated_catalog.by_name("J"),))
-        plan = plan_single_anchor(cat, PlanRequest(pw="0.5"))
+        plan = best_of(SINGLE_ANCHOR, cat, PlanRequest(pw="0.5"))
         assert plan.n_gpu == 5
         assert plan.hourly_price == Decimal("0.484")
         assert plan.architecture == "single_anchor"
         assert plan.cpu_instance is None and plan.m_cpu is None
 
-    def test_infeasible_budget(self, simulated_catalog):
-        assert plan_single_anchor(simulated_catalog, PlanRequest(pw="0.1")) is None
+    def test_infeasible_budget(self, simulated_catalog, best_of):
+        assert best_of(SINGLE_ANCHOR, simulated_catalog, PlanRequest(pw="0.1")) is None
 
-    def test_exact_anchor_price_is_feasible(self, simulated_catalog):
+    def test_exact_anchor_price_is_feasible(self, simulated_catalog, best_of):
         cat = Catalog((simulated_catalog.by_name("J"),))
-        plan = plan_single_anchor(cat, PlanRequest(pw="0.22"))
+        plan = best_of(SINGLE_ANCHOR, cat, PlanRequest(pw="0.22"))
         assert plan.n_gpu == 1
         assert plan.hourly_price == Decimal("0.22")
 
-    def test_matches_double_loop(self, simulated_catalog, scaling_source, sat_table):
+    def test_matches_double_loop(self, simulated_catalog, scaling_source, sat_table, best_of):
         req = PlanRequest(pw="3")
-        plan = plan_single_anchor(simulated_catalog, req, scaling_source)
+        plan = best_of(SINGLE_ANCHOR, simulated_catalog, req, scaling_source)
         best = min(
             (kd for kd in brute_force_candidates(simulated_catalog, req, scaling_source, sat_table)
              if kd[1][0] == "single_anchor"),
@@ -118,40 +120,40 @@ class TestSingleAnchor:
         assert plan.score_z == pytest.approx(-key[0], rel=1e-12)
         assert (plan.gpu_instance.name, plan.n_gpu) == (desc[1], desc[2])
 
-    def test_respects_max_instances(self, simulated_catalog):
+    def test_respects_max_instances(self, simulated_catalog, best_of):
         cat = Catalog((simulated_catalog.by_name("J"),))
-        plan = plan_single_anchor(cat, PlanRequest(pw="100", max_instances=7))
+        plan = best_of(SINGLE_ANCHOR, cat, PlanRequest(pw="100", max_instances=7))
         assert plan.n_gpu == 7
 
 
 class TestTiering:
-    def test_saturation_sizing_at_32(self, sat_table):
+    def test_saturation_sizing_at_32(self, sat_table, best_of):
         cat = Catalog((gpu("v", od="1", spot="0.1", bw=25),
                        cpu("w", od="0.2", bw=1.7)))
-        plan = plan_tiering(cat, PlanRequest(pw="100", max_instances=32), sat=sat_table)
+        plan = best_of(TIERING, cat, PlanRequest(pw="100", max_instances=32), sat=sat_table)
         assert plan.n_gpu == 32
         assert plan.m_cpu == 3
 
-    def test_memory_constraint_can_exclude_everything(self, sat_table):
+    def test_memory_constraint_can_exclude_everything(self, sat_table, best_of):
         cat = Catalog((gpu("v", od="1", spot="0.1"),
                        cpu("w", od="0.2", memory=0.9)))
         req = PlanRequest(pw="100", ckpt_size=0.5, buffer_count=2)
-        assert plan_tiering(cat, req, sat=sat_table) is None
+        assert best_of(TIERING, cat, req, sat=sat_table) is None
 
-    def test_memory_exactly_sufficient(self, sat_table):
+    def test_memory_exactly_sufficient(self, sat_table, best_of):
         cat = Catalog((gpu("v", od="1", spot="0.1"),
                        cpu("w", od="0.2", memory=1.0)))
         req = PlanRequest(pw="1", ckpt_size=0.5, buffer_count=2)
-        plan = plan_tiering(cat, req, sat=sat_table)
+        plan = best_of(TIERING, cat, req, sat=sat_table)
         assert plan is not None
 
-    def test_no_cpu_instances_means_none(self, simulated_catalog, sat_table):
+    def test_no_cpu_instances_means_none(self, simulated_catalog, sat_table, best_of):
         cat = Catalog(tuple(simulated_catalog.gpu_view))
-        assert plan_tiering(cat, PlanRequest(pw="5"), sat=sat_table) is None
+        assert best_of(TIERING, cat, PlanRequest(pw="5"), sat=sat_table) is None
 
-    def test_matches_triple_loop(self, simulated_catalog, scaling_source, sat_table):
+    def test_matches_triple_loop(self, simulated_catalog, scaling_source, sat_table, best_of):
         req = PlanRequest(pw="3")
-        plan = plan_tiering(simulated_catalog, req, scaling_source, sat_table)
+        plan = best_of(TIERING, simulated_catalog, req, scaling_source, sat_table)
         best = min(
             (kd for kd in brute_force_candidates(simulated_catalog, req, scaling_source, sat_table)
              if kd[1][0] == "tiering"),
@@ -161,21 +163,21 @@ class TestTiering:
         assert plan.score_z == pytest.approx(-key[0], rel=1e-12)
         assert plan_tuple(plan) == desc
 
-    def test_ties_across_cpus_break_by_price(self, sat_table):
+    def test_ties_across_cpus_break_by_price(self, sat_table, best_of):
         cat = Catalog((gpu("v", od="1", spot="0.1", bw=10),
                        cpu("w_pricey", od="0.3", bw=10),
                        cpu("w_cheap", od="0.2", bw=10)))
-        plan = plan_tiering(cat, PlanRequest(pw="10"), sat=sat_table)
+        plan = best_of(TIERING, cat, PlanRequest(pw="10"), sat=sat_table)
         assert plan.cpu_instance.name == "w_cheap"
 
-    def test_equal_price_breaks_by_catalog_order(self, sat_table):
+    def test_equal_price_breaks_by_catalog_order(self, sat_table, best_of):
         cat = Catalog((gpu("v", od="1", spot="0.1", bw=10),
                        cpu("w_first", od="0.2", bw=10),
                        cpu("w_second", od="0.2", bw=10)))
-        plan = plan_tiering(cat, PlanRequest(pw="10"), sat=sat_table)
+        plan = best_of(TIERING, cat, PlanRequest(pw="10"), sat=sat_table)
         assert plan.cpu_instance.name == "w_first"
 
-    def test_saturation_of_one_still_tiers(self):
+    def test_saturation_of_one_still_tiers(self, best_of):
         # With n_sat = 1 even n = 1 needs m = 2 receivers: the m = 1 range is empty.
         cat = Catalog((gpu("v", od="1", spot="0.1"), cpu("w", od="0.05")))
         sat = SaturationTable(((0.3, 1),))
@@ -186,7 +188,7 @@ class TestTiering:
         plans = recommend(cat, req, sat=sat)
         assert plan_tuple(plans[0]) == expected["config"]
         assert plans[0].hourly_price == expected["price"]
-        assert plan_tuple(plan_tiering(cat, req, sat=sat)) == expected["config"]
+        assert plan_tuple(best_of(TIERING, cat, req, sat=sat)) == expected["config"]
 
 
 class TestRecommend:
@@ -258,7 +260,7 @@ class TestRecommend:
             plans = recommend(scaled, PlanRequest(pw=Decimal("3") * lam))
             assert plan_tuple(plans[0]) == base
 
-    def test_huge_budget_fills_max_instances(self, simulated_catalog):
+    def test_huge_budget_fills_max_instances(self, simulated_catalog, best_of):
         # The Decimal quotient budget // price needs more than 28 digits here.
         req = PlanRequest(pw="1e40", top_k=5)
         plans = recommend(simulated_catalog, req)
@@ -266,7 +268,7 @@ class TestRecommend:
         assert all(p.n_gpu == req.max_instances for p in plans)
         assert all(p.m_cpu is None or p.m_cpu <= req.max_instances for p in plans)
         assert plan_noscale(simulated_catalog, req)[0].n_gpu == req.max_instances
-        single = plan_single_anchor(simulated_catalog, req)
+        single = best_of(SINGLE_ANCHOR, simulated_catalog, req)
         assert single.n_gpu == req.max_instances
 
     def test_matches_brute_force_on_random_catalogs(self):

@@ -9,6 +9,8 @@ from decimal import Decimal
 import pytest
 
 from spotplan import (
+    SINGLE_ANCHOR,
+    TIERING,
     Catalog,
     InstanceSpec,
     Kind,
@@ -42,12 +44,10 @@ class TestEvaluatePerformance:
     def test_none_plan_scores_zero(self):
         assert evaluate_performance(None) == 0.0
 
-    def test_single_tiering_node(self, simulated_catalog, sat_table):
+    def test_single_tiering_node(self, simulated_catalog, sat_table, best_of):
         cat_a = simulated_catalog.by_name("A")
         cat_m = simulated_catalog.by_name("M")
-        from spotplan import Catalog, plan_tiering
-
-        plan = plan_tiering(Catalog((cat_a, cat_m)), PlanRequest(pw="0.4"), sat=sat_table)
+        plan = best_of(TIERING, Catalog((cat_a, cat_m)), PlanRequest(pw="0.4"), sat=sat_table)
         assert plan.n_gpu == 1
         assert evaluate_performance(plan) == pytest.approx(100 * K_AT_1, rel=1e-9)
 
@@ -62,11 +62,9 @@ class TestEvaluatePerformance:
 
         assert perf(200) == pytest.approx(2 * perf(100), rel=1e-12)
 
-    def test_anchor_counts_as_trainer(self, simulated_catalog):
-        from spotplan import Catalog, plan_single_anchor
-
+    def test_anchor_counts_as_trainer(self, simulated_catalog, best_of):
         cat = Catalog((simulated_catalog.by_name("J"),))
-        plan = plan_single_anchor(cat, PlanRequest(pw="0.5"))
+        plan = best_of(SINGLE_ANCHOR, cat, PlanRequest(pw="0.5"))
         source = ScalingSource()
         expected = plan.n_gpu * 50 * source.factor(plan.gpu_instance, plan.n_gpu)
         assert evaluate_performance(plan, source) == pytest.approx(expected, rel=1e-12)
@@ -87,16 +85,10 @@ class TestEstimateCost:
         assert m2 == pytest.approx(2 * m1, rel=1e-12)
         assert c2 == pytest.approx(2 * c1, rel=1e-12)
 
-    def test_cheaper_plan_costs_less_at_equal_performance(self, simulated_catalog):
-        from spotplan import Catalog, plan_tiering
-
+    def test_cheaper_plan_costs_less_at_equal_performance(self, simulated_catalog, best_of):
         v = simulated_catalog.by_name("D")
-        cheap = plan_tiering(
-            Catalog((v, simulated_catalog.by_name("M"))), PlanRequest(pw="3")
-        )
-        pricey = plan_tiering(
-            Catalog((v, simulated_catalog.by_name("N"))), PlanRequest(pw="3")
-        )
+        cheap = best_of(TIERING, Catalog((v, simulated_catalog.by_name("M"))), PlanRequest(pw="3"))
+        pricey = best_of(TIERING, Catalog((v, simulated_catalog.by_name("N"))), PlanRequest(pw="3"))
         assert cheap.n_gpu == pricey.n_gpu  # same performance
         assert cheap.hourly_price < pricey.hourly_price
         _, cost_cheap = estimate_cost(cheap, 1e9)
@@ -174,20 +166,6 @@ class TestRunSweep:
     def test_curves_share_grid_length(self, default_sweep):
         lengths = {len(points) for points in default_sweep.curves.values()}
         assert lengths == {101}
-
-    def test_parallel_matches_sequential(self, simulated_catalog):
-        spec = SweepSpec(pw_max="4", pw_step="0.5")
-        seq = run_sweep(simulated_catalog, spec)
-        par = run_sweep(simulated_catalog, spec, workers=4)
-        assert seq.normalizer == par.normalizer
-        for policy in spec.policies:
-            for a, b in zip(seq.curve(policy), par.curve(policy)):
-                assert a.pw == b.pw
-                assert a.raw == b.raw  # bit-identical
-                assert a.normalized == b.normalized
-                assert (a.plan is None) == (b.plan is None)
-                if a.plan is not None:
-                    assert a.plan.summary() == b.plan.summary()
 
     def test_huge_budgets_fill_max_instances(self, simulated_catalog):
         spec = SweepSpec(pw_min="1e39", pw_max="1e40", pw_step="1e39")

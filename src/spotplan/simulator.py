@@ -68,6 +68,7 @@ def _packed(row: _SingleAnchorRow, n_top: int, scaling: ScalingSource) -> tuple:
 def _baseline(
     policy: str, catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None
 ) -> Optional[ClusterPlan]:
+    """The plan of a _BASELINE_GPUS policy under req, or None when its GPU does not fit."""
     gpus = catalog.gpu_view
     v_idx = _BASELINE_GPUS[policy](gpus)
     if v_idx is None:

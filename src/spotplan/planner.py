@@ -36,7 +36,9 @@ then architecture (single_anchor before tiering), then catalog order.
 
 With top_k = 1 a row's best candidate is therefore the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
-classes and reads that candidate from tables of Z instead of walking.
+classes and reads that candidate from per-GPU tables of the largest Z up to
+each n instead of walking; those tables never fall, so a row sleeps until
+the first n whose entry beats a policy's plan.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import io
 import json
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, getcontext
 from typing import Optional, Sequence
@@ -200,8 +201,9 @@ class SweepResult:
 
 
 def _z_tables(rows: list, scaling: ScalingSource) -> dict:
-    """Per (GPU index, rank): Z(n) for n = 1..N, and for each t <= N the index
-    of the first n <= t with the largest Z(1..t).
+    """Per (GPU index, rank): peaks and firsts for t = 1..N, where peaks[t - 1]
+    is the largest Z(n) over n <= t and firsts[t - 1] is n - 1 for the first
+    n that reaches it.  peaks never falls.
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
     n, and tiering Z does not depend on w, so a GPU's tiering rows share one
@@ -218,12 +220,13 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
         ks = [scaling.factor(v, n) for n in range(1, n_max[v_idx] + 1)]
         for rank, row in group.items():
             zs = [row.z(n, k) for n, k in enumerate(ks, 1)]
-            firsts, best = [], 0
+            peaks, firsts, best = array("d"), array("q"), 0
             for i, z in enumerate(zs):
                 if z > zs[best]:
                     best = i
+                peaks.append(zs[best])
                 firsts.append(best)
-            tables[v_idx, rank] = array("d", zs), array("q", firsts)
+            tables[v_idx, rank] = peaks, firsts
     return tables
 
 
@@ -237,15 +240,21 @@ def _sweep_plans(
     """(plan, raw performance) of every policy at every grid point, in one
     ascending pass over the grid.
 
-    A row's n_top is a step function of pw.  The pass raises it, by exact
-    Decimal price comparisons, only when pw reaches the price of n_top + 1,
-    and never past the row's n_top at the last grid point.  The row's best
-    candidate at n_top is the first n <= n_top with the largest Z, which is
-    what the walk of recommend() finds with top_k = 1.  That candidate's key
-    can only fall as pw rises, so the planner's plan at a point is the
-    smallest key any row has produced so far; noscale is the same with K = 1.
-    cost_first and performance_first take the n_top candidate of their GPU's
-    single-anchor row, as plan_cost_first and plan_performance_first do.
+    A row's n_top is a step function of pw, and its best candidate at n_top
+    is the first n <= n_top with the largest Z, which is what the walk of
+    recommend() finds with top_k = 1: Z = peaks[n_top - 1] at n = firsts[n_top
+    - 1] + 1.  That candidate's key can only fall as pw rises, so the planner's
+    plan at a point is the smallest key any row has produced so far; noscale
+    is the same with K = 1.  A row sleeps in a heap of (price of n, row, n)
+    and wakes once pw reaches that price.  It then raises n_top from n by
+    exact Decimal price comparisons, never past the row's n_top at the last
+    grid point, and offers its candidate.  It sleeps again until the first
+    n > n_top whose peak beats the best Z of planner or noscale, and is
+    dropped when no such n exists: best keys only fall, peaks never falls,
+    and a later n that only ties the best Z costs more than pw, which the
+    best does not.  cost_first and performance_first take the n_top candidate
+    of their GPU's single-anchor row, as plan_cost_first and
+    plan_performance_first do, so that row wakes at every n.
     """
     per_point = {policy: [(None, 0.0)] * len(grid) for policy in DEFAULT_POLICIES}
     if not grid[-1] > 0:
@@ -267,31 +276,31 @@ def _sweep_plans(
 
     best_key = dict.fromkeys(scored, (math.inf,))
     current = dict.fromkeys(DEFAULT_POLICIES, (None, 0.0))
-    n_tops = [0] * len(rows)
-    thresholds = [(row.price(1), r) for r, (row, _) in enumerate(rows)]  # price of n_top + 1
-    heapq.heapify(thresholds)
+    wakes = [(row.price(1), r, 1) for r, (row, _) in enumerate(rows)]
+    heapq.heapify(wakes)
     for i, pw in enumerate(grid):
-        while thresholds and thresholds[0][0] <= pw:
-            r = heapq.heappop(thresholds)[1]
+        while wakes and wakes[0][0] <= pw:
+            _, r, n_top = heapq.heappop(wakes)
             row, top = rows[r]
-            n_top = n_tops[r] + 1
             while n_top < top and (price := row.price(n_top + 1)) <= pw:
                 n_top += 1
-            n_tops[r] = n_top
-            if n_top < top:  # the step ended on price(n_top + 1) > pw
-                heapq.heappush(thresholds, (price, r))
+            wake = top  # the row wakes at n = wake + 1, or never when wake == top
             for policy in scored:
-                zs, firsts = tables[policy][row.v_idx, row.rank]
-                n = firsts[n_top - 1]
-                if -zs[n] <= best_key[policy][0]:
-                    candidate = row.candidate(n + 1, zs[n])
+                peaks, firsts = tables[policy][row.v_idx, row.rank]
+                z = peaks[n_top - 1]
+                if -z <= best_key[policy][0]:
+                    candidate = row.candidate(firsts[n_top - 1] + 1, z)
                     if candidate[0] < best_key[policy]:
                         best_key[policy] = candidate[0]
                         current[policy] = evaluated(candidate)
+                wake = min(wake, bisect_right(peaks, -best_key[policy][0], n_top, top))
             if not row.rank:
                 for policy, v_idx in baselines.items():
                     if v_idx == row.v_idx:
                         current[policy] = evaluated(_packed(row, n_top, scaling))
+                        wake = n_top
+            if wake < top:  # price holds price(n_top + 1) > pw when wake == n_top
+                heapq.heappush(wakes, (price if wake == n_top else row.price(wake + 1), r, wake + 1))
         for policy, points in per_point.items():
             points[i] = current[policy]
     return per_point

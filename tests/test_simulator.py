@@ -7,6 +7,8 @@ import warnings
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotplan import (
     SINGLE_ANCHOR,
@@ -18,6 +20,8 @@ from spotplan import (
     PlanRequest,
     ScalingSource,
     SweepSpec,
+    UnitScaling,
+    default_saturation_table,
     estimate_cost,
     evaluate_performance,
     plan_cost_first,
@@ -29,7 +33,8 @@ from spotplan import (
     sweep_to_csv,
     sweep_to_json,
 )
-from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS
+from spotplan.planner import _rows, _SingleAnchorRow, _TieringRow
+from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _z_tables
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -359,6 +364,143 @@ def test_sweep_equals_per_point_policies(sat_table):
                 raw = evaluate_performance(expected[policy], scaling)
                 assert (point.pw, point.plan, point.raw) == (pw, expected[policy], raw), (spec, policy)
                 assert point.normalized == (raw / normalizer if normalizer > 0 else 0.0)
+
+
+def _policies_at(catalog, spec, pw, scaling, sat):
+    """The plan of every policy at pw from the per-point calls."""
+    if pw <= 0:
+        return dict.fromkeys(DEFAULT_POLICIES)
+    req = spec.request_at(pw)
+    return {
+        "planner": next(iter(recommend(catalog, req, scaling, sat)), None),
+        "noscale": next(iter(plan_noscale(catalog, req, sat)), None),
+        "cost_first": plan_cost_first(catalog, req, scaling),
+        "performance_first": plan_performance_first(catalog, req, scaling),
+    }
+
+
+def _crowded_case(rng):
+    """A catalog whose rows tie on Z and wake together, and a coarse grid.
+
+    The GPUs share one FLOPP: each is a base GPU with its prices and eflops
+    times 1, 2 or 4, a power of two, so SPFP and ODFP are equal as floats,
+    and noscale's Z ties exactly across GPUs at equal n, the planner's across
+    GPUs with the same fit (and across duplicates at equal price too); the
+    fits differ, so the two policies' plans part.  5-10 CPU types give each
+    GPU many tiering rows on one table.  Spot prices are small against a
+    step of 0.5-2.5, so several rows wake, and step past several n, in the
+    same step.
+    """
+    od = Decimal(rng.randint(2, 12)) / 8
+    spot = Decimal(rng.randint(1, int(od * 8))) / 8 if rng.random() < 0.5 else Decimal(rng.randint(400, 1500)) / 10000
+    eflops = rng.randint(20, 1200)
+    fits = (None, None, LogisticParams(0.2, 5.0, 20.0), LogisticParams(0.1, 8.0, 60.0))
+    specs = [
+        InstanceSpec(name=f"g{i}", kind=Kind.GPU, od_price=od * f, spot_price=min(od, spot) * f,
+                     network_bw=rng.choice([1.7, 10, 40]), eflops=eflops * f, memory=16,
+                     scaling_params=rng.choice(fits))
+        for i, f in enumerate(rng.choice([1, 1, 2, 4]) for _ in range(rng.randint(2, 4)))
+    ]
+    for j in range(rng.randint(5, 10)):
+        price = Decimal(rng.randint(300, 6000)) / 10000
+        specs.append(InstanceSpec(name=f"c{j}", kind=Kind.CPU, od_price=price, spot_price=price,
+                                  network_bw=rng.choice([5, 10, 25]), eflops=0, memory=rng.choice([0.5, 8])))
+    step = Decimal(rng.choice(["0.5", "1", "1.25", "2.5"]))
+    spec = SweepSpec(
+        pw_min=rng.choice([Decimal(0), Decimal("0.3")]),
+        pw_max=step * rng.randint(3, 12),
+        pw_step=step,
+        buffer_count=rng.choice([1, 2]),
+        max_instances=rng.choice([5, 17, 64, 300]),
+    )
+    return Catalog(tuple(specs)), spec
+
+
+def test_sweep_with_crowded_rows_equals_per_point_policies(sat_table):
+    """Rows that tie on Z and wake in one step still give each point the
+    per-point plans: a sleeping row could not have changed any of them."""
+    rng = random.Random(20261019)
+    scaling = ScalingSource()
+    for _ in range(50):
+        catalog, spec = _crowded_case(rng)
+        result = run_sweep(catalog, spec, sat=sat_table)
+        for i, pw in enumerate(spec.grid()):
+            expected = _policies_at(catalog, spec, pw, scaling, sat_table)
+            for policy in spec.policies:
+                point = result.curve(policy)[i]
+                assert (point.plan, point.raw) == (expected[policy], evaluate_performance(expected[policy], scaling)), (
+                    spec, policy, pw)
+
+
+@st.composite
+def _table_rows(draw):
+    """The rows of a random catalog that fit a budget, with their n_top.
+
+    About a third of the GPUs carry their own fit, superlinear ones included;
+    half the cases price spot cheaply at max_instances 300, which reaches the
+    float plateau of Z.
+    """
+    plateau = draw(st.booleans())
+    specs = []
+    for i in range(draw(st.integers(1, 3))):
+        od = Decimal(draw(st.integers(1000, 25000))) / 10000
+        spot = Decimal(draw(st.integers(100, 300) if plateau else st.integers(300, int(od * 10000)))) / 10000
+        params = None
+        if draw(st.integers(0, 2)) == 0:
+            a = draw(st.floats(0.05, 0.4))
+            params = LogisticParams(a=a, b=draw(st.floats(0.5, 1 + 1.9 / a)), c=draw(st.floats(1.5, 40)))
+        specs.append(InstanceSpec(name=f"g{i}", kind=Kind.GPU, od_price=od, spot_price=min(od, spot),
+                                  network_bw=draw(st.sampled_from([1.7, 10, 40])),
+                                  eflops=draw(st.integers(20, 1200)), memory=16, scaling_params=params))
+    for j in range(draw(st.integers(0, 2))):
+        price = Decimal(draw(st.integers(300, 6000))) / 10000
+        specs.append(InstanceSpec(name=f"c{j}", kind=Kind.CPU, od_price=price, spot_price=price,
+                                  network_bw=10, eflops=0, memory=8))
+    req = PlanRequest(
+        pw=Decimal(draw(st.integers(50, 600))) / (1 if plateau else 10),
+        buffer_count=1,
+        max_instances=300 if plateau else draw(st.sampled_from([1, 5, 17, 64])),
+    )
+    return [(row, top) for row in _rows(Catalog(tuple(specs)), req, default_saturation_table())
+            if (top := row.n_top(req.pw, req.max_instances)) >= 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_table_rows())
+def test_z_tables_hold_the_prefix_maximum(rows):
+    """peaks[t - 1] is the largest Z over n <= t and firsts[t - 1] the index of
+    the first n that reaches it, so peaks never falls: what lets the sweep
+    bisect a row's table for the next n that can beat a plan."""
+    for scaling in (ScalingSource(), UnitScaling()):
+        tables = _z_tables(rows, scaling)
+        for row, top in rows:
+            peaks, firsts = tables[row.v_idx, row.rank]
+            assert len(peaks) == len(firsts) == max(t for r, t in rows if r.v_idx == row.v_idx)
+            zs = [row.z(n, scaling.factor(row.v, n)) for n in range(1, len(peaks) + 1)]
+            for t in range(1, len(peaks) + 1):
+                assert peaks[t - 1] == max(zs[:t])
+                assert firsts[t - 1] == zs.index(peaks[t - 1])
+            assert all(lo <= hi for lo, hi in zip(peaks, peaks[1:]))
+
+
+def test_sweep_wakes_rows_only_when_they_can_change_a_plan(monkeypatch, simulated_catalog):
+    """A work count, so machine noise does not move it: the price() calls of
+    the rows in two sweeps of the simulated catalog.  Stepping every row
+    through every affordable n makes 5,201 and 31,367; sleeping rows until
+    they can beat a plan makes 2,051 and 7,453."""
+    calls = [0]
+    for cls in (_SingleAnchorRow, _TieringRow):
+        def counting(self, n, real=cls.price):
+            calls[0] += 1
+            return real(self, n)
+
+        monkeypatch.setattr(cls, "price", counting)
+    counts = []
+    for spec in (SweepSpec(), SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024)):
+        calls[0] = 0
+        run_sweep(simulated_catalog, spec)
+        counts.append(calls[0])
+    assert counts[0] <= 2600 and counts[1] <= 9400, counts
 
 
 @pytest.mark.parametrize("eflops, params", [(100, LogisticParams(0.1, 10.0, 1e308)), (1e307, None)])

@@ -71,6 +71,8 @@ _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
 # the walk stops; float rounding moves Z by a few ulps (~1e-16) only.
 _SLACK = 1e-12
 
+MAX_INSTANCES = 10_000  # the largest max_instances; the walk and the sweep grow with it
+
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -97,8 +99,8 @@ class PlanRequest:
             raise ValueError("ckpt_size must be positive and finite")
         if self.buffer_count < 1:
             raise ValueError("buffer_count must be >= 1")
-        if self.max_instances < 1:
-            raise ValueError("max_instances must be >= 1")
+        if not 1 <= self.max_instances <= MAX_INSTANCES:
+            raise ValueError(f"max_instances must be in 1..{MAX_INSTANCES}, not {self.max_instances}")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
 

@@ -18,6 +18,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from decimal import Decimal, InvalidOperation, getcontext
 from typing import Optional, Sequence
 
@@ -156,6 +157,7 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown policies: {unknown}")
         self._points()
+        self.request_at(self.pw_max)  # the request checks, max_instances among them
 
     def _points(self) -> int:
         """(pw_max - pw_min) // pw_step + 1, exactly; at most MAX_GRID_POINTS."""
@@ -207,7 +209,7 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
     n, and tiering Z does not depend on w, so a GPU's tiering rows share one
-    table.  Tables are packed arrays, since max_instances may be large.
+    table.  Tables are packed arrays; the sweep builds one set, the planner's.
     """
     n_max: dict[int, int] = {}
     by_rank: dict[int, dict] = {}  # one row of each rank per GPU index
@@ -220,14 +222,21 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
         ks = [scaling.factor(v, n) for n in range(1, n_max[v_idx] + 1)]
         for rank, row in group.items():
             zs = [row.z(n, k) for n, k in enumerate(ks, 1)]
-            peaks, firsts, best = array("d"), array("q"), 0
-            for i, z in enumerate(zs):
-                if z > zs[best]:
-                    best = i
-                peaks.append(zs[best])
-                firsts.append(best)
-            tables[v_idx, rank] = peaks, firsts
+            firsts = array("q", accumulate(range(len(zs)), lambda best, i: i if zs[i] > zs[best] else best))
+            tables[v_idx, rank] = array("d", map(zs.__getitem__, firsts)), firsts
     return tables
+
+
+def _noscale_wake(row, lo: int, hi: int, best: float) -> int:
+    """bisect_right(zs, best, lo, hi) over noscale's zs[i] = row.z(i + 1, 1.0),
+    without zs.  Z steps up by about SPFP, so the answer is int(best / SPFP) or
+    one above: two comparisons there settle most searches, bisection the rest."""
+    z = lambda i: row.z(i + 1, 1.0)
+    guess = best / row.spfp if row.spfp else 0.0
+    g = int(guess) if guess < hi else hi
+    lo = g if lo < g <= hi and not z(g - 1) > best else lo
+    hi = g + 1 if lo <= g + 1 < hi and z(g + 1) > best else hi
+    return bisect_right(range(hi), best, lo, hi, key=z)
 
 
 def _sweep_plans(
@@ -237,70 +246,67 @@ def _sweep_plans(
     scaling: ScalingSource,
     sat: SaturationTable,
 ) -> dict[str, list[tuple[Optional[ClusterPlan], float]]]:
-    """(plan, raw performance) of every policy at every grid point, in one
-    ascending pass over the grid.
+    """(plan, raw performance) of the planner and of spec's policies at every
+    grid point, in one ascending pass over the grid.
 
-    A row's n_top is a step function of pw, and its best candidate at n_top
-    is the first n <= n_top with the largest Z, which is what the walk of
-    recommend() finds with top_k = 1: Z = peaks[n_top - 1] at n = firsts[n_top
-    - 1] + 1.  That candidate's key can only fall as pw rises, so the planner's
-    plan at a point is the smallest key any row has produced so far; noscale
-    is the same with K = 1.  A row sleeps in a heap of (price of n, row, n)
-    and wakes once pw reaches that price.  It then raises n_top from n by
-    exact Decimal price comparisons, never past the row's n_top at the last
-    grid point, and offers its candidate.  It sleeps again until the first
-    n > n_top whose peak beats the best Z of planner or noscale, and is
-    dropped when no such n exists: best keys only fall, peaks never falls,
-    and a later n that only ties the best Z costs more than pw, which the
-    best does not.  cost_first and performance_first take the n_top candidate
-    of their GPU's single-anchor row, as plan_cost_first and
-    plan_performance_first do, so that row wakes at every n.
+    A row's planner candidate at n_top is the first n <= n_top with the
+    largest Z, as the walk of recommend() finds with top_k = 1: Z = peaks[n_top
+    - 1] at n = firsts[n_top - 1] + 1.  With K = 1, Z rises strictly with n, so
+    noscale's is the row at n_top.  Keys only fall as pw rises, so a policy's
+    plan is the smallest key offered so far.  A row sleeps in a heap of (price
+    of n, row, n) until pw reaches that price, raises n_top by exact Decimal
+    comparisons up to its top, offers its candidates, and sleeps until the
+    first n whose Z beats the planner's or noscale's best Z, or for good (a
+    later n that only ties costs more than pw).  A row that a baseline packs
+    at n_top wakes at every n.  Plans are built where they change.
     """
-    per_point = {policy: [(None, 0.0)] * len(grid) for policy in DEFAULT_POLICIES}
+    policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
+    per_point = {policy: [(None, 0.0)] * len(grid) for policy in policies}
     if not grid[-1] > 0:
         # All prices are positive, so a zero ceiling admits no plan.
         return per_point
     req = spec.request_at(grid[-1])
-    cap = req.max_instances
-    rows = [(row, top) for row in _rows(catalog, req, sat) if (top := row.n_top(req.pw, cap)) >= 1]
-    scored = {PLANNER_POLICY: scaling, "noscale": UnitScaling()}
-    tables = {policy: _z_tables(rows, source) for policy, source in scored.items()}
-    baselines = {policy: pick(catalog.gpu_view) for policy, pick in _BASELINE_GPUS.items()}
-
-    def evaluated(candidate: tuple) -> tuple[ClusterPlan, float]:
-        plan = _plan(candidate)
-        raw = evaluate_performance(plan, scaling)
-        if not math.isfinite(raw):
-            raise ValueError(f"the plan of {plan.n_gpu} x {plan.gpu_instance.name!r} performs {raw}: it overflows float")
-        return plan, raw
-
-    best_key = dict.fromkeys(scored, (math.inf,))
-    current = dict.fromkeys(DEFAULT_POLICIES, (None, 0.0))
-    wakes = [(row.price(1), r, 1) for r, (row, _) in enumerate(rows)]
+    rows = [(row, top) for row in _rows(catalog, req, sat) if (top := row.n_top(req.pw, req.max_instances)) >= 1]
+    tables = _z_tables(rows, scaling)
+    packs = [(pick(catalog.gpu_view), policy) for policy, pick in _BASELINE_GPUS.items() if policy in policies]
+    records = [(row, top, *tables[row.v_idx, row.rank], [p for v, p in packs if v == row.v_idx and not row.rank])
+               for row, top in rows]
+    noscale = "noscale" in policies
+    planner_key = noscale_key = (math.inf,)  # the best keys so far
+    changed: dict = {}  # policy -> its new candidate at this grid point
+    current = dict.fromkeys(policies, (None, 0.0))
+    wakes = [(row.price(1), r, 1) for r, (row, *_) in enumerate(records)]
     heapq.heapify(wakes)
     for i, pw in enumerate(grid):
         while wakes and wakes[0][0] <= pw:
             _, r, n_top = heapq.heappop(wakes)
-            row, top = rows[r]
+            row, top, peaks, firsts, packed = records[r]
             while n_top < top and (price := row.price(n_top + 1)) <= pw:
                 n_top += 1
-            wake = top  # the row wakes at n = wake + 1, or never when wake == top
-            for policy in scored:
-                peaks, firsts = tables[policy][row.v_idx, row.rank]
-                z = peaks[n_top - 1]
-                if -z <= best_key[policy][0]:
-                    candidate = row.candidate(firsts[n_top - 1] + 1, z)
-                    if candidate[0] < best_key[policy]:
-                        best_key[policy] = candidate[0]
-                        current[policy] = evaluated(candidate)
-                wake = min(wake, bisect_right(peaks, -best_key[policy][0], n_top, top))
-            if not row.rank:
-                for policy, v_idx in baselines.items():
-                    if v_idx == row.v_idx:
-                        current[policy] = evaluated(_packed(row, n_top, scaling))
-                        wake = n_top
+            if -(z := peaks[n_top - 1]) <= planner_key[0]:
+                candidate = row.candidate(firsts[n_top - 1] + 1, z)
+                if candidate[0] < planner_key:
+                    planner_key, changed[PLANNER_POLICY] = candidate[0], candidate
+            if noscale and -(z := row.z(n_top, 1.0)) <= noscale_key[0]:
+                candidate = row.candidate(n_top if row.spfp else 1, z)  # SPFP 0: the row's Z all tie
+                if candidate[0] < noscale_key:
+                    noscale_key, changed["noscale"] = candidate[0], candidate
+            if packed:
+                changed.update(dict.fromkeys(packed, _packed(row, n_top, scaling)))
+                wake = n_top  # the row wakes at n = wake + 1, or never when wake == top
+            else:
+                wake = bisect_right(peaks, -planner_key[0], n_top, top)
+                if noscale and wake > n_top:
+                    wake = _noscale_wake(row, n_top, wake, -noscale_key[0])
             if wake < top:  # price holds price(n_top + 1) > pw when wake == n_top
                 heapq.heappush(wakes, (price if wake == n_top else row.price(wake + 1), r, wake + 1))
+        for policy, candidate in changed.items():
+            plan = _plan(candidate)
+            if not math.isfinite(raw := evaluate_performance(plan, scaling)):
+                name = plan.gpu_instance.name
+                raise ValueError(f"the plan of {plan.n_gpu} x {name!r} performs {raw}: it overflows float")
+            current[policy] = plan, raw
+        changed.clear()
         for policy, points in per_point.items():
             points[i] = current[policy]
     return per_point
@@ -420,6 +426,8 @@ _JSON_SCALARS = {str: _json_string, float: _json_float, int: int.__repr__, type(
 
 def _json_value(x, pad: str) -> str:
     """x as json.dumps(..., indent=2) writes it on a line indented by pad."""
+    if type(x) is float and x - x == 0.0:  # a finite float, the most common value
+        return float.__repr__(x)
     scalar = _JSON_SCALARS.get(type(x))
     if scalar is not None:
         return scalar(x)
@@ -427,9 +435,17 @@ def _json_value(x, pad: str) -> str:
     return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 
-def _json_members(pairs, pad: str) -> str:
-    """(key, value) pairs as the lines of a JSON object, each indented by pad."""
-    return pad + f",\n{pad}".join([f"{_json_string(key)}: {_json_value(value, pad)}" for key, value in pairs])
+def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
+    """A plan's JSON row tail and summary() block, rendering each value once."""
+    members = lambda keys, texts, pad: pad + f",\n{pad}".join([f'"{key}": {text}' for key, text in zip(keys, texts)])
+    texts = [_json_value(x, " " * 6) for x in _plan_fields(plan)]
+    tail = members(_PLAN_COLUMNS, texts, " " * 6)
+    if not plan:
+        return tail, "null"
+    texts[4] = _json_value(plan.m_cpu, " " * 6)  # summary() keeps m_cpu where _plan_fields writes None
+    # Only a value that json.dumps writes on several lines depends on its indent.
+    summary = [text.replace("\n", "\n    ") for text in (*texts, _json_value(plan.score_z, " " * 6))]
+    return tail, "{\n" + members((*_PLAN_COLUMNS, "score_z"), summary, " " * 10) + "\n        }"
 
 
 def _json_array(out: list, items, pad: str) -> None:
@@ -449,15 +465,12 @@ def sweep_to_json(result: SweepResult) -> str:
     plan.summary() or None}, ...]}}, written in one pass without building
     the payload; each pw and each plan's fragments are rendered once.
     """
-    pw_text = _by_id(lambda pw: _json_float(float(pw)))
-    row_tail = _by_id(lambda plan: _json_members(zip(_PLAN_COLUMNS, _plan_fields(plan)), " " * 6))
-    summary = _by_id(
-        lambda plan: "{\n" + _json_members(plan.summary().items(), " " * 10) + "\n        }" if plan else "null"
-    )
+    pw_text, plan_json = _by_id(lambda pw: _json_float(float(pw))), _by_id(_json_plan)
+    policy_text = {policy: _json_value(policy, " " * 6) for policy in result.curves}
     rows = (
-        f'{{\n      "pw": {pw_text(point.pw)},\n      "policy": {_json_value(policy, " " * 6)},\n'
-        f'      "raw": {_json_value(point.raw, " " * 6)},\n'
-        f'      "normalized": {_json_value(point.normalized, " " * 6)},\n{row_tail(point.plan)}\n    }}'
+        f'{{\n      "pw": {pw_text(point.pw)},\n      "policy": {policy_text[policy]},\n      "raw": '
+        f'{_json_value(point.raw, " " * 6)},\n      "normalized": {_json_value(point.normalized, " " * 6)},\n'
+        f'{plan_json(point.plan)[0]}\n    }}'
         for point, policy in _ordered(result)
     )
     out = ['{\n  "grid": ']
@@ -469,7 +482,7 @@ def sweep_to_json(result: SweepResult) -> str:
         out += (",\n    " if i else "\n    ", _json_string(policy), ": ")
         _json_array(
             out,
-            (f'{{\n        "pw": {pw_text(p.pw)},\n        "plan": {summary(p.plan)}\n      }}' for p in points),
+            (f'{{\n        "pw": {pw_text(p.pw)},\n        "plan": {plan_json(p.plan)[1]}\n      }}' for p in points),
             "    ",
         )
     out.append("\n  }\n}" if result.curves else "}\n}")

@@ -492,6 +492,13 @@ def test_non_finite_flopp_catalog_exits_1_in_one_line(capsys, tmp_path, command,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["plan", "--pw", "1e40"], ["simulate"]], ids=["plan", "simulate"])
+def test_max_limit_over_the_cap_exits_1_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-limit", "10001")
+    assert code == 1 and out == ""
+    assert err == "error: max_instances must be in 1..10000, not 10001\n"
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 @pytest.mark.parametrize("size", ["inf", "nan"])
 def test_non_finite_ckpt_size_exits_1_in_one_line(capsys, command, size):

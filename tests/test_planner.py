@@ -26,6 +26,7 @@ from spotplan import (
     recommend,
     s_hybrid,
 )
+from spotplan.planner import MAX_INSTANCES
 
 
 def gpu(name, od, spot, bw=10, eflops=100, **kw):
@@ -83,6 +84,11 @@ class TestPlanRequest:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             PlanRequest(**kw)
+
+    def test_max_instances_is_capped(self):
+        assert PlanRequest(pw="1", max_instances=MAX_INSTANCES).max_instances == 10_000
+        with pytest.raises(ValueError, match=f"^max_instances must be in 1..{MAX_INSTANCES}, not 10001$"):
+            PlanRequest(pw="1", max_instances=MAX_INSTANCES + 1)
 
     @pytest.mark.parametrize("pw", ["NaN", "Infinity", float("inf")])
     def test_non_finite_pw_rejected(self, pw):

@@ -1,9 +1,12 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import random
 import warnings
+from bisect import bisect_right
 from decimal import Decimal
 
 import pytest
@@ -24,6 +27,7 @@ from spotplan import (
     default_saturation_table,
     estimate_cost,
     evaluate_performance,
+    flopp,
     plan_cost_first,
     plan_noscale,
     plan_performance_first,
@@ -33,8 +37,8 @@ from spotplan import (
     sweep_to_csv,
     sweep_to_json,
 )
-from spotplan.planner import _rows, _SingleAnchorRow, _TieringRow
-from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _z_tables
+from spotplan.planner import MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
+from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _z_tables
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -141,6 +145,11 @@ class TestSweepSpec:
         assert len(largest.grid()) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match=f"grid has {MAX_GRID_POINTS + 1} points"):
             SweepSpec(pw_max=MAX_GRID_POINTS * step, pw_step=step)
+
+    def test_max_instances_is_capped(self):
+        assert SweepSpec(max_instances=MAX_INSTANCES).max_instances == MAX_INSTANCES
+        with pytest.raises(ValueError, match=f"max_instances must be in 1..{MAX_INSTANCES}, not 10001"):
+            SweepSpec(max_instances=MAX_INSTANCES + 1)
 
 
 class TestRunSweep:
@@ -481,6 +490,100 @@ def test_z_tables_hold_the_prefix_maximum(rows):
                 assert peaks[t - 1] == max(zs[:t])
                 assert firsts[t - 1] == zs.index(peaks[t - 1])
             assert all(lo <= hi for lo, hi in zip(peaks, peaks[1:]))
+
+
+# SPFP drawn over its whole range, with the extremes: 0 where eflops / price
+# underflows, the smallest subnormal, and values whose Z overflows to inf.
+_SPFPS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1e306, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.floats(min_value=1e-3, max_value=1e4),
+)
+
+
+def _unit_row(architecture: int, spfp: float, odfp: float):
+    """A row of either architecture with the given FLOPPs; its z() reads nothing else."""
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="1", spot_price="1", network_bw=10, eflops=1, memory=16)
+    score = FloppScore(instance=v, spfp=spfp, odfp=odfp)
+    if architecture == 0:
+        return _SingleAnchorRow(0, v, score)
+    w = InstanceSpec(name="w", kind=Kind.CPU, od_price="1", spot_price="1", network_bw=10, eflops=0, memory=8)
+    return _TieringRow(0, v, score, 0, w, n_sat=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    architecture=st.sampled_from([0, 1]),
+    spfp=st.floats(min_value=5e-324, max_value=1e300),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    start=st.integers(1, 10**6 - 64),
+)
+def test_noscale_z_rises_strictly_with_n(architecture, spfp, share, start):
+    """With K = 1, Z = (n - 1) * SPFP + ODFP or n * SPFP rises strictly in
+    float for any SPFP > 0 with ODFP <= SPFP while Z is finite (here n up to
+    10^6).  So noscale's best candidate in a row is the one at n_top, and the
+    sweep keeps no table for noscale."""
+    row = _unit_row(architecture, spfp, share * spfp)
+    zs = [row.z(n, 1.0) for n in range(start, start + 65)]
+    assert all(lo < hi for lo, hi in zip(zs, zs[1:]))
+    assert row.z(1, 1.0) < row.z(2, 1.0) and row.z(10**6 - 1, 1.0) < row.z(10**6, 1.0)
+
+
+@st.composite
+def _wake_cases(draw):
+    row = _unit_row(draw(st.sampled_from([0, 1])), spfp := draw(_SPFPS), draw(st.floats(0.0, 1.0)) * spfp)
+    top = draw(st.integers(1, 3000))
+    n_top = draw(st.integers(1, top))
+    at = row.z(draw(st.integers(1, top + 1)), 1.0)  # ties and near-ties with the row's own Z
+    best = draw(st.one_of(
+        st.just(at), st.just(math.nextafter(at, -math.inf)), st.just(math.nextafter(at, math.inf)),
+        st.floats(min_value=0.0, allow_nan=False),
+    ))
+    return row, n_top, top, best
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_wake_cases())
+def test_noscale_wake_equals_bisection_of_a_prefix_max_table(case):
+    """The sweep finds the n at which a row's noscale Z first beats the best
+    without a table.  It must equal bisect_right over a table of the prefix
+    maxima of Z(n) = row.z(n, 1.0) for n = 1..top, including where Z is 0
+    throughout (SPFP underflows) or overflows to inf."""
+    row, n_top, top, best = case
+    peaks = list(itertools.accumulate((row.z(n, 1.0) for n in range(1, top + 1)), max))
+    assert _noscale_wake(row, n_top, top, best) == bisect_right(peaks, best, n_top, top)
+
+
+def test_sweep_with_a_flopp_that_underflows_equals_per_point_policies(sat_table):
+    """eflops / price rounds to SPFP = ODFP = 0, so every Z of the GPU's rows
+    is 0 and ties; each policy then takes the cheapest n, n = 1, as the
+    per-point calls do, rather than the noscale shortcut's n_top."""
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="2", spot_price="2", network_bw=10, eflops=5e-324, memory=16)
+    w = InstanceSpec(name="w", kind=Kind.CPU, od_price="0.5", spot_price="0.5", network_bw=10, eflops=0, memory=8)
+    catalog, spec = Catalog((v, w)), SweepSpec(pw_max="12", pw_step="4", buffer_count=1)
+    assert (flopp(v).spfp, flopp(v).odfp) == (0.0, 0.0)
+    result = run_sweep(catalog, spec, sat=sat_table)
+    for i, pw in enumerate(spec.grid()):
+        expected = _policies_at(catalog, spec, pw, ScalingSource(), sat_table)
+        assert {policy: result.curve(policy)[i].plan for policy in DEFAULT_POLICIES} == expected
+    assert result.curve("noscale")[-1].plan.n_gpu == 1 and result.curve("cost_first")[-1].plan.n_gpu == 6
+
+
+def test_sweep_plans_only_the_requested_policies():
+    """cost_first and noscale would take 3 x 'a', whose raw performance
+    overflows; a sweep that asks only for the planner must not plan them, nor
+    evaluate the planner's 3 x 'a', which 2 x 'b' beats at the same point."""
+    a = InstanceSpec(name="a", kind=Kind.GPU, od_price="10", spot_price="10", network_bw=10, eflops=1e308, memory=16)
+    b = InstanceSpec(name="b", kind=Kind.GPU, od_price="11", spot_price="11", network_bw=10, eflops=100, memory=16,
+                     scaling_params=LogisticParams(0.1, 10.0, 5e306))
+    catalog = Catalog((a, b))
+    (top,) = recommend(catalog, PlanRequest(pw="30", top_k=1))
+    result = run_sweep(catalog, SweepSpec(pw_max="30", pw_step="30", policies=("planner",)))
+    point = result.curve("planner")[-1]
+    assert (point.plan.gpu_instance.name, point.plan.n_gpu) == ("b", 2)
+    assert point.plan == top and point.normalized == 1.0 and list(result.curves) == ["planner"]
+    with pytest.raises(ValueError, match="the plan of 3 x 'a' performs inf"):
+        run_sweep(catalog, SweepSpec(pw_max="30", pw_step="30", policies=("planner", "cost_first")))
 
 
 def test_sweep_wakes_rows_only_when_they_can_change_a_plan(monkeypatch, simulated_catalog):

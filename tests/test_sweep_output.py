@@ -167,6 +167,19 @@ def test_hand_built_results_match_reference(simulated_catalog):
     assert_same_output(SweepResult(grid=grid, curves={"planner": ()}))
 
 
+def test_multi_line_plan_values_match_reference(simulated_catalog):
+    # Values json.dumps writes on several lines sit at different indents in a
+    # row (6 spaces) and in a plan summary (10).
+    gpu = InstanceSpec(name=("g", "pu"), kind=Kind.GPU, od_price="0.5", spot_price="0.2", network_bw=10,
+                       eflops=100, memory=16)
+    plans = [ClusterPlan(["single", "anchor"], gpu, 3, None, {"m": [1, 2]}, Decimal("1.25"), 12.5),
+             _plan(gpu, simulated_catalog.by_name("M"), [4, 5], z=[6.5])]
+    grid = (Decimal("0.5"), Decimal(1))
+    result = SweepResult(grid=grid, curves={"planner": tuple(SweepPoint(pw, 1.0, 0.5, plan)
+                                                              for pw, plan in zip(grid, plans))})
+    assert_same_output(result)
+
+
 # sha256 of the default sweep's JSON per bundled catalog, from the dict-tree writer.
 PINNED_SWEEP_JSON_SHA256 = {
     "simulated_catalog": "dee822d7cad1d98b068d882bb044e2b23738d4efe8bd37138b42a276b85b72fd",

@@ -38,7 +38,10 @@ With top_k = 1 a row's best candidate is therefore the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
 classes and reads that candidate from per-GPU tables of the largest Z up to
 each n instead of walking; those tables never fall, so a row sleeps until
-the first n whose entry beats a policy's plan.
+the first n whose entry beats a policy's plan.  The sweep also drops each
+tiering row that another row of the same GPU beats at every n, one whose
+CPU costs no more and saturates no earlier (simulator._undominated), so it
+schedules only rows that can give a top-1 plan.
 """
 from __future__ import annotations
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import io
 import json
 import math
 from array import array
@@ -227,6 +226,25 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     return tables
 
 
+def _undominated(rows: list) -> list:
+    """rows without the tiering rows that never give a top-1 candidate, in order.
+
+    A GPU's tiering rows share Z(n).  If CPU w costs no more than w' (and
+    comes first in the catalog at an equal price) and saturates no earlier
+    (n_sat >= n_sat'), w's row needs no more memory nodes, n // n_sat + 1, at
+    any n: its candidate key is the smaller at every n, and its n_top no lower.
+    So, taking a GPU's rows by (CPU price, CPU index), a row is kept only if
+    its n_sat is above that of every earlier row, whatever the order of rows.
+    """
+    most: dict[int, int] = {}  # GPU index -> the largest n_sat kept so far
+    kept = set()
+    for row in sorted((row for row in rows if row.rank), key=lambda row: (row.cpu, row.w_idx)):
+        if row.n_sat > most.get(row.v_idx, 0):
+            most[row.v_idx] = row.n_sat
+            kept.add(row)
+    return [row for row in rows if not row.rank or row in kept]
+
+
 def _noscale_wake(row, lo: int, hi: int, best: float) -> int:
     """bisect_right(zs, best, lo, hi) over noscale's zs[i] = row.z(i + 1, 1.0),
     without zs.  Z steps up by about SPFP, so the answer is int(best / SPFP) or
@@ -258,7 +276,10 @@ def _sweep_plans(
     comparisons up to its top, offers its candidates, and sleeps until the
     first n whose Z beats the planner's or noscale's best Z, or for good (a
     later n that only ties costs more than pw).  A row that a baseline packs
-    at n_top wakes at every n.  Plans are built where they change.
+    at n_top wakes at every n.  Plans are built where they change.  Only rows
+    that can win are scheduled: _undominated drops, before the tables and the
+    heap are built, each tiering row that another row of its GPU beats at
+    every n (on the simulated catalog 38 of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
     per_point = {policy: [(None, 0.0)] * len(grid) for policy in policies}
@@ -266,7 +287,8 @@ def _sweep_plans(
         # All prices are positive, so a zero ceiling admits no plan.
         return per_point
     req = spec.request_at(grid[-1])
-    rows = [(row, top) for row in _rows(catalog, req, sat) if (top := row.n_top(req.pw, req.max_instances)) >= 1]
+    rows = [(row, top) for row in _undominated(_rows(catalog, req, sat))
+            if (top := row.n_top(req.pw, req.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
     packs = [(pick(catalog.gpu_view), policy) for policy, pick in _BASELINE_GPUS.items() if policy in policies]
     records = [(row, top, *tables[row.v_idx, row.rank], [p for v, p in packs if v == row.v_idx and not row.rank])
@@ -335,13 +357,15 @@ def run_sweep(
     top = max((raw for policy in spec.policies for _, raw in per_point[policy]), default=0.0)
     if normalizer > 0 and not math.isfinite(top / normalizer):
         raise ValueError(f"raw performance {top} over the normalizer {normalizer} overflows float")
-    curves = {
-        policy: tuple(
-            SweepPoint(pw=pw, raw=raw, normalized=raw / normalizer if normalizer > 0 else 0.0, plan=plan)
-            for pw, (plan, raw) in zip(grid, per_point[policy])
-        )
-        for policy in spec.policies
-    }
+    curves = {}
+    for policy in spec.policies:
+        points, last = [], None
+        for pw, entry in zip(grid, per_point[policy]):
+            if entry is not last:  # a run of one unchanged plan shares its floats
+                last, (plan, raw) = entry, entry
+                normalized = raw / normalizer if normalizer > 0 else 0.0
+            points.append(SweepPoint(pw=pw, raw=raw, normalized=normalized, plan=plan))
+        curves[policy] = tuple(points)
     return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
 
 
@@ -385,31 +409,55 @@ def sweep_rows(result: SweepResult) -> list[dict]:
     ]
 
 
-def _by_id(render):
-    """render, computed once per argument object.  For one writer call: the
-    points and plans it renders stay alive, so their ids do not recur."""
+def _by_id(render, key=id):
+    """render, computed once per key(argument), by default once per argument
+    object.  For one writer call: the points and plans it renders stay alive,
+    so their ids do not recur."""
     cache = {}
 
     def cached(x):
-        text = cache.get(id(x))
+        k = key(x)
+        text = cache.get(k)
         if text is None:
-            text = cache[id(x)] = render(x)
+            text = cache[k] = render(x)
         return text
 
     return cached
 
 
+def _run(entry) -> tuple:
+    """The key of a (point, policy) entry of _ordered: the policy and the
+    ids of the point's raw, normalized and plan, which the points of one
+    unchanged plan share in run_sweep."""
+    point, policy = entry
+    return policy, id(point.raw), id(point.normalized), id(point.plan)
+
+
+class _Echo:
+    """A file whose write() returns its text, so that
+    csv.writer(_Echo()).writerow(row) returns the row's line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def sweep_to_csv(result: SweepResult) -> str:
-    """The rows of sweep_rows() as CSV, rendering each pw and plan once."""
-    pw_text, plan_fields = _by_id(lambda pw: repr(float(pw))), _by_id(_plan_fields)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(
-        (pw_text(point.pw), policy, point.raw, point.normalized, *plan_fields(point.plan))
-        for point, policy in _ordered(result)
-    )
-    return buf.getvalue()
+    """The rows of sweep_rows() as CSV, rendering each pw once and the rest
+    of a row once per run of one plan.  csv quotes each field on its own,
+    and a float's repr needs no quotes, so a row is pw, a comma and the rest."""
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    pw_text = _by_id(lambda pw: repr(float(pw)))
+
+    def row_tail(entry) -> str:
+        point, policy = entry
+        return line((policy, point.raw, point.normalized, *_plan_fields(point.plan)))
+
+    tail = _by_id(row_tail, key=_run)
+    out = [line(_CSV_COLUMNS)]
+    for entry in _ordered(result):
+        out += (pw_text(entry[0].pw), ",", tail(entry))
+    return "".join(out)
 
 
 def _json_float(x: float) -> str:
@@ -449,10 +497,13 @@ def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
 
 
 def _json_array(out: list, items, pad: str) -> None:
-    """Append JSON texts to out as an indent=2 array opened on a line indented by pad."""
+    """Append JSON texts to out as an indent=2 array opened on a line indented
+    by pad.  Each item is a tuple of texts that make one value; out keeps
+    them apart, so a text that several values share is stored once."""
     sep = "[\n  " + pad
     for item in items:
-        out += (sep, item)
+        out.append(sep)
+        out += item
         sep = ",\n  " + pad
     out.append("[]" if sep[0] == "[" else "\n" + pad + "]")
 
@@ -463,18 +514,22 @@ def sweep_to_json(result: SweepResult) -> str:
     The text is json.dumps(payload, indent=2) of {"grid": [float(pw), ...],
     "normalizer", "rows": sweep_rows(), "plans": {policy: [{"pw", "plan":
     plan.summary() or None}, ...]}}, written in one pass without building
-    the payload; each pw and each plan's fragments are rendered once.
+    the payload; each pw and each plan's fragments are rendered once, and a
+    row's text after its pw once per run of one plan.
     """
     pw_text, plan_json = _by_id(lambda pw: _json_float(float(pw))), _by_id(_json_plan)
-    policy_text = {policy: _json_value(policy, " " * 6) for policy in result.curves}
-    rows = (
-        f'{{\n      "pw": {pw_text(point.pw)},\n      "policy": {policy_text[policy]},\n      "raw": '
-        f'{_json_value(point.raw, " " * 6)},\n      "normalized": {_json_value(point.normalized, " " * 6)},\n'
-        f'{plan_json(point.plan)[0]}\n    }}'
-        for point, policy in _ordered(result)
-    )
+
+    def row_tail(entry) -> str:
+        point, policy = entry
+        return (
+            f'      "policy": {_json_value(policy, " " * 6)},\n      "raw": {_json_value(point.raw, " " * 6)},\n'
+            f'      "normalized": {_json_value(point.normalized, " " * 6)},\n{plan_json(point.plan)[0]}\n    }}'
+        )
+
+    tail = _by_id(row_tail, key=_run)
+    rows = (('{\n      "pw": ', pw_text(entry[0].pw), ",\n", tail(entry)) for entry in _ordered(result))
     out = ['{\n  "grid": ']
-    _json_array(out, map(pw_text, result.grid), "  ")
+    _json_array(out, ((pw_text(pw),) for pw in result.grid), "  ")
     out += (',\n  "normalizer": ', _json_value(result.normalizer, "  "), ',\n  "rows": ')
     _json_array(out, rows, "  ")
     out.append(',\n  "plans": {')
@@ -482,7 +537,8 @@ def sweep_to_json(result: SweepResult) -> str:
         out += (",\n    " if i else "\n    ", _json_string(policy), ": ")
         _json_array(
             out,
-            (f'{{\n        "pw": {pw_text(p.pw)},\n        "plan": {plan_json(p.plan)[1]}\n      }}' for p in points),
+            (('{\n        "pw": ', pw_text(p.pw), ',\n        "plan": ', plan_json(p.plan)[1], "\n      }")
+             for p in points),
             "    ",
         )
     out.append("\n  }\n}" if result.curves else "}\n}")

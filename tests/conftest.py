@@ -9,6 +9,7 @@ from spotplan import (
     default_saturation_table,
     recommend,
 )
+from spotplan.planner import _SingleAnchorRow, _TieringRow
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,26 @@ def sat_table():
 @pytest.fixture()
 def scaling_source():
     return ScalingSource()
+
+
+@pytest.fixture()
+def price_calls(monkeypatch):
+    """price_calls(f, *args): the rows' price() calls that f(*args) makes.  A
+    work count, so machine noise does not move it."""
+    calls = [0]
+    for cls in (_SingleAnchorRow, _TieringRow):
+        def counting(self, n, real=cls.price):
+            calls[0] += 1
+            return real(self, n)
+
+        monkeypatch.setattr(cls, "price", counting)
+
+    def count(f, *args):
+        calls[0] = 0
+        f(*args)
+        return calls[0]
+
+    return count
 
 
 def _best_of(architecture, catalog, req, scaling=None, sat=None):

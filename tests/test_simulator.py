@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -38,7 +39,7 @@ from spotplan import (
     sweep_to_json,
 )
 from spotplan.planner import MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
-from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _z_tables
+from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _undominated, _z_tables
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -586,24 +587,105 @@ def test_sweep_plans_only_the_requested_policies():
         run_sweep(catalog, SweepSpec(pw_max="30", pw_step="30", policies=("planner", "cost_first")))
 
 
-def test_sweep_wakes_rows_only_when_they_can_change_a_plan(monkeypatch, simulated_catalog):
-    """A work count, so machine noise does not move it: the price() calls of
-    the rows in two sweeps of the simulated catalog.  Stepping every row
-    through every affordable n makes 5,201 and 31,367; sleeping rows until
-    they can beat a plan makes 2,051 and 7,453."""
-    calls = [0]
-    for cls in (_SingleAnchorRow, _TieringRow):
-        def counting(self, n, real=cls.price):
-            calls[0] += 1
-            return real(self, n)
-
-        monkeypatch.setattr(cls, "price", counting)
-    counts = []
-    for spec in (SweepSpec(), SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024)):
-        calls[0] = 0
-        run_sweep(simulated_catalog, spec)
-        counts.append(calls[0])
+def test_sweep_wakes_rows_only_when_they_can_change_a_plan(price_calls, simulated_catalog):
+    """The price() calls of the rows in two sweeps of the simulated catalog.
+    Stepping every row through every affordable n makes 5,201 and 31,367;
+    sleeping rows until they can beat a plan makes 2,051 and 7,453."""
+    counts = [price_calls(run_sweep, simulated_catalog, spec)
+              for spec in (SweepSpec(), SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024))]
     assert counts[0] <= 2600 and counts[1] <= 9400, counts
+
+
+def test_sweep_prices_only_rows_that_can_win(price_calls, simulated_catalog, aws_catalog):
+    """Dropping the dominated tiering rows (simulated 80 rows -> 38, AWS 27 ->
+    11) takes the price() calls of the default simulated sweep from 2,051 to
+    1,196, of the simulated sweep to pw 60 at 1024 from 7,453 to 5,684, and
+    of the default AWS sweep from 1,272 to 800."""
+    counts = [
+        price_calls(run_sweep, catalog, spec)
+        for catalog, spec in (
+            (simulated_catalog, SweepSpec()),
+            (simulated_catalog, SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024)),
+            (aws_catalog, SweepSpec()),
+        )
+    ]
+    assert counts[0] <= 1400 and counts[1] <= 6200 and counts[2] <= 950, counts
+
+
+@st.composite
+def _tied_cpus(draw):
+    """A catalog whose CPUs tie: prices from a few values, bandwidths below
+    and above each GPU's (above it, the GPU is the bottleneck and n_sat ties),
+    and copies of earlier CPUs under another name, which tie on price and
+    n_sat and differ only in catalog order.  Also a budget and a cap."""
+    specs = []
+    for i in range(draw(st.integers(1, 2))):
+        od = Decimal(draw(st.integers(1, 20))) / 10
+        specs.append(InstanceSpec(
+            name=f"g{i}", kind=Kind.GPU, od_price=od, spot_price=od * draw(st.sampled_from([1, Decimal("0.3")])),
+            network_bw=draw(st.sampled_from([1.7, 5, 12.5])), eflops=draw(st.integers(20, 1200)), memory=16,
+        ))
+    cpus = []
+    for j in range(draw(st.integers(1, 8))):
+        if cpus and draw(st.integers(0, 2)) == 0:
+            cpus.append(dataclasses.replace(draw(st.sampled_from(cpus)), name=f"c{j}"))
+        else:
+            price = Decimal(draw(st.integers(1, 4))) / 20
+            cpus.append(InstanceSpec(name=f"c{j}", kind=Kind.CPU, od_price=price, spot_price=price,
+                                     network_bw=draw(st.sampled_from([0.3, 1.7, 5, 10, 12.5, 15, 25])),
+                                     memory=draw(st.sampled_from([0.5, 8]))))
+    return Catalog(tuple(specs + cpus)), Decimal(draw(st.integers(1, 300))) / 10, draw(st.sampled_from([3, 30, 300]))
+
+
+def _dominates(a, b) -> bool:
+    """Tiering row a beats tiering row b at every n: the same GPU, a CPU as
+    cheap or cheaper (earlier in the catalog at an equal price) and an n_sat
+    no lower."""
+    return (a.v_idx == b.v_idx and a.n_sat >= b.n_sat
+            and (a.cpu < b.cpu or a.cpu == b.cpu and a.w_idx < b.w_idx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tied_cpus(), order=st.randoms(use_true_random=False))
+def test_sweep_drops_exactly_the_dominated_rows(case, order):
+    """_undominated drops a tiering row exactly when another row of its GPU
+    dominates it, whatever the order of the rows; and a dominator's candidate
+    key is smaller at every n up to the dropped row's n_top, which is no
+    higher than the dominator's, so a dropped row never gives a top-1 plan."""
+    catalog, pw, cap = case
+    rows = _rows(catalog, PlanRequest(pw=pw, buffer_count=1, max_instances=cap), default_saturation_table())
+    shuffled = order.sample(rows, len(rows))
+    kept = _undominated(shuffled)
+    assert kept == [row for row in shuffled if row in kept]
+    tiering = [row for row in rows if row.rank]
+    assert [row for row in rows if row not in kept] == [b for b in tiering if any(_dominates(a, b) for a in tiering)]
+    scaling = ScalingSource()
+    for b in tiering:
+        for a in (a for a in kept if a.rank and _dominates(a, b)):
+            top = b.n_top(pw, cap)
+            assert a.n_top(pw, cap) >= top
+            for n in range(1, top + 1):
+                z = b.z(n, scaling.factor(b.v, n))
+                assert a.z(n, scaling.factor(a.v, n)) == z and a.candidate(n, z)[0] < b.candidate(n, z)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tied_cpus(), policies=st.lists(st.sampled_from(DEFAULT_POLICIES), min_size=1, max_size=4, unique=True),
+       step=st.sampled_from(["0.05", "0.25", "1.5"]), points=st.integers(1, 12))
+def test_sweep_with_tied_cpus_equals_per_point_policies(sat_table, case, policies, step, points):
+    """With the dominated rows dropped, run_sweep on CPU-crowded catalogs
+    still gives each point of each requested policy the per-point plan."""
+    catalog, _, cap = case
+    step = Decimal(step)
+    spec = SweepSpec(pw_max=step * points, pw_step=step, policies=policies, buffer_count=1, max_instances=cap)
+    result = run_sweep(catalog, spec, sat=sat_table)
+    scaling = ScalingSource()
+    assert tuple(result.curves) == spec.policies
+    for i, pw in enumerate(spec.grid()):
+        expected = _policies_at(catalog, spec, pw, scaling, sat_table)
+        for policy in policies:
+            point = result.curve(policy)[i]
+            assert (point.plan, point.raw) == (expected[policy], evaluate_performance(expected[policy], scaling))
 
 
 @pytest.mark.parametrize("eflops, params", [(100, LogisticParams(0.1, 10.0, 1e308)), (1e307, None)])

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from typing import IO, Any, Union
 
@@ -151,12 +152,14 @@ class Catalog:
                 raise CatalogValidationError(f"duplicate instance name {spec.name!r}")
             seen.add(spec.name)
 
-    @property
+    # The views are built once per catalog and are not fields, so equality,
+    # hashing, repr and dataclasses.replace ignore them.
+    @cached_property
     def gpu_view(self) -> tuple[InstanceSpec, ...]:
         """Available GPU instances, in catalog order."""
         return tuple(s for s in self.instances if s.kind is Kind.GPU and s.available)
 
-    @property
+    @cached_property
     def cpu_view(self) -> tuple[InstanceSpec, ...]:
         """Available CPU instances, in catalog order."""
         return tuple(s for s in self.instances if s.kind is Kind.CPU and s.available)

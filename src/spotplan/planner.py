@@ -26,13 +26,16 @@ row, by these invariants (checked by property tests):
   weighted mean does not fall because spot <= od gives SPFP >= ODFP;
 * tiering: Z = n * SPFP * K(n) = SPFP * S_hybrid(n).
 
-So each row walks n down from n_top.  In float, Z stops rising where
-S_hybrid saturates (n around 255-298 for the reference fits) and jitters by
-a few ulps there, and equal Z goes to the cheaper, smaller n.  The walk
-therefore stops only once Z is below the row's top_k-th best Z by the
-relative slack _SLACK, far above that rounding noise.  The rows' candidates
-are pooled and ranked deterministically: higher Z first, then lower price,
-then architecture (single_anchor before tiering), then catalog order.
+So no candidate of a row scores above Z(n_top), up to float rounding: Z
+stops rising where S_hybrid saturates (n around 255-298 for the reference
+fits), jitters by a few ulps there, and equal Z goes to the cheaper,
+smaller n.  The relative slack _SLACK covers that noise.  recommend()
+visits the rows by their bound Z(n_top) * (1 + _SLACK), highest first, and
+stops at the first row whose bound is below the top_k-th largest finite Z
+pooled so far.  Each row walks n down from n_top until Z is below the
+row's top_k-th best Z by the slack.  The pooled candidates are ranked
+deterministically: higher Z first, then lower price, then architecture
+(single_anchor before tiering), then catalog order.
 
 With top_k = 1 a row's best candidate is therefore the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from operator import itemgetter
@@ -71,7 +75,8 @@ TIERING = "tiering"
 _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
 
 # Relative margin by which Z must fall below a row's top_k-th best Z before
-# the walk stops; float rounding moves Z by a few ulps (~1e-16) only.
+# the walk stops, and by which a row's bound exceeds its Z(n_top); float
+# rounding moves Z by a few ulps (~1e-16) only.
 _SLACK = 1e-12
 
 MAX_INSTANCES = 10_000  # the largest max_instances; the walk and the sweep grow with it
@@ -229,20 +234,23 @@ class _TieringRow:
 def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
     """The single-anchor row of each GPU, then the tiering row of each
     (GPU, CPU) pair whose CPU holds the checkpoints."""
-    scores = [flopp(v) for v in catalog.gpu_view]
-    rows: list = [_SingleAnchorRow(i, v, score) for i, (v, score) in enumerate(zip(catalog.gpu_view, scores))]
+    gpus = catalog.gpu_view
+    scores = [flopp(v) for v in gpus]
+    rows: list = [_SingleAnchorRow(i, v, score) for i, (v, score) in enumerate(zip(gpus, scores))]
     cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
-    for i, (v, score) in enumerate(zip(catalog.gpu_view, scores)):
+    for i, (v, score) in enumerate(zip(gpus, scores)):
         rows += [_TieringRow(i, v, score, j, w, n_sat_lookup(sat, v, w)) for j, w in cpus]
     return rows
 
 
-def _walk(row, n_top: int, top_k: int, scaling: ScalingSource) -> Iterator[tuple]:
-    """The row's candidates for n = n_top, n_top - 1, ..., 1, until Z falls
-    below the top_k-th best Z seen so far by the relative slack."""
+def _walk(row, n_top: int, z_top: float, top_k: int, scaling: ScalingSource) -> Iterator[tuple]:
+    """The row's candidates for n = n_top, n_top - 1, ..., 1, given z_top =
+    Z(n_top), until Z falls below the top_k-th best Z seen so far by the
+    relative slack."""
     v = row.v
-    best: list[float] = []  # min-heap of the top_k largest Z
-    for n in range(n_top, 0, -1):
+    best = [z_top]  # min-heap of the top_k largest Z
+    yield row.candidate(n_top, z_top)
+    for n in range(n_top - 1, 0, -1):
         z = row.z(n, scaling.factor(v, n))
         if len(best) < top_k:
             heapq.heappush(best, z)
@@ -278,7 +286,7 @@ def recommend(
     scaling: ScalingSource | None = None,
     sat: SaturationTable | None = None,
 ) -> list[ClusterPlan]:
-    """Pool every row's frontier candidates and return the top_k.
+    """Visit the rows best-first and return the top_k of their candidates.
 
     The returned list is sorted by Z descending with fully deterministic
     tie-breaking (price, architecture order, catalog order).  Empty when no
@@ -287,10 +295,27 @@ def recommend(
     """
     scaling = scaling or DEFAULT_SCALING
     pw, cap, top_k = req.pw, req.max_instances, req.top_k
-    candidates = (
-        candidate
-        for row in _rows(catalog, req, sat or default_saturation_table())
-        if (n_top := row.n_top(pw, cap)) > 0
-        for candidate in _walk(row, n_top, top_k, scaling)
-    )
-    return [_plan(c) for c in heapq.nsmallest(top_k, candidates, key=itemgetter(0))]
+    visits = []
+    for row in _rows(catalog, req, sat or default_saturation_table()):
+        if (n_top := row.n_top(pw, cap)) > 0:
+            z_top = row.z(n_top, scaling.factor(row.v, n_top))
+            # A relative slack bounds nothing for a NaN, infinite or subnormal Z.
+            bound = z_top * (1.0 + _SLACK) if sys.float_info.min <= z_top < math.inf else math.inf
+            visits.append((bound, row, n_top, z_top))
+    visits.sort(key=itemgetter(0), reverse=True)
+
+    def candidates() -> Iterator[tuple]:
+        best: list[float] = []  # min-heap of the top_k largest finite Z pooled so far
+        for bound, row, n_top, z_top in visits:
+            if len(best) == top_k and bound < best[0]:
+                return
+            for candidate in _walk(row, n_top, z_top, top_k, scaling):
+                z = -candidate[0][0]
+                if math.isfinite(z):
+                    if len(best) < top_k:
+                        heapq.heappush(best, z)
+                    else:
+                        heapq.heappushpop(best, z)
+                yield candidate
+
+    return [_plan(c) for c in heapq.nsmallest(top_k, candidates(), key=itemgetter(0))]

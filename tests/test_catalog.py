@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Decimal
 
@@ -50,6 +51,19 @@ def test_load_single_gpu_row():
     assert a.network_bw == 10.0
     assert a.eflops == 100.0
     assert cat.cpu_view == ()
+
+
+def test_views_are_built_once():
+    gpus, cpus = (make_gpu("g1"), make_gpu("g2", available=False)), (make_cpu("c1"), make_cpu("c2"))
+    cat, fresh = Catalog(gpus + cpus), Catalog(gpus + cpus)
+    assert cat.gpu_view is cat.gpu_view and cat.cpu_view is cat.cpu_view
+    assert [s.name for s in cat.gpu_view] == ["g1"] and [s.name for s in cat.cpu_view] == ["c1", "c2"]
+    # The views are not fields: a catalog whose views were built compares,
+    # hashes and prints as one whose views were not.
+    assert cat == fresh and hash(cat) == hash(fresh) and repr(cat) == repr(fresh)
+    assert "view" not in repr(cat)
+    replaced = dataclasses.replace(cat, instances=gpus[:1] + cpus[1:])
+    assert [s.name for s in replaced.gpu_view] == ["g1"] and [s.name for s in replaced.cpu_view] == ["c2"]
 
 
 def test_load_empty_catalog():

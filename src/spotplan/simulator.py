@@ -122,13 +122,16 @@ def estimate_cost(
     plan: ClusterPlan, total_ops: float, scaling: ScalingSource | None = None
 ) -> tuple[float, float]:
     """(makespan_hours, total_cost) to push total_ops through the plan."""
-    if not total_ops > 0:
-        raise ValueError("total_ops must be positive")
+    if not 0 < total_ops < math.inf:
+        raise ValueError(f"total_ops must be positive and finite, not {total_ops}")
     performance = evaluate_performance(plan, scaling)
     if not performance > 0:
         raise ValueError("configuration cannot make progress")
     makespan_hours = total_ops / (performance * 3600.0)
-    return makespan_hours, makespan_hours * float(plan.hourly_price)
+    cost = makespan_hours * float(plan.hourly_price)
+    if not (0 < makespan_hours < math.inf and 0 < cost < math.inf):
+        raise ValueError(f"makespan {makespan_hours} h or cost {cost} is not finite and positive")
+    return makespan_hours, cost
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One policy at one grid point: its plan (None when nothing fits), raw, the plan's
+    evaluate_performance(), and normalized, raw over the sweep's normalizer."""
+
     pw: Decimal
     raw: float
     normalized: float
@@ -193,6 +199,9 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's grid and each policy's curve over it.  normalizer is the full planner's
+    raw performance at the top of the grid; when it is 0.0, so is every normalized."""
+
     grid: tuple[Decimal, ...]
     curves: dict[str, tuple[SweepPoint, ...]] = field(default_factory=dict)
     normalizer: float = 0.0
@@ -371,21 +380,24 @@ def run_sweep(
 
 _PLAN_COLUMNS = ("architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price")
 _CSV_COLUMNS = ("pw", "policy", "raw", "normalized", *_PLAN_COLUMNS)
+# The types of _plan_values in a plan the planner builds.  Only a plan whose
+# values have exactly these fills the writers' templates.
+_PLANNER_TYPES = {(str, str, int, cpu, m, Decimal, float) for cpu in (str, type(None)) for m in (int, type(None))}
+
+
+def _plan_values(plan: ClusterPlan) -> tuple:
+    """A plan's summary() values, hourly_price before float()."""
+    cpu = plan.cpu_instance
+    return (plan.architecture, plan.gpu_instance.name, plan.n_gpu, cpu.name if cpu else None, plan.m_cpu,
+            plan.hourly_price, plan.score_z)
 
 
 def _plan_fields(plan: Optional[ClusterPlan]) -> tuple:
     """The _PLAN_COLUMNS of one plan; all None for an infeasible point."""
     if not plan:
         return (None,) * len(_PLAN_COLUMNS)
-    cpu = plan.cpu_instance
-    return (
-        plan.architecture,
-        plan.gpu_instance.name,
-        plan.n_gpu,
-        cpu.name if cpu else None,
-        plan.m_cpu if cpu else None,
-        float(plan.hourly_price),
-    )
+    architecture, gpu, n, cpu, m, price, _ = _plan_values(plan)
+    return architecture, gpu, n, cpu, m if plan.cpu_instance else None, float(price)
 
 
 def _ordered(result: SweepResult) -> list[tuple[SweepPoint, str]]:
@@ -409,54 +421,43 @@ def sweep_rows(result: SweepResult) -> list[dict]:
     ]
 
 
-def _by_id(render, key=id):
-    """render, computed once per key(argument), by default once per argument
-    object.  For one writer call: the points and plans it renders stay alive,
-    so their ids do not recur."""
-    cache = {}
-
-    def cached(x):
-        k = key(x)
-        text = cache.get(k)
-        if text is None:
-            text = cache[k] = render(x)
-        return text
-
-    return cached
-
-
-def _run(entry) -> tuple:
-    """The key of a (point, policy) entry of _ordered: the policy and the
-    ids of the point's raw, normalized and plan, which the points of one
-    unchanged plan share in run_sweep."""
-    point, policy = entry
-    return policy, id(point.raw), id(point.normalized), id(point.plan)
-
-
 class _Echo:
-    """A file whose write() returns its text, so that
-    csv.writer(_Echo()).writerow(row) returns the row's line."""
+    """A file whose write() returns its text: csv.writer(_Echo()).writerow(row) returns the line."""
 
-    @staticmethod
-    def write(text: str) -> str:
-        return text
+    write = str
+
+
+def _csv_columns(plan: Optional[ClusterPlan], quote) -> Optional[str]:
+    """A plan's _PLAN_COLUMNS as CSV, names through quote; None unless of _PLANNER_TYPES."""
+    if not plan:
+        return ",,,,,"
+    if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
+        architecture, gpu, n, cpu, m, price, _ = values
+        m = m if plan.cpu_instance and m is not None else ""
+        return f"{quote(architecture)},{quote(gpu)},{n},{quote(cpu)},{m},{float(price)!r}"
+    return None
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """The rows of sweep_rows() as CSV, rendering each pw once and the rest
-    of a row once per run of one plan.  csv quotes each field on its own,
-    and a float's repr needs no quotes, so a row is pw, a comma and the rest."""
+    """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run of
+    one plan.  csv quotes each field on its own and a float's repr needs no quotes,
+    so with a str policy, float raw and normalized and a typed plan, the rest is
+    f"{policy},{raw!r},{normalized!r},{columns}"; else it is one csv.writer row."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
-    pw_text = _by_id(lambda pw: repr(float(pw)))
-
-    def row_tail(entry) -> str:
-        point, policy = entry
-        return line((policy, point.raw, point.normalized, *_plan_fields(point.plan)))
-
-    tail = _by_id(row_tail, key=_run)
+    names, runs = {}, {}
+    # A name's field as csv.writer writes it: after a first field, even an empty name.
+    quote = lambda name: names[name] if name in names else names.setdefault(name, line(("", name))[1:-1])
+    pws = {id(pw): repr(float(pw)) for pw in result.grid}
     out = [line(_CSV_COLUMNS)]
-    for entry in _ordered(result):
-        out += (pw_text(entry[0].pw), ",", tail(entry))
+    for point, policy in _ordered(result):
+        raw, normalized, plan = point.raw, point.normalized, point.plan
+        if (run := (policy, id(raw), id(normalized), id(plan))) not in runs:  # run_sweep shares these in a run
+            columns = _csv_columns(plan, quote)
+            if columns is not None and type(policy) is str and type(raw) is type(normalized) is float:
+                runs[run] = f"{quote(policy)},{raw!r},{normalized!r},{columns}\n"
+            else:
+                runs[run] = line((policy, raw, normalized, *_plan_fields(plan)))
+        out += (pws.get(id(point.pw)) or repr(float(point.pw)), ",", runs[run])
     return "".join(out)
 
 
@@ -472,7 +473,7 @@ _json_string = json.encoder.encode_basestring_ascii
 _JSON_SCALARS = {str: _json_string, float: _json_float, int: int.__repr__, type(None): lambda x: "null"}
 
 
-def _json_value(x, pad: str) -> str:
+def _json_value(x, pad: str = " " * 6) -> str:
     """x as json.dumps(..., indent=2) writes it on a line indented by pad."""
     if type(x) is float and x - x == 0.0:  # a finite float, the most common value
         return float.__repr__(x)
@@ -483,17 +484,25 @@ def _json_value(x, pad: str) -> str:
     return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 
+# A plan's row members and summary() block as json.dumps(indent=2) lays them out.
+_JSON_TAIL = ",\n".join(f'      "{key}": %s' for key in _PLAN_COLUMNS)
+_JSON_SUMMARY = "{\n" + ",\n".join(f'          "{key}": %s' for key in (*_PLAN_COLUMNS, "score_z")) + "\n        }"
+
+
 def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
-    """A plan's JSON row tail and summary() block, rendering each value once."""
-    members = lambda keys, texts, pad: pad + f",\n{pad}".join([f'"{key}": {text}' for key, text in zip(keys, texts)])
-    texts = [_json_value(x, " " * 6) for x in _plan_fields(plan)]
-    tail = members(_PLAN_COLUMNS, texts, " " * 6)
+    """A plan's JSON row tail and summary() block: the templates filled with its values'
+    texts, by type if of _PLANNER_TYPES, else from _json_value, re-indented to fit."""
     if not plan:
-        return tail, "null"
-    texts[4] = _json_value(plan.m_cpu, " " * 6)  # summary() keeps m_cpu where _plan_fields writes None
-    # Only a value that json.dumps writes on several lines depends on its indent.
-    summary = [text.replace("\n", "\n    ") for text in (*texts, _json_value(plan.score_z, " " * 6))]
-    return tail, "{\n" + members((*_PLAN_COLUMNS, "score_z"), summary, " " * 10) + "\n        }"
+        return _JSON_TAIL % (("null",) * len(_PLAN_COLUMNS)), "null"
+    if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
+        architecture, gpu, n, cpu, m, price, z = values
+        texts = summary = (_json_string(architecture), _json_string(gpu), int.__repr__(n),
+                           "null" if cpu is None else _json_string(cpu), "null" if m is None else int.__repr__(m),
+                           _json_float(float(price)), _json_float(z))
+    else:
+        texts = [_json_value(x) for x in (*values[:5], float(values[5]), values[6])]
+        summary = tuple(text.replace("\n", "\n    ") for text in texts)
+    return _JSON_TAIL % (*texts[:4], texts[4] if plan.cpu_instance else "null", texts[5]), _JSON_SUMMARY % summary
 
 
 def _json_array(out: list, items, pad: str) -> None:
@@ -514,31 +523,35 @@ def sweep_to_json(result: SweepResult) -> str:
     The text is json.dumps(payload, indent=2) of {"grid": [float(pw), ...],
     "normalizer", "rows": sweep_rows(), "plans": {policy: [{"pw", "plan":
     plan.summary() or None}, ...]}}, written in one pass without building
-    the payload; each pw and each plan's fragments are rendered once, and a
-    row's text after its pw once per run of one plan.
+    the payload.  Each pw, policy and plan is rendered once, and a row's text
+    after its pw once per run of one plan.  Only plans not of _PLANNER_TYPES,
+    and raw or normalized that are not floats, go through _json_value.
     """
-    pw_text, plan_json = _by_id(lambda pw: _json_float(float(pw))), _by_id(_json_plan)
+    pws = {id(pw): _json_float(float(pw)) for pw in result.grid}
+    policies = {policy: _json_value(policy) for policy in result.curves}
+    plans = {id(p.plan): p.plan for points in result.curves.values() for p in points}
+    plan_texts, runs = {key: _json_plan(plan) for key, plan in plans.items()}, {}
 
-    def row_tail(entry) -> str:
-        point, policy = entry
-        return (
-            f'      "policy": {_json_value(policy, " " * 6)},\n      "raw": {_json_value(point.raw, " " * 6)},\n'
-            f'      "normalized": {_json_value(point.normalized, " " * 6)},\n{plan_json(point.plan)[0]}\n    }}'
-        )
+    def rows():
+        for point, policy in _ordered(result):
+            raw, normalized, plan = point.raw, point.normalized, point.plan
+            if (run := (policy, id(raw), id(normalized), id(plan))) not in runs:
+                render = _json_float if type(raw) is type(normalized) is float else _json_value
+                runs[run] = (f'      "policy": {policies[policy]},\n      "raw": {render(raw)},\n'
+                             f'      "normalized": {render(normalized)},\n{plan_texts[id(plan)][0]}\n    }}')
+            yield '{\n      "pw": ', pws.get(id(point.pw)) or _json_float(float(point.pw)), ",\n", runs[run]
 
-    tail = _by_id(row_tail, key=_run)
-    rows = (('{\n      "pw": ', pw_text(entry[0].pw), ",\n", tail(entry)) for entry in _ordered(result))
     out = ['{\n  "grid": ']
-    _json_array(out, ((pw_text(pw),) for pw in result.grid), "  ")
+    _json_array(out, ((pws[id(pw)],) for pw in result.grid), "  ")
     out += (',\n  "normalizer": ', _json_value(result.normalizer, "  "), ',\n  "rows": ')
-    _json_array(out, rows, "  ")
+    _json_array(out, rows(), "  ")
     out.append(',\n  "plans": {')
     for i, (policy, points) in enumerate(result.curves.items()):
         out += (",\n    " if i else "\n    ", _json_string(policy), ": ")
         _json_array(
             out,
-            (('{\n        "pw": ', pw_text(p.pw), ',\n        "plan": ', plan_json(p.plan)[1], "\n      }")
-             for p in points),
+            (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ',
+              plan_texts[id(p.plan)][1], "\n      }") for p in points),
             "    ",
         )
     out.append("\n  }\n}" if result.curves else "}\n}")

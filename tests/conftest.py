@@ -9,6 +9,7 @@ from spotplan import (
     default_saturation_table,
     recommend,
 )
+from spotplan import simulator
 from spotplan.planner import _SingleAnchorRow, _TieringRow
 
 
@@ -43,6 +44,32 @@ def price_calls(monkeypatch):
             return real(self, n)
 
         monkeypatch.setattr(cls, "price", counting)
+
+    def count(f, *args):
+        calls[0] = 0
+        f(*args)
+        return calls[0]
+
+    return count
+
+
+@pytest.fixture()
+def generic_renders(monkeypatch):
+    """generic_renders(f, *args): the values that f(*args) renders through the
+    sweep writers' generic routes, simulator._json_value and csv.writer rows
+    (names the CSV writer quotes among them).  A work count, so machine noise
+    does not move it."""
+    calls = [0]
+
+    def counting(real):
+        def count(*args):
+            calls[0] += 1
+            return real(*args)
+
+        return count
+
+    monkeypatch.setattr(simulator, "_json_value", counting(simulator._json_value))
+    monkeypatch.setattr(simulator._Echo, "write", staticmethod(counting(simulator._Echo.write)))
 
     def count(f, *args):
         calls[0] = 0

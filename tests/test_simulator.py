@@ -114,6 +114,21 @@ class TestEstimateCost:
         with pytest.raises(ValueError, match="total_ops"):
             estimate_cost(plan, total_ops=0)
 
+    @pytest.mark.parametrize("total_ops", [math.inf, math.nan])
+    def test_non_finite_workload_rejected(self, simulated_catalog, total_ops):
+        plan = recommend(simulated_catalog, PlanRequest(pw="3"))[0]
+        with pytest.raises(ValueError, match="total_ops must be positive and finite"):
+            estimate_cost(plan, total_ops=total_ops)
+
+    def test_overflowing_throughput_is_not_a_free_plan(self):
+        # performance * 3600 overflows float, which made the makespan and cost 0.0.
+        gpu = InstanceSpec(name="g", kind=Kind.GPU, od_price="1", spot_price="1", network_bw=10,
+                           eflops=1e305, memory=16)
+        plan = recommend(Catalog((gpu,)), PlanRequest(pw="3", top_k=1))[0]
+        assert (plan.architecture, plan.n_gpu) == (SINGLE_ANCHOR, 3)
+        with pytest.raises(ValueError, match="not finite and positive"):
+            estimate_cost(plan, total_ops=1e9)
+
 
 class TestSweepSpec:
     def test_default_grid_has_101_points(self):

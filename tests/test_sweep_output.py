@@ -5,8 +5,10 @@ reference_sweep_rows, reference_sweep_to_csv and reference_sweep_to_json are
 the writers the package used to ship: they build every row dict and the whole
 payload, then hand it to csv.DictWriter or json.dumps(indent=2)."""
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -166,6 +168,48 @@ def test_hand_built_results_match_reference(simulated_catalog):
     assert_same_output(SweepResult(grid=()))
     assert_same_output(SweepResult(grid=grid, curves={"planner": ()}))
 
+    # Each plan field, one at a time, from its exact type or a look-alike: the
+    # writers' templates take only exact types, and the look-alikes still
+    # render as the reference writers render them.
+    class Int(int):
+        def __repr__(self):
+            return f"Int({int(self)})"
+
+    class Float(float):
+        def __repr__(self):
+            return f"Float({float(self)})"
+
+    class Name(str):  # hashes and compares as its text, but csv writes str()
+        def __str__(self):
+            return "not " + str.__str__(self)
+
+    exact = dict(architecture="tiering", gpu_instance=gpu, n_gpu=3, cpu_instance=cpu, m_cpu=2,
+                 hourly_price=Decimal("1.25"), score_z=12.5)
+    looks = dict(
+        architecture=[Name("tiering"), ("tiering",)],
+        gpu_instance=[dataclasses.replace(gpu, name=Name("A")), dataclasses.replace(gpu, name=("g", "pu"))],
+        n_gpu=[True, Int(3)],
+        cpu_instance=[None, dataclasses.replace(cpu, name=Name("M"))],
+        m_cpu=[None, False, True, Int(2)],
+        hourly_price=[1.25, Float(1.25)],
+        score_z=[Float(12.5), math.nan, math.inf, -math.inf],
+    )
+    plans = [ClusterPlan(**exact)]
+    plans += [ClusterPlan(**{**exact, key: value}) for key, values in looks.items() for value in values]
+    plans += [ClusterPlan(**{**exact, "cpu_instance": None, key: value}) for key in ("m_cpu", "n_gpu")
+              for value in looks[key]]
+    raws = itertools.cycle([0.5, math.nan, math.inf, -math.inf, Float(0.25), 0.0])
+    grid = tuple(Decimal(i) / 4 for i in range(2 * len(plans)))
+    curves = {}
+    for policy in ("planner", Name("noscale"), Name("odd")):
+        curve, raw = [], None
+        for i, pw in enumerate(grid):
+            if i % 2 == 0:  # two points per plan: one run
+                raw = next(raws)
+            curve.append(SweepPoint(pw, raw, raw / 2, plans[i // 2]))
+        curves[policy] = tuple(curve)
+    assert_same_output(SweepResult(grid=grid, curves=curves, normalizer=2.0))
+
 
 def test_multi_line_plan_values_match_reference(simulated_catalog):
     # Values json.dumps writes on several lines sit at different indents in a
@@ -178,6 +222,19 @@ def test_multi_line_plan_values_match_reference(simulated_catalog):
     result = SweepResult(grid=grid, curves={"planner": tuple(SweepPoint(pw, 1.0, 0.5, plan)
                                                               for pw, plan in zip(grid, plans))})
     assert_same_output(result)
+
+
+@pytest.mark.parametrize("fixture", ["simulated_catalog", "aws_catalog"])
+def test_planner_plans_skip_the_generic_renderers(request, fixture, generic_renders):
+    # The generic routes render each policy and the normalizer (JSON), and
+    # the header and each distinct name (CSV), but no field of a plan.
+    result = run_sweep(request.getfixturevalue(fixture), SweepSpec())
+    plans = {id(p.plan): p.plan for points in result.curves.values() for p in points if p.plan}.values()
+    names = {*result.curves, *(x for plan in plans for x in (plan.architecture, plan.gpu_instance.name,
+                                                              plan.cpu_instance and plan.cpu_instance.name))}
+    json_renders, csv_renders = generic_renders(sweep_to_json, result), generic_renders(sweep_to_csv, result)
+    assert len(plans) > 100
+    assert (json_renders, csv_renders) == (len(result.curves) + 1, 1 + len(names))
 
 
 # sha256 of the default sweep's JSON per bundled catalog, from the dict-tree writer.

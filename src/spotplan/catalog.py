@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-class CatalogError(Exception):
-    """Base class for catalog problems."""
+class CatalogError(ValueError):
+    """Base class for catalog problems, which are all ValueErrors."""
 
 
 class CatalogParseError(CatalogError):

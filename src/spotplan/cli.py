@@ -281,27 +281,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _reported_errors() -> tuple:
-    """The exceptions main reports in one line.
-
-    CatalogError and NonConvergenceError are taken only from modules the
-    command loaded, so that handling an error imports nothing: a command that
-    never loaded a module cannot raise its errors.
-    """
-    errors = [ValueError, OSError]
-    for module, name in (("catalog", "CatalogError"), ("scaling", "NonConvergenceError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _reported_errors() as exc:
+    except (ValueError, OSError) as exc:  # CatalogError and NonConvergenceError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

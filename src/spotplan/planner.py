@@ -30,14 +30,16 @@ So no candidate of a row scores above Z(n_top), up to float rounding: Z
 stops rising where S_hybrid saturates (n around 255-298 for the reference
 fits), jitters by a few ulps there, and equal Z goes to the cheaper,
 smaller n.  The relative slack _SLACK covers that noise.  recommend()
-visits the rows by their bound Z(n_top) * (1 + _SLACK), highest first, and
-stops at the first row whose bound is below the top_k-th largest finite Z
-pooled so far.  Each row walks n down from n_top until Z is below the
-row's top_k-th best Z by the slack.  The pooled candidates are ranked
-deterministically: higher Z first, then lower price, then architecture
-(single_anchor before tiering), then catalog order.
+visits the rows by their bound Z(n_top) * (1 + _SLACK), highest first.  One
+threshold T, the top_k-th largest finite Z pooled so far, ends both loops:
+the row loop at the first row whose bound is below T, and each row's walk
+of n down from n_top at the first n whose Z is below T by the slack.  T
+only rises, and Z falls at most a few ulps below its running maximum, so
+no candidate skipped can reach the final top_k.  The pooled candidates are
+ranked deterministically: higher Z first, then lower price, then
+architecture (single_anchor before tiering), then catalog order.
 
-With top_k = 1 a row's best candidate is therefore the first n <= n_top with the
+With top_k = 1 a row's best candidate is the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
 classes and reads that candidate from per-GPU tables of the largest Z up to
 each n instead of walking; those tables never fall, so a row sleeps until
@@ -74,8 +76,8 @@ SINGLE_ANCHOR = "single_anchor"
 TIERING = "tiering"
 _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
 
-# Relative margin by which Z must fall below a row's top_k-th best Z before
-# the walk stops, and by which a row's bound exceeds its Z(n_top); float
+# Relative margin by which Z must fall below the pooled top_k-th best Z before
+# a row's walk stops, and by which a row's bound exceeds its Z(n_top); float
 # rounding moves Z by a few ulps (~1e-16) only.
 _SLACK = 1e-12
 
@@ -243,24 +245,6 @@ def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
     return rows
 
 
-def _walk(row, n_top: int, z_top: float, top_k: int, scaling: ScalingSource) -> Iterator[tuple]:
-    """The row's candidates for n = n_top, n_top - 1, ..., 1, given z_top =
-    Z(n_top), until Z falls below the top_k-th best Z seen so far by the
-    relative slack."""
-    v = row.v
-    best = [z_top]  # min-heap of the top_k largest Z
-    yield row.candidate(n_top, z_top)
-    for n in range(n_top - 1, 0, -1):
-        z = row.z(n, scaling.factor(v, n))
-        if len(best) < top_k:
-            heapq.heappush(best, z)
-        elif z < best[0] * (1.0 - _SLACK):
-            return
-        else:
-            heapq.heappushpop(best, z)
-        yield row.candidate(n, z)
-
-
 def _plan(candidate: tuple) -> ClusterPlan:
     """The plan of a chosen candidate, whose Z must be finite."""
     (neg_z, price, rank, _, _, n, m), v, w = candidate
@@ -306,16 +290,19 @@ def recommend(
 
     def candidates() -> Iterator[tuple]:
         best: list[float] = []  # min-heap of the top_k largest finite Z pooled so far
-        for bound, row, n_top, z_top in visits:
+        for bound, row, n_top, z in visits:
             if len(best) == top_k and bound < best[0]:
                 return
-            for candidate in _walk(row, n_top, z_top, top_k, scaling):
-                z = -candidate[0][0]
-                if math.isfinite(z):
-                    if len(best) < top_k:
+            for n in range(n_top, 0, -1):
+                if n < n_top:
+                    z = row.z(n, scaling.factor(row.v, n))
+                if len(best) < top_k:
+                    if math.isfinite(z):
                         heapq.heappush(best, z)
-                    else:
-                        heapq.heappushpop(best, z)
-                yield candidate
+                elif z < best[0] * (1.0 - _SLACK):
+                    break
+                elif math.isfinite(z):
+                    heapq.heappushpop(best, z)
+                yield row.candidate(n, z)
 
     return [_plan(c) for c in heapq.nsmallest(top_k, candidates(), key=itemgetter(0))]

@@ -44,8 +44,9 @@ class InsufficientDataError(ValueError):
     """Raised when a fit is requested on too few or too-degenerate samples."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Raised when the fitter fails to converge; carries the best iterate."""
+class NonConvergenceError(RuntimeError, ValueError):
+    """Raised when the fitter fails to converge; carries the best iterate.
+    A ValueError too, as the fit's inputs are what failed."""
 
     def __init__(self, params: "LogisticParams", residual: float):
         super().__init__(

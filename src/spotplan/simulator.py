@@ -256,14 +256,8 @@ def _undominated(rows: list) -> list:
 
 def _noscale_wake(row, lo: int, hi: int, best: float) -> int:
     """bisect_right(zs, best, lo, hi) over noscale's zs[i] = row.z(i + 1, 1.0),
-    without zs.  Z steps up by about SPFP, so the answer is int(best / SPFP) or
-    one above: two comparisons there settle most searches, bisection the rest."""
-    z = lambda i: row.z(i + 1, 1.0)
-    guess = best / row.spfp if row.spfp else 0.0
-    g = int(guess) if guess < hi else hi
-    lo = g if lo < g <= hi and not z(g - 1) > best else lo
-    hi = g + 1 if lo <= g + 1 < hi and z(g + 1) > best else hi
-    return bisect_right(range(hi), best, lo, hi, key=z)
+    which never falls (K = 1), without building zs."""
+    return bisect_right(range(hi), best, lo, hi, key=lambda i: row.z(i + 1, 1.0))
 
 
 def _sweep_plans(
@@ -276,19 +270,19 @@ def _sweep_plans(
     """(plan, raw performance) of the planner and of spec's policies at every
     grid point, in one ascending pass over the grid.
 
-    A row's planner candidate at n_top is the first n <= n_top with the
-    largest Z, as the walk of recommend() finds with top_k = 1: Z = peaks[n_top
-    - 1] at n = firsts[n_top - 1] + 1.  With K = 1, Z rises strictly with n, so
-    noscale's is the row at n_top.  Keys only fall as pw rises, so a policy's
-    plan is the smallest key offered so far.  A row sleeps in a heap of (price
-    of n, row, n) until pw reaches that price, raises n_top by exact Decimal
-    comparisons up to its top, offers its candidates, and sleeps until the
-    first n whose Z beats the planner's or noscale's best Z, or for good (a
-    later n that only ties costs more than pw).  A row that a baseline packs
-    at n_top wakes at every n.  Plans are built where they change.  Only rows
-    that can win are scheduled: _undominated drops, before the tables and the
-    heap are built, each tiering row that another row of its GPU beats at
-    every n (on the simulated catalog 38 of 80 rows remain).
+    A row's planner candidate at n_top is its best with top_k = 1, the first n
+    <= n_top with the largest Z: Z = peaks[n_top - 1] at n = firsts[n_top - 1]
+    + 1.  With K = 1, Z rises strictly with n, so noscale's is the row at
+    n_top.  Keys only fall as pw rises, so a policy's plan is the smallest key
+    offered so far.  A row sleeps in a heap of (price of n, row, n) until pw
+    reaches that price, raises n_top by exact Decimal comparisons up to its
+    top, offers its candidates, and sleeps until the first n whose Z beats the
+    planner's or noscale's best Z, or for good (a later n that only ties costs
+    more than pw).  A row that a baseline packs at n_top wakes at every n.
+    Plans are built where they change.  Only rows that can win are scheduled:
+    _undominated drops, before the tables and the heap are built, each tiering
+    row that another row of its GPU beats at every n (on the simulated catalog
+    38 of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
     per_point = {policy: [(None, 0.0)] * len(grid) for policy in policies}
@@ -547,7 +541,7 @@ def sweep_to_json(result: SweepResult) -> str:
     _json_array(out, rows(), "  ")
     out.append(',\n  "plans": {')
     for i, (policy, points) in enumerate(result.curves.items()):
-        out += (",\n    " if i else "\n    ", _json_string(policy), ": ")
+        out += (",\n    " if i else "\n    ", json.dumps({policy: 0})[1:-4], ": ")  # policy as a key
         _json_array(
             out,
             (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ',

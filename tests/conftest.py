@@ -4,6 +4,7 @@ import pytest
 
 from spotplan import (
     ScalingSource,
+    UnitScaling,
     bundled_aws_catalog,
     bundled_simulated_catalog,
     default_saturation_table,
@@ -33,17 +34,16 @@ def scaling_source():
     return ScalingSource()
 
 
-@pytest.fixture()
-def price_calls(monkeypatch):
-    """price_calls(f, *args): the rows' price() calls that f(*args) makes.  A
-    work count, so machine noise does not move it."""
+def _method_calls(monkeypatch, classes, name):
+    """count(f, *args): the calls of the classes' method name that f(*args)
+    makes."""
     calls = [0]
-    for cls in (_SingleAnchorRow, _TieringRow):
-        def counting(self, n, real=cls.price):
+    for cls in classes:
+        def counting(self, *args, real=getattr(cls, name)):
             calls[0] += 1
-            return real(self, n)
+            return real(self, *args)
 
-        monkeypatch.setattr(cls, "price", counting)
+        monkeypatch.setattr(cls, name, counting)
 
     def count(f, *args):
         calls[0] = 0
@@ -51,6 +51,21 @@ def price_calls(monkeypatch):
         return calls[0]
 
     return count
+
+
+@pytest.fixture()
+def price_calls(monkeypatch):
+    """price_calls(f, *args): the rows' price() calls that f(*args) makes.  A
+    work count, so machine noise does not move it."""
+    return _method_calls(monkeypatch, (_SingleAnchorRow, _TieringRow), "price")
+
+
+@pytest.fixture()
+def factor_calls(monkeypatch):
+    """factor_calls(f, *args): the K(n) calls, ScalingSource.factor and
+    UnitScaling.factor, that f(*args) makes.  A work count, so machine noise
+    does not move it."""
+    return _method_calls(monkeypatch, (ScalingSource, UnitScaling), "factor")
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import itertools
 import json
 import random
 import re
@@ -33,7 +34,7 @@ from spotplan import (
     recommend,
     s_hybrid,
 )
-from spotplan.planner import _SLACK, MAX_INSTANCES, _plan, _rows
+from spotplan.planner import _SLACK, MAX_INSTANCES, _plan, _rows, _SingleAnchorRow, _TieringRow
 from spotplan.scaling import DEFAULT_SCALING
 
 
@@ -332,6 +333,28 @@ class TestFrontier:
         means = [((n - 1) * spfp + odfp) / n for n in range(1, 1025)]
         assert all(hi >= lo for lo, hi in zip(means, means[1:]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(min_value=1e-3, max_value=10.0),
+        b=st.floats(min_value=1e-2, max_value=1000.0),
+        c=st.floats(min_value=1e-2, max_value=1e4),
+        odfp=st.floats(min_value=1e-6, max_value=1e6),
+        ratio=st.floats(min_value=1.0, max_value=1e3),
+    )
+    def test_z_falls_only_by_rounding_up_to_the_cap(self, a, b, c, odfp, ratio):
+        # The walk stops at the first n whose Z is below the pooled top_k-th
+        # best by _SLACK; that skips nothing only if no Z falls below its
+        # running maximum by as much.  The largest fall measured is 5.7e-16.
+        model = LogisticParams(a, b, c)
+        assume(s_hybrid(model, 1) > 0)
+        v = gpu("v", od="1", spot="1")
+        score = dataclasses.replace(flopp(v), spfp=odfp * ratio, odfp=odfp)
+        s = [s_hybrid(model, n) for n in range(1, MAX_INSTANCES + 1)]
+        assert all(hi >= lo for lo, hi in zip(s, s[1:]))
+        for row in (_SingleAnchorRow(0, v, score), _TieringRow(0, v, score, 0, cpu("w", od="1"), 4)):
+            zs = [row.z(n, k / n) for n, k in enumerate(s, 1)]
+            assert all(z >= peak * (1.0 - _SLACK) for z, peak in zip(zs, itertools.accumulate(zs, max)))
+
     def test_top_k_matches_minimal_m_oracle(self, sat_table):
         # max_instances=300 reaches the float plateau of Z (n around 255-298),
         # where a walk that stops at the first fall of Z returns other plans.
@@ -490,20 +513,32 @@ class TestBestFirst:
 
     @pytest.mark.parametrize("top_k", [1, 3])
     @pytest.mark.parametrize("catalog, limit", [("simulated_catalog", 80_000), ("aws_catalog", 90_000)])
-    def test_k_calls_at_the_cap_are_bounded(self, request, catalog, limit, top_k):
+    def test_k_calls_at_the_cap_are_bounded(self, request, factor_calls, catalog, limit, top_k):
         """Walking every row made 684,760 K(n) calls on the simulated catalog
         and 234,774 on AWS at top_k 1; best-first makes about 68,500 and
         78,300."""
-
-        class CountingScaling(ScalingSource):
-            calls = 0
-
-            def factor(self, instance, n):
-                CountingScaling.calls += 1
-                return super().factor(instance, n)
-
-        scaling = CountingScaling()
         catalog = request.getfixturevalue(catalog)
-        plans = recommend(catalog, PlanRequest(pw="1e40", max_instances=MAX_INSTANCES, top_k=top_k), scaling)
+        req, plans = PlanRequest(pw="1e40", max_instances=MAX_INSTANCES, top_k=top_k), []
+        calls = factor_calls(lambda: plans.extend(recommend(catalog, req)))
         assert len(plans) == top_k
-        assert CountingScaling.calls <= limit, CountingScaling.calls
+        assert calls <= limit, calls
+
+    def test_k_calls_on_random_requests_are_bounded(self, factor_calls):
+        """A walk that stops on the pooled top_k-th best Z, rather than on its
+        own row's, makes 5,672 K(n) calls here; the row's own rule made
+        6,430."""
+        rng = random.Random(20261019)
+        cases = [(random_catalog(rng), random_request(rng, max_instances=64)) for _ in range(500)]
+        calls = factor_calls(lambda: [recommend(catalog, req) for catalog, req in cases])
+        assert calls <= 5_672, calls
+
+    @pytest.mark.parametrize("top_k", [1, 5])
+    @pytest.mark.parametrize("cap", [1024, MAX_INSTANCES])
+    def test_plateau_equals_walking_every_row(self, sat_table, cap, top_k):
+        # At pw=1e40 every row reaches the cap, far out on the float plateau
+        # of Z, where the walks are longest and Z jitters by a few ulps.
+        rng = random.Random(20261019)
+        for _ in range(3):
+            catalog = random_catalog(rng, max_gpu=2, max_cpu=2)
+            req = PlanRequest(pw="1e40", buffer_count=1, max_instances=cap, top_k=top_k)
+            assert recommend(catalog, req, sat=sat_table) == _reference_recommend(catalog, req, sat=sat_table)

@@ -167,6 +167,13 @@ def test_hand_built_results_match_reference(simulated_catalog):
     assert_same_output(SweepResult(grid=grid, curves={"noscale": shuffled, "planner": shuffled[::-1]}))
     assert_same_output(SweepResult(grid=()))
     assert_same_output(SweepResult(grid=grid, curves={"planner": ()}))
+    # Policies that are not str: json.dumps writes each key as a string, or
+    # refuses it with a TypeError.
+    keys = (7, 1.5, True, None, math.nan, math.inf)
+    assert_same_output(SweepResult(grid=grid[:2], curves={key: points([shared] * 2, [1.0, 2.0]) for key in keys}))
+    for writer in (sweep_to_json, reference_sweep_to_json):
+        with pytest.raises(TypeError, match="not tuple"):
+            writer(SweepResult(grid=grid[:2], curves={("planner",): points([shared] * 2, [1.0, 2.0])}))
 
     # Each plan field, one at a time, from its exact type or a look-alike: the
     # writers' templates take only exact types, and the look-alikes still

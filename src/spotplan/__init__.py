@@ -1,92 +1,32 @@
 """spotplan: cost-optimal Spot/On-Demand cluster planning for deep learning.
 
-Importing the package loads none of its modules.  Each exported name is
-imported from its submodule on first access (PEP 562), so a command or a
-library user pays only for the modules it uses.
+Importing the package loads none of its modules (PEP 562).  The public names
+are those in the ``__all__`` of the five library modules below; a name is
+looked up in them in that order, on first access, and each module imports
+only modules before it, so finding a name loads no module that its own
+module would not load anyway.  Reading ``spotplan.__all__`` loads all five.
 """
 
 from importlib import import_module as _import_module
 
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "catalog": (
-            "Catalog",
-            "CatalogError",
-            "CatalogParseError",
-            "CatalogValidationError",
-            "InstanceSpec",
-            "Kind",
-            "as_price",
-            "bundled_aws_catalog",
-            "bundled_simulated_catalog",
-            "load_catalog",
-            "load_catalog_file",
-        ),
-        "scaling": (
-            "DEFAULT_PARAMS",
-            "REFERENCE_MODEL_FITS",
-            "InsufficientDataError",
-            "LogisticParams",
-            "NonConvergenceError",
-            "ScalingSource",
-            "SpeedupSample",
-            "UnitScaling",
-            "average_params",
-            "fit_logistic",
-            "s_average",
-            "s_hybrid",
-            "scaling_factor",
-            "superlinear_from",
-        ),
-        "saturation": (
-            "SaturationTable",
-            "default_saturation_table",
-            "load_saturation",
-            "load_saturation_file",
-            "min_cpu_count",
-            "n_sat_lookup",
-        ),
-        "planner": (
-            "SINGLE_ANCHOR",
-            "TIERING",
-            "ClusterPlan",
-            "FloppScore",
-            "PlanRequest",
-            "flopp",
-            "recommend",
-        ),
-        "simulator": (
-            "plan_cost_first",
-            "plan_noscale",
-            "plan_performance_first",
-            "DEFAULT_POLICIES",
-            "SweepPoint",
-            "SweepResult",
-            "SweepSpec",
-            "estimate_cost",
-            "evaluate_performance",
-            "run_sweep",
-            "sweep_rows",
-            "sweep_to_csv",
-            "sweep_to_json",
-        ),
-    }.items()
-    for name in names
-}
-
-__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+_MODULES = ("scaling", "catalog", "saturation", "planner", "simulator")
 
 
 def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    if name == "__all__":
+        globals()[name] = value = [n for m in _MODULES for n in _import_module(f".{m}", __name__).__all__]
+        return value
+    # Private names and submodules load nothing, so hasattr() probes and
+    # ``from spotplan import scaling`` stay cheap.
+    if not name.startswith("_") and name not in (*_MODULES, "cli"):
+        for m in _MODULES:
+            module = _import_module(f".{m}", __name__)
+            if name in module.__all__:
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -215,14 +215,7 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     Unknown fields are ignored with a warning.  ``memory_gib`` defaults to
     8 GiB and ``eflops`` to 0 when omitted.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source, parse_float=Decimal)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise CatalogParseError(f"malformed catalog document: {exc}") from exc
+    doc = _read_json(source, "catalog", CatalogParseError)
     if not isinstance(doc, dict):
         raise CatalogParseError("catalog document must be a JSON object")
 
@@ -240,6 +233,20 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
             raise CatalogParseError(f"instance entry #{idx} is not an object")
         specs.append(_parse_entry(idx, entry))
     return Catalog(tuple(specs))
+
+
+def _read_json(source: Union[bytes, str, IO], what: str, error: type[Exception]):
+    """The JSON document in source (text, UTF-8 bytes or a file), with floats
+    as Decimal; raises error(...) if it cannot be decoded or parsed.  The read
+    is inside the try, since a text file decodes as it reads."""
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        return json.loads(source, parse_float=Decimal)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise error(f"malformed {what} document: {exc}") from exc
 
 
 def _is_number(x) -> bool:

@@ -72,19 +72,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_catalog(args):
+def _resolve_catalog(path):
     from .catalog import bundled_simulated_catalog, load_catalog_file
 
-    path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
+    path = path or os.environ.get(CATALOG_ENV)
     if path:
         return load_catalog_file(path)
     return bundled_simulated_catalog()
 
 
-def _resolve_saturation(args):
+def _resolve_saturation(path):
     from .saturation import default_saturation_table, load_saturation_file
 
-    path = getattr(args, "saturation", None)
     if path:
         return load_saturation_file(path)
     return default_saturation_table()
@@ -105,8 +104,8 @@ def _fmt(x: float) -> str:
 def cmd_plan(args) -> int:
     from .planner import PlanRequest, recommend
 
-    catalog = _resolve_catalog(args)
-    sat = _resolve_saturation(args)
+    catalog = _resolve_catalog(args.catalog)
+    sat = _resolve_saturation(args.saturation)
     req = PlanRequest(
         pw=args.pw,
         ckpt_size=args.ckpt_size_gib,
@@ -155,8 +154,8 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulator import SweepSpec, run_sweep, sweep_rows, sweep_to_csv, sweep_to_json
 
-    catalog = _resolve_catalog(args)
-    sat = _resolve_saturation(args)
+    catalog = _resolve_catalog(args.catalog)
+    sat = _resolve_saturation(args.saturation)
     spec = SweepSpec(
         pw_min=args.pw_min,
         pw_max=args.pw_max,
@@ -262,11 +261,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .catalog import bundled_simulated_catalog, load_catalog_file
     from .scaling import DEFAULT_SCALING, superlinear_from
 
-    path = args.path or os.environ.get(CATALOG_ENV)
-    catalog = load_catalog_file(path) if path else bundled_simulated_catalog()
+    catalog = _resolve_catalog(args.path)
     print(
         f"catalog OK: {len(catalog.instances)} instances "
         f"({len(catalog.gpu_view)} gpu, {len(catalog.cpu_view)} cpu available)"

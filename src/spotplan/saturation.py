@@ -7,7 +7,6 @@ bottleneck (minimum) of the two, and lookups floor to the nearest lower key.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from importlib import resources
 from operator import itemgetter
 from typing import IO, Union
 
-from .catalog import InstanceSpec, _is_number
+from .catalog import InstanceSpec, _is_number, _read_json
 
 __all__ = [
     "SaturationTable",
@@ -96,14 +95,7 @@ def min_cpu_count(n_gpu: int, n_sat: int) -> int:
 
 def load_saturation(source: Union[bytes, str, IO]) -> SaturationTable:
     """Parse a saturation table document: {"entries": [[bw, n_sat], ...]}."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source, parse_float=Decimal)
-    except RecursionError as exc:
-        raise ValueError(f"malformed saturation document: {exc}") from None
+    doc = _read_json(source, "saturation", ValueError)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError('saturation document must contain an "entries" list')
     return SaturationTable(doc["entries"])

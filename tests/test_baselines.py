@@ -40,6 +40,9 @@ class TestCostFirst:
     def test_infeasible(self, simulated_catalog):
         assert plan_cost_first(simulated_catalog, PlanRequest(pw="0.1")) is None
 
+    def test_catalog_without_gpus_has_no_plan(self, simulated_catalog):
+        assert plan_cost_first(Catalog(simulated_catalog.cpu_view), PlanRequest(pw="3")) is None
+
     def test_packs_maximum_nodes(self, simulated_catalog):
         plan = plan_cost_first(simulated_catalog, PlanRequest(pw="3"))
         # one more spot node would exceed the ceiling

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from spotplan import (
     CatalogValidationError,
     InstanceSpec,
     Kind,
+    LogisticParams,
     PlanRequest,
     SweepSpec,
     as_price,
@@ -259,3 +261,70 @@ def test_round_trip_random_instance(od, spot_frac, bw, eflops, kind):
     assert again == cat
     assert again.by_name("x").od_price == od
     assert again.by_name("x").spot_price == spot
+
+
+def test_invalid_price_text_rejected():
+    with pytest.raises(CatalogParseError, match=r"^not a valid price: 'abc'$"):
+        as_price("abc")
+
+
+def test_empty_name_rejected():
+    with pytest.raises(CatalogValidationError, match="^instance with empty name$"):
+        make_gpu(name="")
+
+
+def test_negative_eflops_rejected_on_unavailable_gpu():
+    with pytest.raises(CatalogValidationError, match="^instance 'g': eflops must not be negative$"):
+        make_gpu(eflops=-1, available=False)
+
+
+_ENTRY = '{"name": "A", "kind": "gpu", "od_price": 1, "spot_price": 0.5, "network_gbps": 10, "eflops": 100'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"comment": "no instances"}', 'catalog document must contain an "instances" list'),
+        ('{"instances": {"A": {}}}', 'catalog document must contain an "instances" list'),
+        ('{"instances": [5]}', "instance entry #0 is not an object"),
+        ('{"instances": [%s, "scaling": {"a": 0.2, "b": 10}}]}' % _ENTRY, "instance 'A': scaling object missing key 'c'"),
+    ],
+    ids=["no-instances", "instances-not-a-list", "entry-not-an-object", "scaling-missing-key"],
+)
+def test_document_shape_errors_name_the_problem(doc, message):
+    with pytest.raises(CatalogParseError) as excinfo:
+        load_catalog(doc)
+    assert str(excinfo.value) == message
+
+
+def test_unknown_top_level_field_warns_but_loads():
+    with pytest.warns(UserWarning, match=r"^ignoring unknown catalog field\(s\): \['extra'\]$"):
+        cat = load_catalog('{"instances": [], "extra": 1}')
+    assert cat.instances == ()
+
+
+def test_by_name_raises_key_error_for_a_missing_name(simulated_catalog):
+    with pytest.raises(KeyError, match="nope"):
+        simulated_catalog.by_name("nope")
+
+
+def test_to_json_round_trips_an_instance_with_its_own_fit():
+    cat = Catalog((make_gpu(scaling_params=LogisticParams(0.2, 10.0, 5.0)), make_cpu()))
+    assert load_catalog(cat.to_json()) == cat
+    assert json.loads(cat.to_json(indent=None))["instances"][0]["scaling"] == {"a": 0.2, "b": 10.0, "c": 5.0}
+
+
+# Documents that cannot be decoded or parsed: each is a CatalogParseError
+# naming the document, never a bare UnicodeDecodeError or ValueError.
+UNREADABLE = {
+    "not-utf8": lambda: b"\xff",
+    "not-utf8-file": lambda: io.BytesIO(b'{"instances": []\xff}'),
+    "not-utf8-text-file": lambda: io.TextIOWrapper(io.BytesIO(b'{"instances": []\xff}'), encoding="utf-8"),
+    "int-over-4300-digits": lambda: '{"instances": [' + "1" * 5000 + "]}",
+}
+
+
+@pytest.mark.parametrize("source", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_document_is_a_parse_error(source):
+    with pytest.raises(CatalogParseError, match="^malformed catalog document: "):
+        load_catalog(source())

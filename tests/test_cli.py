@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import spotplan
+from spotplan import bundled_aws_catalog
 from spotplan.cli import main
 
 BUNDLED = pathlib.Path(spotplan.__file__).parent / "data" / "catalogs"
@@ -123,6 +124,16 @@ class TestPlanCommand:
         code, out, err = run(capsys, command, "--saturation", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    @pytest.mark.parametrize("data", [b'{"entries": [[10, 3]]', b"\xff", b'{"entries": [[10, ' + b"1" * 5000 + b"]]}"],
+                             ids=["syntax", "not-utf8", "int-over-4300-digits"])
+    def test_unreadable_saturation_exits_1_in_one_line(self, capsys, tmp_path, command, data):
+        path = tmp_path / "sat.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, command, "--saturation", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed saturation document: ") and err.count("\n") == 1
 
     def test_huge_budget_is_capped_by_max_limit(self, capsys):
         code, out, err = run(capsys, "plan", "--pw", "1e40", "--max-limit", "40", "--format", "json")
@@ -378,6 +389,28 @@ class TestFitCommand:
         assert code == 1 and out == ""
         assert err == f"error: {path}, line 3: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_several_files_without_average_fit_each(self, capsys, tmp_path, fmt):
+        paths = [tmp_path / f"{name}.csv" for name in ("resnet18", "resnet152")]
+        for path in paths:
+            write_samples(path, *REF_ROWS[path.stem])
+        code, out, err = run(capsys, "fit", *map(str, paths), "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            assert list(payload) == ["fits"] and [f["file"] for f in payload["fits"]] == list(map(str, paths))
+            for f, path in zip(payload["fits"], paths):
+                assert (f["a"], f["b"], f["c"]) == pytest.approx(REF_ROWS[path.stem], rel=1e-4)
+        else:
+            assert [line.split(": a=")[0] for line in out.splitlines()] == list(map(str, paths))
+
+    def test_blank_rows_are_skipped(self, capsys, tmp_path):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        write_samples(plain, *REF_ROWS["resnet18"])
+        header, *rows = plain.read_text().splitlines()
+        blank.write_text("\n".join([header, "", *(f"{row}\n" for row in rows), ""]))
+        assert run(capsys, "fit", str(blank)) == run(capsys, "fit", str(plain))
+
     def test_table_format(self, capsys, tmp_path):
         path = tmp_path / "fit.csv"
         write_samples(path, 0.2, 8.0, 5.0)
@@ -469,6 +502,19 @@ class TestValidateCommand:
         code, out, err = run(capsys, "validate-catalog", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: instance '#0': name must be a string") and err.count("\n") == 1
+
+    def test_env_var_supplies_catalog(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPOTPLAN_CATALOG", str(BUNDLED / "aws-2023-10.json"))
+        code, out, err = run(capsys, "validate-catalog")
+        assert code == 0 and err == ""
+        assert out.startswith(f"catalog OK: {len(bundled_aws_catalog().instances)} instances")
+
+    def test_undecodable_catalog_exits_1_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"instances": [], "comment": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run(capsys, "validate-catalog", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed catalog document: 'utf-8' codec can't decode") and err.count("\n") == 1
 
     def test_invalid_catalog_reports_and_exits_1(self, capsys, tmp_path):
         doc = {"instances": [{"name": "X", "kind": "gpu", "od_price": 0.2,

@@ -466,7 +466,7 @@ def _best_first_case(draw):
     req = PlanRequest(
         pw=pw,
         buffer_count=draw(st.integers(1, 2)),
-        max_instances=draw(st.one_of(st.sampled_from([1, 2, 17, 300, 1024]), st.integers(1, 1024))),
+        max_instances=draw(st.one_of(st.sampled_from([1, 2, 17, 300, 1024, MAX_INSTANCES]), st.integers(1, MAX_INSTANCES))),
         top_k=draw(st.integers(1, 5)),
     )
     return Catalog(tuple(specs + cpus)), req, draw(st.sampled_from([ScalingSource(), UnitScaling()]))

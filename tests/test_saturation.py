@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from decimal import Decimal
@@ -109,6 +110,30 @@ BAD_DOCUMENTS = {
 def test_malformed_documents_are_refused(doc):
     with pytest.raises(ValueError, match=re.escape(BAD_DOCUMENTS[doc]) + "$"):
         load_saturation(doc)
+
+
+def test_bandwidth_beyond_float_range_is_refused():
+    big = "1" + "0" * 400
+    with pytest.raises(ValueError, match=f"^saturation bandwidth {big} is not a finite positive number$"):
+        load_saturation('{"entries": [[%s, 3]]}' % big)
+
+
+# Documents that cannot be decoded or parsed: one ValueError naming the
+# document, never a UnicodeDecodeError or a bare JSON message.
+UNREADABLE = {
+    "not-utf8": lambda: b"\xff",
+    "not-utf8-file": lambda: io.BytesIO(b'{"entries": []\xff}'),
+    "int-over-4300-digits": lambda: '{"entries": [[0.3, ' + "1" * 5000 + "]]}",
+    "syntax": lambda: '{"entries": [[0.3, 3]]',
+}
+
+
+@pytest.mark.parametrize("source", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_document_is_refused_in_one_line(source):
+    with pytest.raises(ValueError) as excinfo:
+        load_saturation(source())
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value).startswith("malformed saturation document: ") and "\n" not in str(excinfo.value)
 
 
 def test_integral_n_sat_is_kept_as_int():

@@ -340,6 +340,13 @@ class TestScalingSource:
         assert source.factor(self._instance(), 1) == 1.0
         assert source.factor(self._instance(), 200) == 1.0
 
+    def test_factor_rejects_zero_nodes(self):
+        from spotplan import ScalingSource, UnitScaling
+
+        for source in (ScalingSource(), UnitScaling()):
+            with pytest.raises(ValueError, match="^node count must be >= 1, got 0$"):
+                source.factor(self._instance(), 0)
+
 
 class TestValidation:
     def test_nonpositive_params_rejected(self):

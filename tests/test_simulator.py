@@ -23,6 +23,7 @@ from spotplan import (
     LogisticParams,
     PlanRequest,
     ScalingSource,
+    SweepPoint,
     SweepSpec,
     UnitScaling,
     default_saturation_table,
@@ -150,6 +151,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(policies=("nonsense",))
 
+    def test_step_beyond_the_range_gives_one_infeasible_point(self, simulated_catalog):
+        spec = SweepSpec(pw_max="0.05", pw_step="0.1")
+        assert spec.grid() == (Decimal(0),)
+        result = run_sweep(simulated_catalog, spec)
+        assert result.normalizer == 0.0
+        for policy in spec.policies:
+            assert result.curve(policy) == (SweepPoint(pw=Decimal(0), raw=0.0, normalized=0.0, plan=None),)
 
     def test_grid_size_is_capped(self):
         with pytest.raises(ValueError, match="grid has 10000000001 points"):

@@ -54,7 +54,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -80,6 +80,10 @@ _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
 # a row's walk stops, and by which a row's bound exceeds its Z(n_top); float
 # rounding moves Z by a few ulps (~1e-16) only.
 _SLACK = 1e-12
+
+# decimal's default context, built here: no caller's context or DefaultContext can move a budget.
+_BUDGET_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+                          flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
 MAX_INSTANCES = 10_000  # the largest max_instances; the walk and the sweep grow with it
 
@@ -277,32 +281,33 @@ def recommend(
     configuration fits the budget.  Raises ValueError when a returned plan's
     Z is not finite.
     """
-    scaling = scaling or DEFAULT_SCALING
-    pw, cap, top_k = req.pw, req.max_instances, req.top_k
-    visits = []
-    for row in _rows(catalog, req, sat or default_saturation_table()):
-        if (n_top := row.n_top(pw, cap)) > 0:
-            z_top = row.z(n_top, scaling.factor(row.v, n_top))
-            # A relative slack bounds nothing for a NaN, infinite or subnormal Z.
-            bound = z_top * (1.0 + _SLACK) if sys.float_info.min <= z_top < math.inf else math.inf
-            visits.append((bound, row, n_top, z_top))
-    visits.sort(key=itemgetter(0), reverse=True)
+    with localcontext(_BUDGET_CONTEXT):
+        scaling = scaling or DEFAULT_SCALING
+        pw, cap, top_k = req.pw, req.max_instances, req.top_k
+        visits = []
+        for row in _rows(catalog, req, sat or default_saturation_table()):
+            if (n_top := row.n_top(pw, cap)) > 0:
+                z_top = row.z(n_top, scaling.factor(row.v, n_top))
+                # A relative slack bounds nothing for a NaN, infinite or subnormal Z.
+                bound = z_top * (1.0 + _SLACK) if sys.float_info.min <= z_top < math.inf else math.inf
+                visits.append((bound, row, n_top, z_top))
+        visits.sort(key=itemgetter(0), reverse=True)
 
-    def candidates() -> Iterator[tuple]:
-        best: list[float] = []  # min-heap of the top_k largest finite Z pooled so far
-        for bound, row, n_top, z in visits:
-            if len(best) == top_k and bound < best[0]:
-                return
-            for n in range(n_top, 0, -1):
-                if n < n_top:
-                    z = row.z(n, scaling.factor(row.v, n))
-                if len(best) < top_k:
-                    if math.isfinite(z):
-                        heapq.heappush(best, z)
-                elif z < best[0] * (1.0 - _SLACK):
-                    break
-                elif math.isfinite(z):
-                    heapq.heappushpop(best, z)
-                yield row.candidate(n, z)
+        def candidates() -> Iterator[tuple]:
+            best: list[float] = []  # min-heap of the top_k largest finite Z pooled so far
+            for bound, row, n_top, z in visits:
+                if len(best) == top_k and bound < best[0]:
+                    return
+                for n in range(n_top, 0, -1):
+                    if n < n_top:
+                        z = row.z(n, scaling.factor(row.v, n))
+                    if len(best) < top_k:
+                        if math.isfinite(z):
+                            heapq.heappush(best, z)
+                    elif z < best[0] * (1.0 - _SLACK):
+                        break
+                    elif math.isfinite(z):
+                        heapq.heappushpop(best, z)
+                    yield row.candidate(n, z)
 
-    return [_plan(c) for c in heapq.nsmallest(top_k, candidates(), key=itemgetter(0))]
+        return [_plan(c) for c in heapq.nsmallest(top_k, candidates(), key=itemgetter(0))]

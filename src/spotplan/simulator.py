@@ -18,11 +18,12 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from decimal import Decimal, InvalidOperation, getcontext
-from typing import Optional, Sequence
+from decimal import Decimal, InvalidOperation, localcontext
+from operator import attrgetter, is_, itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .catalog import Catalog, InstanceSpec, as_price
-from .planner import ClusterPlan, PlanRequest, _plan, _rows, _SingleAnchorRow, flopp, recommend
+from .planner import _BUDGET_CONTEXT, ClusterPlan, PlanRequest, _plan, _rows, _SingleAnchorRow, flopp, recommend
 from .saturation import SaturationTable, default_saturation_table
 from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
 
@@ -70,13 +71,14 @@ def _baseline(
     policy: str, catalog: Catalog, req: PlanRequest, scaling: ScalingSource | None
 ) -> Optional[ClusterPlan]:
     """The plan of a _BASELINE_GPUS policy under req, or None when its GPU does not fit."""
-    gpus = catalog.gpu_view
-    v_idx = _BASELINE_GPUS[policy](gpus)
-    if v_idx is None:
-        return None
-    row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
-    n_top = row.n_top(req.pw, req.max_instances)
-    return _plan(_packed(row, n_top, scaling or DEFAULT_SCALING)) if n_top > 0 else None
+    with localcontext(_BUDGET_CONTEXT):
+        gpus = catalog.gpu_view
+        v_idx = _BASELINE_GPUS[policy](gpus)
+        if v_idx is None:
+            return None
+        row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
+        n_top = row.n_top(req.pw, req.max_instances)
+        return _plan(_packed(row, n_top, scaling or DEFAULT_SCALING)) if n_top > 0 else None
 
 
 def plan_cost_first(
@@ -165,16 +167,18 @@ class SweepSpec:
         """(pw_max - pw_min) // pw_step + 1, exactly; at most MAX_GRID_POINTS."""
         limit = f"the limit is {MAX_GRID_POINTS}"
         try:
-            points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
+            with localcontext(_BUDGET_CONTEXT):
+                points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
         except InvalidOperation:  # the quotient outgrows the Decimal context
-            raise ValueError(f"the PW grid has more than 10**{getcontext().prec} points; {limit}") from None
+            raise ValueError(f"the PW grid has more than 10**{_BUDGET_CONTEXT.prec} points; {limit}") from None
         if points > MAX_GRID_POINTS:
             raise ValueError(f"the PW grid has {points} points; {limit}")
         return points
 
     def grid(self) -> tuple[Decimal, ...]:
         """Exact-decimal grid pw_min, pw_min + step, ... up to pw_max."""
-        return tuple(self.pw_min + i * self.pw_step for i in range(self._points()))
+        with localcontext(_BUDGET_CONTEXT):
+            return tuple(self.pw_min + i * self.pw_step for i in range(self._points()))
 
     def request_at(self, pw: Decimal) -> PlanRequest:
         return PlanRequest(
@@ -355,7 +359,8 @@ def run_sweep(
     scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()
     grid = spec.grid()
-    per_point = _sweep_plans(catalog, spec, grid, scaling, sat)
+    with localcontext(_BUDGET_CONTEXT):
+        per_point = _sweep_plans(catalog, spec, grid, scaling, sat)
     normalizer = per_point[PLANNER_POLICY][-1][1]
     top = max((raw for policy in spec.policies for _, raw in per_point[policy]), default=0.0)
     if normalizer > 0 and not math.isfinite(top / normalizer):
@@ -367,7 +372,7 @@ def run_sweep(
             if entry is not last:  # a run of one unchanged plan shares its floats
                 last, (plan, raw) = entry, entry
                 normalized = raw / normalizer if normalizer > 0 else 0.0
-            points.append(SweepPoint(pw=pw, raw=raw, normalized=normalized, plan=plan))
+            points.append(SweepPoint(pw, raw, normalized, plan))
         curves[policy] = tuple(points)
     return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
 
@@ -394,25 +399,39 @@ def _plan_fields(plan: Optional[ClusterPlan]) -> tuple:
     return architecture, gpu, n, cpu, m if plan.cpu_instance else None, float(price)
 
 
-def _ordered(result: SweepResult) -> list[tuple[SweepPoint, str]]:
-    """Every (point, policy) of a sweep, in the order of its rows.
-
-    A stable sort of the curves' points, curves in insertion order, on
-    (float(pw), policy order).  Grid points that round to one float therefore
-    come out policy-major, and curves need not match the grid.
+def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, Iterable[tuple]]:
+    """The grid's pw_text(float(pw)); per curve, render(policy, point) of each
+    point, once per run of consecutive points that share their raw, normalized
+    and plan objects, as run_sweep makes them; and the rows, (pw text, point
+    text) in the stable sort of the points, curves in insertion order, on
+    (float(pw), policy order).  That is plain grid-major, policy-minor order,
+    and no row is sorted, when each curve holds the grid's own pw objects in
+    grid order and the grid's floats strictly rise, as run_sweep makes them.
     """
     orders = {policy: i for i, policy in enumerate(DEFAULT_POLICIES)}
-    entries = [(point, policy) for policy, points in result.curves.items() for point in points]
-    entries.sort(key=lambda entry: (float(entry[0].pw), orders.get(entry[1], len(orders))))
-    return entries
+    grid, floats, texts = result.grid, [float(pw) for pw in result.grid], {}
+    for policy, points in result.curves.items():  # each curve once, in its own order
+        texts[policy], last = [], None
+        for p in points:
+            if not (last and p.plan is last.plan and p.raw is last.raw and p.normalized is last.normalized):
+                text = render(policy, p)
+            texts[policy].append(text)
+            last = p
+    pws = list(map(pw_text, floats))
+    if all(map(float.__lt__, floats, floats[1:])) and all(
+            len(c) == len(grid) and all(map(is_, map(attrgetter("pw"), c), grid)) for c in result.curves.values()):
+        rows = zip(pws, zip(*(texts[k] for k in sorted(texts, key=lambda k: orders.get(k, len(orders))))))
+        return pws, texts, ((pw, text) for pw, row in rows for text in row)
+    entries = sorted(((float(p.pw), orders.get(policy, len(orders)), text) for policy, c in result.curves.items()
+                      for p, text in zip(c, texts[policy])), key=itemgetter(0, 1))
+    return pws, texts, [(pw_text(pw), text) for pw, _, text in entries]
 
 
 def sweep_rows(result: SweepResult) -> list[dict]:
-    """Flatten a sweep into one row per (grid point, policy)."""
-    return [
-        dict(zip(_CSV_COLUMNS, (float(point.pw), policy, point.raw, point.normalized, *_plan_fields(point.plan))))
-        for point, policy in _ordered(result)
-    ]
+    """Flatten a sweep into one row per (grid point, policy).  On a run_sweep
+    result it reads each plan's fields once and sorts no row (_in_row_order)."""
+    rows = _in_row_order(result, lambda policy, p: (policy, p.raw, p.normalized, *_plan_fields(p.plan)), float)[2]
+    return [dict(zip(_CSV_COLUMNS, (pw, *values))) for pw, values in rows]
 
 
 class _Echo:
@@ -421,37 +440,32 @@ class _Echo:
     write = str
 
 
-def _csv_columns(plan: Optional[ClusterPlan], quote) -> Optional[str]:
-    """A plan's _PLAN_COLUMNS as CSV, names through quote; None unless of _PLANNER_TYPES."""
-    if not plan:
-        return ",,,,,"
-    if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
-        architecture, gpu, n, cpu, m, price, _ = values
-        m = m if plan.cpu_instance and m is not None else ""
-        return f"{quote(architecture)},{quote(gpu)},{n},{quote(cpu)},{m},{float(price)!r}"
-    return None
-
-
 def sweep_to_csv(result: SweepResult) -> str:
-    """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run of
-    one plan.  csv quotes each field on its own and a float's repr needs no quotes,
-    so with a str policy, float raw and normalized and a typed plan, the rest is
+    """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run, so
+    on a run_sweep result each plan once, and no row sorted (_in_row_order).  csv
+    quotes each field on its own and a float's repr needs no quotes, so with a str
+    policy, float raw and normalized and a plan of _PLANNER_TYPES, the rest is
     f"{policy},{raw!r},{normalized!r},{columns}"; else it is one csv.writer row."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
-    names, runs = {}, {}
+    names = {}
     # A name's field as csv.writer writes it: after a first field, even an empty name.
     quote = lambda name: names[name] if name in names else names.setdefault(name, line(("", name))[1:-1])
-    pws = {id(pw): repr(float(pw)) for pw in result.grid}
-    out = [line(_CSV_COLUMNS)]
-    for point, policy in _ordered(result):
+
+    def render(policy, point: SweepPoint) -> str:
         raw, normalized, plan = point.raw, point.normalized, point.plan
-        if (run := (policy, id(raw), id(normalized), id(plan))) not in runs:  # run_sweep shares these in a run
-            columns = _csv_columns(plan, quote)
-            if columns is not None and type(policy) is str and type(raw) is type(normalized) is float:
-                runs[run] = f"{quote(policy)},{raw!r},{normalized!r},{columns}\n"
-            else:
-                runs[run] = line((policy, raw, normalized, *_plan_fields(plan)))
-        out += (pws.get(id(point.pw)) or repr(float(point.pw)), ",", runs[run])
+        if type(policy) is str and type(raw) is type(normalized) is float:
+            if not plan:
+                return f"{quote(policy)},{raw!r},{normalized!r},,,,,,\n"
+            if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
+                architecture, gpu, n, cpu, m, price, _ = values
+                m = "" if cpu is None or m is None else m
+                return (f"{quote(policy)},{raw!r},{normalized!r},{quote(architecture)},{quote(gpu)},{n},"
+                        f"{quote(cpu)},{m},{float(price)!r}\n")
+        return line((policy, raw, normalized, *_plan_fields(plan)))
+
+    out = [line(_CSV_COLUMNS)]
+    for pw, text in _in_row_order(result, render, float.__repr__)[2]:
+        out += (pw, ",", text)
     return "".join(out)
 
 
@@ -478,25 +492,28 @@ def _json_value(x, pad: str = " " * 6) -> str:
     return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 
-# A plan's row members and summary() block as json.dumps(indent=2) lays them out.
-_JSON_TAIL = ",\n".join(f'      "{key}": %s' for key in _PLAN_COLUMNS)
-_JSON_SUMMARY = "{\n" + ",\n".join(f'          "{key}": %s' for key in (*_PLAN_COLUMNS, "score_z")) + "\n        }"
+def _json_texts(a, g, n, c, m, p, z, row_m) -> tuple[str, str]:
+    """A plan's JSON row tail (cpu_count row_m) and summary() block, from its values' texts."""
+    return (f'      "architecture": {a},\n      "gpu": {g},\n      "gpu_count": {n},\n      "cpu": {c},\n'
+            f'      "cpu_count": {row_m},\n      "hourly_price": {p}',
+            f'{{\n          "architecture": {a},\n          "gpu": {g},\n          "gpu_count": {n},\n'
+            f'          "cpu": {c},\n          "cpu_count": {m},\n          "hourly_price": {p},\n'
+            f'          "score_z": {z}\n        }}')
 
 
 def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
-    """A plan's JSON row tail and summary() block: the templates filled with its values'
-    texts, by type if of _PLANNER_TYPES, else from _json_value, re-indented to fit."""
+    """_json_texts of a plan: its values' texts by type if of _PLANNER_TYPES, else
+    from _json_value, re-indented to fit the summary."""
     if not plan:
-        return _JSON_TAIL % (("null",) * len(_PLAN_COLUMNS)), "null"
+        return _json_texts(*("null",) * 8)[0], "null"
     if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
         architecture, gpu, n, cpu, m, price, z = values
-        texts = summary = (_json_string(architecture), _json_string(gpu), int.__repr__(n),
-                           "null" if cpu is None else _json_string(cpu), "null" if m is None else int.__repr__(m),
-                           _json_float(float(price)), _json_float(z))
-    else:
-        texts = [_json_value(x) for x in (*values[:5], float(values[5]), values[6])]
-        summary = tuple(text.replace("\n", "\n    ") for text in texts)
-    return _JSON_TAIL % (*texts[:4], texts[4] if plan.cpu_instance else "null", texts[5]), _JSON_SUMMARY % summary
+        c, m = "null" if cpu is None else _json_string(cpu), "null" if m is None else m
+        return _json_texts(_json_string(architecture), _json_string(gpu), n, c, m, _json_float(float(price)),
+                           _json_float(z), "null" if cpu is None else m)
+    texts = [_json_value(x) for x in (*values[:5], float(values[5]), values[6])]
+    summary = _json_texts(*(text.replace("\n", "\n    ") for text in texts), None)[1]
+    return _json_texts(*texts, texts[4] if plan.cpu_instance else "null")[0], summary
 
 
 def _json_array(out: list, items, pad: str) -> None:
@@ -516,36 +533,34 @@ def sweep_to_json(result: SweepResult) -> str:
 
     The text is json.dumps(payload, indent=2) of {"grid": [float(pw), ...],
     "normalizer", "rows": sweep_rows(), "plans": {policy: [{"pw", "plan":
-    plan.summary() or None}, ...]}}, written in one pass without building
-    the payload.  Each pw, policy and plan is rendered once, and a row's text
-    after its pw once per run of one plan.  Only plans not of _PLANNER_TYPES,
-    and raw or normalized that are not floats, go through _json_value.
+    plan.summary() or None}, ...]}}, written without building the payload.
+    Each grid pw and policy is rendered once, and a row's text after its pw
+    and the plan's summary once per run: on a run_sweep result, each plan once,
+    and no row is sorted (_in_row_order).  Only plans not of _PLANNER_TYPES, and
+    raw or normalized that are not floats, go through _json_value.
     """
-    pws = {id(pw): _json_float(float(pw)) for pw in result.grid}
     policies = {policy: _json_value(policy) for policy in result.curves}
-    plans = {id(p.plan): p.plan for points in result.curves.values() for p in points}
-    plan_texts, runs = {key: _json_plan(plan) for key, plan in plans.items()}, {}
 
-    def rows():
-        for point, policy in _ordered(result):
-            raw, normalized, plan = point.raw, point.normalized, point.plan
-            if (run := (policy, id(raw), id(normalized), id(plan))) not in runs:
-                render = _json_float if type(raw) is type(normalized) is float else _json_value
-                runs[run] = (f'      "policy": {policies[policy]},\n      "raw": {render(raw)},\n'
-                             f'      "normalized": {render(normalized)},\n{plan_texts[id(plan)][0]}\n    }}')
-            yield '{\n      "pw": ', pws.get(id(point.pw)) or _json_float(float(point.pw)), ",\n", runs[run]
+    def render(policy, point: SweepPoint) -> tuple[str, str]:
+        raw, normalized = point.raw, point.normalized
+        tail, summary = _json_plan(point.plan)
+        value = _json_float if type(raw) is type(normalized) is float else _json_value
+        return (f'      "policy": {policies[policy]},\n      "raw": {value(raw)},\n'
+                f'      "normalized": {value(normalized)},\n{tail}\n    }}'), summary
 
+    grid, texts, rows = _in_row_order(result, render, _json_float)
     out = ['{\n  "grid": ']
-    _json_array(out, ((pws[id(pw)],) for pw in result.grid), "  ")
+    _json_array(out, ((pw,) for pw in grid), "  ")
     out += (',\n  "normalizer": ', _json_value(result.normalizer, "  "), ',\n  "rows": ')
-    _json_array(out, rows(), "  ")
+    _json_array(out, (('{\n      "pw": ', pw, ",\n", row) for pw, (row, _) in rows), "  ")
     out.append(',\n  "plans": {')
+    pws = dict(zip(map(id, result.grid), grid))
     for i, (policy, points) in enumerate(result.curves.items()):
         out += (",\n    " if i else "\n    ", json.dumps({policy: 0})[1:-4], ": ")  # policy as a key
         _json_array(
             out,
-            (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ',
-              plan_texts[id(p.plan)][1], "\n      }") for p in points),
+            (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ', summary,
+              "\n      }") for p, (_, summary) in zip(points, texts[policy])),
             "    ",
         )
     out.append("\n  }\n}" if result.curves else "}\n}")

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,37 @@ def generic_renders(monkeypatch):
         calls[0] = 0
         f(*args)
         return calls[0]
+
+    return count
+
+
+@pytest.fixture()
+def writer_work(monkeypatch):
+    """writer_work(f, *args): the work of a sweep writer f(*args), as (reads,
+    sorts).  reads counts, per plan id, the plan's reads through
+    simulator._plan_values, which every route of every writer takes once per
+    render; sorts lists the length of each sorted() in simulator.  Work counts,
+    so machine noise does not move them."""
+    reads, sorts = Counter(), []
+    real_values = simulator._plan_values
+
+    def values(plan):
+        reads[id(plan)] += 1
+        return real_values(plan)
+
+    def counting_sorted(items, **kwargs):
+        items = list(items)
+        sorts.append(len(items))
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(simulator, "_plan_values", values)
+    monkeypatch.setattr(simulator, "sorted", counting_sorted, raising=False)
+
+    def count(f, *args):
+        reads.clear()
+        sorts.clear()
+        f(*args)
+        return Counter(reads), list(sorts)
 
     return count
 

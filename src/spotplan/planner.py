@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
@@ -88,6 +89,14 @@ _BUDGET_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=
 MAX_INSTANCES = 10_000  # the largest max_instances; the walk and the sweep grow with it
 
 
+def _budget(name: str, value) -> Decimal:
+    """value as an exact price whose float() is finite, as a plan's reported price must be."""
+    price = as_price(value)
+    if not math.isfinite(float(price)):
+        raise ValueError(f"{name} must be a finite float, not {price}")
+    return price
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """User inputs for one planning run.
@@ -105,8 +114,13 @@ class PlanRequest:
     top_k: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "pw", as_price(self.pw))
+        object.__setattr__(self, "pw", _budget("pw", self.pw))
         object.__setattr__(self, "ckpt_size", float(self.ckpt_size))
+        for name in ("max_instances", "top_k"):  # operator.index: ints, numpy's among them
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
         if not self.pw > 0:
             raise ValueError("pw must be positive")
         if not 0 < self.ckpt_size < math.inf:
@@ -144,9 +158,10 @@ def flopp(instance: InstanceSpec) -> FloppScore:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClusterPlan:
-    """A concrete recommendation produced by one architecture."""
+    """A concrete recommendation produced by one architecture.  __init__ fills
+    __dict__ directly, in about half the time of the generated one."""
 
     architecture: str
     gpu_instance: InstanceSpec
@@ -155,6 +170,11 @@ class ClusterPlan:
     m_cpu: Optional[int]
     hourly_price: Decimal
     score_z: float
+
+    def __init__(self, architecture, gpu_instance, n_gpu, cpu_instance, m_cpu, hourly_price, score_z):
+        f = self.__dict__
+        (f["architecture"], f["gpu_instance"], f["n_gpu"], f["cpu_instance"], f["m_cpu"], f["hourly_price"],
+         f["score_z"]) = architecture, gpu_instance, n_gpu, cpu_instance, m_cpu, hourly_price, score_z
 
     def summary(self) -> dict:
         return {
@@ -198,10 +218,10 @@ class _SingleAnchorRow:
     def z(self, n: int, k: float) -> float:
         return ((n - 1) * self.spfp + self.odfp) * k
 
-    def candidate(self, n: int, z: float) -> tuple:
-        """(sort key, v, w), the sort key being
-        (-Z, price, architecture rank, v index, w index or -1, n, m or 0)."""
-        return (-z, self.price(n), 0, self.v_idx, -1, n, 0), self.v, None
+    def candidate(self, n: int, z: float, price: Optional[Decimal] = None) -> tuple:
+        """(sort key, v, w), the sort key being (-Z, price, architecture rank,
+        v index, w index or -1, n, m or 0); price is price(n), if known."""
+        return (-z, self.price(n) if price is None else price, 0, self.v_idx, -1, n, 0), self.v, None
 
 
 class _TieringRow:
@@ -232,8 +252,9 @@ class _TieringRow:
     def z(self, n: int, k: float) -> float:
         return n * self.spfp * k
 
-    def candidate(self, n: int, z: float) -> tuple:
-        key = (-z, self.price(n), 1, self.v_idx, self.w_idx, n, min_cpu_count(n, self.n_sat))
+    def candidate(self, n: int, z: float, price: Optional[Decimal] = None) -> tuple:
+        price = self.price(n) if price is None else price
+        key = (-z, price, 1, self.v_idx, self.w_idx, n, min_cpu_count(n, self.n_sat))
         return key, self.v, self.w
 
 
@@ -257,15 +278,7 @@ def _plan(candidate: tuple) -> ClusterPlan:
             f"the {_ARCHITECTURES[rank]} plan of {n} x {v.name!r} scores Z = {-neg_z}: "
             "the instance's eflops, prices or scaling overflow float"
         )
-    return ClusterPlan(
-        architecture=_ARCHITECTURES[rank],
-        gpu_instance=v,
-        n_gpu=n,
-        cpu_instance=w,
-        m_cpu=m if w is not None else None,
-        hourly_price=price,
-        score_z=-neg_z,
-    )
+    return ClusterPlan(_ARCHITECTURES[rank], v, n, w, m if w is not None else None, price, -neg_z)
 
 
 def recommend(

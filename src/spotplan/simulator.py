@@ -17,13 +17,14 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from decimal import Decimal, InvalidOperation, localcontext
+from itertools import chain
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .catalog import Catalog, InstanceSpec, as_price
-from .planner import _BUDGET_CONTEXT, ClusterPlan, PlanRequest, _plan, _rows, _SingleAnchorRow, flopp, recommend
+from .catalog import Catalog, InstanceSpec
+from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _rows, _SingleAnchorRow, flopp,
+                      recommend)
 from .saturation import SaturationTable, default_saturation_table
 from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
 
@@ -62,9 +63,9 @@ def _performance_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
 _BASELINE_GPUS = {"cost_first": _cost_first_gpu, "performance_first": _performance_first_gpu}
 
 
-def _packed(row: _SingleAnchorRow, n_top: int, scaling: ScalingSource) -> tuple:
-    """A baseline's candidate: its GPU's single-anchor row at n = n_top."""
-    return row.candidate(n_top, row.z(n_top, scaling.factor(row.v, n_top)))
+def _packed(row: _SingleAnchorRow, n_top: int, k: float, price: Optional[Decimal] = None) -> tuple:
+    """A baseline's candidate: its GPU's single-anchor row at n_top, with K(n_top) = k (and its price)."""
+    return row.candidate(n_top, row.z(n_top, k), price)
 
 
 def _baseline(
@@ -78,7 +79,7 @@ def _baseline(
             return None
         row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
         n_top = row.n_top(req.pw, req.max_instances)
-        return _plan(_packed(row, n_top, scaling or DEFAULT_SCALING)) if n_top > 0 else None
+        return _plan(_packed(row, n_top, (scaling or DEFAULT_SCALING).factor(row.v, n_top))) if n_top > 0 else None
 
 
 def plan_cost_first(
@@ -149,9 +150,8 @@ class SweepSpec:
     max_instances: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "pw_min", as_price(self.pw_min))
-        object.__setattr__(self, "pw_max", as_price(self.pw_max))
-        object.__setattr__(self, "pw_step", as_price(self.pw_step))
+        for name in ("pw_min", "pw_max", "pw_step"):
+            object.__setattr__(self, name, _budget(name, getattr(self, name)))
         object.__setattr__(self, "policies", tuple(self.policies))
         if self.pw_min < 0 or self.pw_min >= self.pw_max:
             raise ValueError("need 0 <= pw_min < pw_max")
@@ -217,7 +217,8 @@ class SweepResult:
 def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     """Per (GPU index, rank): peaks and firsts for t = 1..N, where peaks[t - 1]
     is the largest Z(n) over n <= t and firsts[t - 1] is n - 1 for the first
-    n that reaches it.  peaks never falls.
+    n that reaches it.  peaks never falls.  Per GPU index: its K(n) for n =
+    1..N, which the sweep reads for every plan's raw performance.
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
     n, and tiering Z does not depend on w, so a GPU's tiering rows share one
@@ -231,10 +232,15 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     tables = {}
     for v_idx, group in by_rank.items():
         v = next(iter(group.values())).v
-        ks = [scaling.factor(v, n) for n in range(1, n_max[v_idx] + 1)]
-        for rank, row in group.items():
-            zs = [row.z(n, k) for n, k in enumerate(ks, 1)]
-            firsts = array("q", accumulate(range(len(zs)), lambda best, i: i if zs[i] > zs[best] else best))
+        tables[v_idx] = ks = [scaling.factor(v, n) for n in range(1, n_max[v_idx] + 1)]
+        for rank, row in group.items():  # Z(n) as row.z computes it, without a call per n
+            zs = ([n * row.spfp * k for n, k in enumerate(ks, 1)] if rank else
+                  [((n - 1) * row.spfp + row.odfp) * k for n, k in enumerate(ks, 1)])
+            firsts, first = array("q"), 0
+            for i, z in enumerate(zs):
+                if z > zs[first]:
+                    first = i
+                firsts.append(first)
             tables[v_idx, rank] = array("d", map(zs.__getitem__, firsts)), firsts
     return tables
 
@@ -270,9 +276,10 @@ def _sweep_plans(
     grid: tuple[Decimal, ...],
     scaling: ScalingSource,
     sat: SaturationTable,
-) -> dict[str, list[tuple[Optional[ClusterPlan], float]]]:
-    """(plan, raw performance) of the planner and of spec's policies at every
-    grid point, in one ascending pass over the grid.
+) -> dict[str, list[tuple[int, Optional[ClusterPlan], float]]]:
+    """The runs of the planner's and spec's policies' plans over the grid, in
+    one ascending pass: per policy, (first grid index, plan, raw performance)
+    of each run of one plan, the first from index 0 with (None, 0.0).
 
     A row's planner candidate at n_top is its best with top_k = 1, the first n
     <= n_top with the largest Z: Z = peaks[n_top - 1] at n = firsts[n_top - 1]
@@ -280,19 +287,21 @@ def _sweep_plans(
     n_top.  Keys only fall as pw rises, so a policy's plan is the smallest key
     offered so far.  A row sleeps in a heap of (price of n, row, n) until pw
     reaches that price, raises n_top by exact Decimal comparisons up to its
-    top, offers its candidates, and sleeps until the first n whose Z beats the
-    planner's or noscale's best Z, or for good (a later n that only ties costs
-    more than pw).  A row that a baseline packs at n_top wakes at every n.
+    top, offers its candidates (those at n_top reuse the price of n_top, so
+    the default sweeps price each row and n once), and sleeps until the first
+    n whose Z beats the planner's or noscale's best Z, or for good (a later n
+    that only ties costs more than pw).  A row that a baseline packs at n_top
+    wakes at every n.
     Plans are built where they change.  Only rows that can win are scheduled:
     _undominated drops, before the tables and the heap are built, each tiering
     row that another row of its GPU beats at every n (on the simulated catalog
     38 of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
-    per_point = {policy: [(None, 0.0)] * len(grid) for policy in policies}
+    runs = {policy: [(0, None, 0.0)] for policy in policies}
     if not grid[-1] > 0:
         # All prices are positive, so a zero ceiling admits no plan.
-        return per_point
+        return runs
     req = spec.request_at(grid[-1])
     rows = [(row, top) for row in _undominated(_rows(catalog, req, sat))
             if (top := row.n_top(req.pw, req.max_instances)) >= 1]
@@ -303,25 +312,25 @@ def _sweep_plans(
     noscale = "noscale" in policies
     planner_key = noscale_key = (math.inf,)  # the best keys so far
     changed: dict = {}  # policy -> its new candidate at this grid point
-    current = dict.fromkeys(policies, (None, 0.0))
     wakes = [(row.price(1), r, 1) for r, (row, *_) in enumerate(records)]
     heapq.heapify(wakes)
     for i, pw in enumerate(grid):
         while wakes and wakes[0][0] <= pw:
-            _, r, n_top = heapq.heappop(wakes)
+            at, r, n_top = heapq.heappop(wakes)  # at: price(n_top), which the candidates at n_top reuse
             row, top, peaks, firsts, packed = records[r]
             while n_top < top and (price := row.price(n_top + 1)) <= pw:
-                n_top += 1
+                n_top, at = n_top + 1, price
             if -(z := peaks[n_top - 1]) <= planner_key[0]:
-                candidate = row.candidate(firsts[n_top - 1] + 1, z)
+                n = firsts[n_top - 1] + 1
+                candidate = row.candidate(n, z, at if n == n_top else None)
                 if candidate[0] < planner_key:
                     planner_key, changed[PLANNER_POLICY] = candidate[0], candidate
             if noscale and -(z := row.z(n_top, 1.0)) <= noscale_key[0]:
-                candidate = row.candidate(n_top if row.spfp else 1, z)  # SPFP 0: the row's Z all tie
+                candidate = row.candidate(n_top, z, at) if row.spfp else row.candidate(1, z)  # SPFP 0: all tie
                 if candidate[0] < noscale_key:
                     noscale_key, changed["noscale"] = candidate[0], candidate
             if packed:
-                changed.update(dict.fromkeys(packed, _packed(row, n_top, scaling)))
+                changed.update(dict.fromkeys(packed, _packed(row, n_top, tables[row.v_idx][n_top - 1], at)))
                 wake = n_top  # the row wakes at n = wake + 1, or never when wake == top
             else:
                 wake = bisect_right(peaks, -planner_key[0], n_top, top)
@@ -330,15 +339,12 @@ def _sweep_plans(
             if wake < top:  # price holds price(n_top + 1) > pw when wake == n_top
                 heapq.heappush(wakes, (price if wake == n_top else row.price(wake + 1), r, wake + 1))
         for policy, candidate in changed.items():
-            plan = _plan(candidate)
-            if not math.isfinite(raw := evaluate_performance(plan, scaling)):
-                name = plan.gpu_instance.name
-                raise ValueError(f"the plan of {plan.n_gpu} x {name!r} performs {raw}: it overflows float")
-            current[policy] = plan, raw
+            plan, ((*_, v_idx, _, n, _), v, _) = _plan(candidate), candidate
+            if not math.isfinite(raw := n * v.eflops * tables[v_idx][n - 1]):  # evaluate_performance(plan, scaling)
+                raise ValueError(f"the plan of {n} x {v.name!r} performs {raw}: it overflows float")
+            runs[policy].append((i, plan, raw))
         changed.clear()
-        for policy, points in per_point.items():
-            points[i] = current[policy]
-    return per_point
+    return runs
 
 
 def run_sweep(
@@ -354,34 +360,30 @@ def run_sweep(
     plan_performance_first() return there with top_k = 1.  The normalizer
     is the full planner's raw performance at the last grid point.  Raises
     ValueError when a plan's Z, or a raw or normalized performance, is not
-    finite.
+    finite.  Work bound: one K(n) call per Z-table entry, the sum over GPUs
+    of the largest n_top of their scheduled rows (636 on the simulated catalog).
     """
     scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()
     grid = spec.grid()
     with localcontext(_BUDGET_CONTEXT):
-        per_point = _sweep_plans(catalog, spec, grid, scaling, sat)
-    normalizer = per_point[PLANNER_POLICY][-1][1]
-    top = max((raw for policy in spec.policies for _, raw in per_point[policy]), default=0.0)
+        runs = _sweep_plans(catalog, spec, grid, scaling, sat)
+    normalizer = runs[PLANNER_POLICY][-1][2]
+    top = max((raw for policy in spec.policies for *_, raw in runs[policy]), default=0.0)
     if normalizer > 0 and not math.isfinite(top / normalizer):
         raise ValueError(f"raw performance {top} over the normalizer {normalizer} overflows float")
     curves = {}
     for policy in spec.policies:
-        points, last = [], None
-        for pw, entry in zip(grid, per_point[policy]):
-            if entry is not last:  # a run of one unchanged plan shares its floats
-                last, (plan, raw) = entry, entry
-                normalized = raw / normalizer if normalizer > 0 else 0.0
-            points.append(SweepPoint(pw, raw, normalized, plan))
+        points, starts = [], runs[policy]
+        for (i, plan, raw), (end, *_) in zip(starts, [*starts[1:], (len(grid),)]):
+            normalized = raw / normalizer if normalizer > 0 else 0.0  # one float per run of one plan
+            points += [SweepPoint(pw, raw, normalized, plan) for pw in grid[i:end]]
         curves[policy] = tuple(points)
     return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
 
 
 _PLAN_COLUMNS = ("architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price")
 _CSV_COLUMNS = ("pw", "policy", "raw", "normalized", *_PLAN_COLUMNS)
-# The types of _plan_values in a plan the planner builds.  Only a plan whose
-# values have exactly these fills the writers' templates.
-_PLANNER_TYPES = {(str, str, int, cpu, m, Decimal, float) for cpu in (str, type(None)) for m in (int, type(None))}
 
 
 def _plan_values(plan: ClusterPlan) -> tuple:
@@ -389,6 +391,13 @@ def _plan_values(plan: ClusterPlan) -> tuple:
     cpu = plan.cpu_instance
     return (plan.architecture, plan.gpu_instance.name, plan.n_gpu, cpu.name if cpu else None, plan.m_cpu,
             plan.hourly_price, plan.score_z)
+
+
+def _of_planner_types(values: tuple) -> bool:
+    """Whether _plan_values have exactly the types of a planner's plan, as the writers' templates need."""
+    architecture, gpu, n, cpu, m, price, z = values
+    return (type(architecture) is type(gpu) is str and type(n) is int and (cpu is None or type(cpu) is str)
+            and (m is None or type(m) is int) and type(price) is Decimal and type(z) is float)
 
 
 def _plan_fields(plan: Optional[ClusterPlan]) -> tuple:
@@ -406,7 +415,8 @@ def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, Ite
     text) in the stable sort of the points, curves in insertion order, on
     (float(pw), policy order).  That is plain grid-major, policy-minor order,
     and no row is sorted, when each curve holds the grid's own pw objects in
-    grid order and the grid's floats strictly rise, as run_sweep makes them.
+    grid order and the grid's floats strictly rise from above -inf, so that
+    not even a lone one is NaN, as run_sweep makes them.
     """
     orders = {policy: i for i, policy in enumerate(DEFAULT_POLICIES)}
     grid, floats, texts = result.grid, [float(pw) for pw in result.grid], {}
@@ -418,7 +428,7 @@ def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, Ite
             texts[policy].append(text)
             last = p
     pws = list(map(pw_text, floats))
-    if all(map(float.__lt__, floats, floats[1:])) and all(
+    if all(map(float.__lt__, [-math.inf, *floats], floats)) and all(  # rising, and no lone NaN
             len(c) == len(grid) and all(map(is_, map(attrgetter("pw"), c), grid)) for c in result.curves.values()):
         rows = zip(pws, zip(*(texts[k] for k in sorted(texts, key=lambda k: orders.get(k, len(orders))))))
         return pws, texts, ((pw, text) for pw, row in rows for text in row)
@@ -444,8 +454,8 @@ def sweep_to_csv(result: SweepResult) -> str:
     """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run, so
     on a run_sweep result each plan once, and no row sorted (_in_row_order).  csv
     quotes each field on its own and a float's repr needs no quotes, so with a str
-    policy, float raw and normalized and a plan of _PLANNER_TYPES, the rest is
-    f"{policy},{raw!r},{normalized!r},{columns}"; else it is one csv.writer row."""
+    policy, float raw and normalized and a plan that passes _of_planner_types, the
+    rest is f"{policy},{raw!r},{normalized!r},{columns}"; else one csv.writer row."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
     names = {}
     # A name's field as csv.writer writes it: after a first field, even an empty name.
@@ -456,17 +466,15 @@ def sweep_to_csv(result: SweepResult) -> str:
         if type(policy) is str and type(raw) is type(normalized) is float:
             if not plan:
                 return f"{quote(policy)},{raw!r},{normalized!r},,,,,,\n"
-            if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
+            if _of_planner_types(values := _plan_values(plan)):
                 architecture, gpu, n, cpu, m, price, _ = values
                 m = "" if cpu is None or m is None else m
                 return (f"{quote(policy)},{raw!r},{normalized!r},{quote(architecture)},{quote(gpu)},{n},"
                         f"{quote(cpu)},{m},{float(price)!r}\n")
         return line((policy, raw, normalized, *_plan_fields(plan)))
 
-    out = [line(_CSV_COLUMNS)]
-    for pw, text in _in_row_order(result, render, float.__repr__)[2]:
-        out += (pw, ",", text)
-    return "".join(out)
+    rows = _in_row_order(result, render, lambda pw: float.__repr__(pw) + ",")[2]
+    return "".join([line(_CSV_COLUMNS), *chain.from_iterable(rows)])
 
 
 def _json_float(x: float) -> str:
@@ -502,11 +510,11 @@ def _json_texts(a, g, n, c, m, p, z, row_m) -> tuple[str, str]:
 
 
 def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
-    """_json_texts of a plan: its values' texts by type if of _PLANNER_TYPES, else
-    from _json_value, re-indented to fit the summary."""
+    """_json_texts of a plan: its values' texts by type if they pass
+    _of_planner_types, else from _json_value, re-indented to fit the summary."""
     if not plan:
         return _json_texts(*("null",) * 8)[0], "null"
-    if tuple(map(type, values := _plan_values(plan))) in _PLANNER_TYPES:
+    if _of_planner_types(values := _plan_values(plan)):
         architecture, gpu, n, cpu, m, price, z = values
         c, m = "null" if cpu is None else _json_string(cpu), "null" if m is None else m
         return _json_texts(_json_string(architecture), _json_string(gpu), n, c, m, _json_float(float(price)),
@@ -536,8 +544,9 @@ def sweep_to_json(result: SweepResult) -> str:
     plan.summary() or None}, ...]}}, written without building the payload.
     Each grid pw and policy is rendered once, and a row's text after its pw
     and the plan's summary once per run: on a run_sweep result, each plan once,
-    and no row is sorted (_in_row_order).  Only plans not of _PLANNER_TYPES, and
-    raw or normalized that are not floats, go through _json_value.
+    and no row is sorted (_in_row_order).  Only plans that fail
+    _of_planner_types, and raw or normalized that are not floats, go through
+    _json_value.
     """
     policies = {policy: _json_value(policy) for policy in result.curves}
 

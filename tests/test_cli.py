@@ -545,6 +545,25 @@ def test_max_limit_over_the_cap_exits_1_in_one_line(capsys, argv):
     assert err == "error: max_instances must be in 1..10000, not 10001\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["plan", "--pw", "1e999999999"], "pw must be a finite float, not 1E+999999999"),
+        (["plan", "--pw", "1e400"], "pw must be a finite float, not 1E+400"),
+        (["simulate", "--pw-max", "1e999999999", "--pw-step", "1e999999990"],
+         "pw_max must be a finite float, not 1E+999999999"),
+        (["simulate", "--pw-max", "1e400000", "--pw-step", "1e399999"], "pw_max must be a finite float, not 1E+400000"),
+        (["simulate", "--pw-min", "2e308", "--pw-max", "3e308"], "pw_min must be a finite float, not 2E+308"),
+        (["simulate", "--pw-step", "1e309"], "pw_step must be a finite float, not 1E+309"),
+    ],
+)
+def test_budget_beyond_float_range_exits_1_in_one_line(capsys, argv, message):
+    """These ended in a decimal.Overflow traceback, or (simulate to 1e400000) wrote inf budgets and exited 0."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 @pytest.mark.parametrize("size", ["inf", "nan"])
 def test_non_finite_ckpt_size_exits_1_in_one_line(capsys, command, size):

@@ -104,6 +104,33 @@ class TestPlanRequest:
         with pytest.raises(CatalogParseError):
             PlanRequest(pw=pw)
 
+    @pytest.mark.parametrize("pw", ["1e999999999", "1e1000000", "1e400", "-1e400", "1.8e308"])
+    def test_pw_beyond_float_range_rejected(self, pw):
+        """A plan reports its price as a float, so a budget must be a finite one.
+        recommend() used to raise decimal.Overflow at pw - od for 1e1000000."""
+        with pytest.raises(ValueError, match=f"^pw must be a finite float, not {re.escape(str(Decimal(pw)))}$"):
+            PlanRequest(pw=pw)
+
+    def test_largest_finite_pw_plans(self, simulated_catalog):
+        req = PlanRequest(pw="1.7976931348623157e308", max_instances=8, top_k=1)
+        (plan,) = recommend(simulated_catalog, req)
+        assert plan.n_gpu == 8
+
+    @pytest.mark.parametrize("name", ["max_instances", "top_k"])
+    @pytest.mark.parametrize("value", [5.5, 2.0, "3", Decimal(3), None])
+    def test_non_integer_counts_rejected(self, name, value):
+        """A float count used to pass the checks and fail later: max_instances
+        in _TieringRow.n_top, top_k in heapq.nsmallest."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+            PlanRequest(pw="3", **{name: value})
+
+    def test_numpy_integer_counts_plan_as_ints(self, simulated_catalog):
+        np = pytest.importorskip("numpy")
+        req = PlanRequest(pw="3", max_instances=np.int64(5), top_k=np.int32(2))
+        assert type(req.max_instances) is type(req.top_k) is int
+        assert req == PlanRequest(pw="3", max_instances=5, top_k=2)
+        assert recommend(simulated_catalog, req) == recommend(simulated_catalog, PlanRequest(pw="3", max_instances=5, top_k=2))
+
 
 class TestSingleAnchor:
     def test_budget_packs_five_nodes(self, simulated_catalog, best_of):

@@ -35,7 +35,7 @@ def _plans(simulated_catalog):
         ClusterPlan("single_anchor", gpu, 3, None, None, Decimal("1.25"), 12.5),
         ClusterPlan("tiering", gpu, 9, cpu, 2, Decimal("2.5"), 40.0),
         ClusterPlan("tiering", gpu, 1, cpu, None, Decimal("0.75"), math.nan),  # m None with a CPU
-        ClusterPlan("single_anchor", gpu, True, None, 4, Decimal("1"), math.inf),  # not of _PLANNER_TYPES
+        ClusterPlan("single_anchor", gpu, True, None, 4, Decimal("1"), math.inf),  # fails _of_planner_types
     ]
 
 
@@ -108,6 +108,16 @@ def test_writers_render_each_plan_once_and_sort_no_row(request, fixture, writer,
     assert reads == dict.fromkeys(plans, 1)
     assert max(sorts, default=0) <= len(result.curves)  # the policy order only
     assert _CountedPw.floats == len(result.grid)  # so no row has a sort key
+
+
+def test_a_lone_nan_budget_keeps_the_curve_order():
+    """The rows of a one-point NaN grid compare equal in the reference's sort,
+    so the curves keep their insertion order, noscale first here; the
+    grid-major order put the planner first."""
+    point = SweepPoint(Decimal("NaN"), 0.0, 0.0, None)
+    result = SweepResult(grid=(point.pw,), curves={"noscale": (point,), "planner": (point,)})
+    assert_same_output(result)
+    assert [row["policy"] for row in sweep_rows(result)] == ["noscale", "planner"]
 
 
 @pytest.mark.parametrize("writer", WRITERS)

@@ -130,9 +130,7 @@ def cmd_plan(args) -> int:
         cols = ["rank", "architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price", "score_z"]
         writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
         writer.writeheader()
-        for rank, p in enumerate(plans, 1):
-            row = {"rank": rank, **p.summary()}
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in cols})
+        writer.writerows({"rank": rank, **p.summary()} for rank, p in enumerate(plans, 1))  # None -> ""
         text = buf.getvalue()
     else:
         lines = [

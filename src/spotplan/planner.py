@@ -116,7 +116,7 @@ class PlanRequest:
     def __post_init__(self):
         object.__setattr__(self, "pw", _budget("pw", self.pw))
         object.__setattr__(self, "ckpt_size", float(self.ckpt_size))
-        for name in ("max_instances", "top_k"):  # operator.index: ints, numpy's among them
+        for name in ("buffer_count", "max_instances", "top_k"):  # operator.index: ints, numpy's among them
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:

@@ -131,7 +131,8 @@ def scaling_factor(p: LogisticParams, n: int) -> float:
 
 def _first(pred, lo: int, hi: int) -> int:
     """The first n in [lo, hi] with pred(n), or hi if there is none, given
-    that pred is false and then true over the range."""
+    that pred is false and then true over the range.  Not bisect, whose C
+    code needs bounds within Py_ssize_t: superlinear_from's hi is ceil(c)."""
     while lo < hi:
         mid = (lo + hi) // 2
         if pred(mid):

@@ -15,14 +15,14 @@ import heapq
 import json
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter, is_, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .catalog import Catalog, InstanceSpec
+from .catalog import Catalog
 from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _rows, _SingleAnchorRow, flopp,
                       recommend)
 from .saturation import SaturationTable, default_saturation_table
@@ -49,18 +49,9 @@ PLANNER_POLICY = "planner"
 DEFAULT_POLICIES = (PLANNER_POLICY, "noscale", "cost_first", "performance_first")
 
 
-def _cost_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
-    """Index of the cheapest-spot GPU, the higher eflops first on ties."""
-    return min(range(len(gpus)), key=lambda i: (gpus[i].spot_price, -gpus[i].eflops, i), default=None)
-
-
-def _performance_first_gpu(gpus: Sequence[InstanceSpec]) -> Optional[int]:
-    """Index of the highest-eflops GPU, the cheaper spot first on ties."""
-    return min(range(len(gpus)), key=lambda i: (-gpus[i].eflops, gpus[i].spot_price, i), default=None)
-
-
-# The single-anchor GPU each baseline packs.
-_BASELINE_GPUS = {"cost_first": _cost_first_gpu, "performance_first": _performance_first_gpu}
+# The key of the single-anchor GPU each baseline packs: min returns the catalog's first GPU of the least key.
+_BASELINE_GPUS = {"cost_first": lambda v: (v.spot_price, -v.eflops),
+                  "performance_first": lambda v: (-v.eflops, v.spot_price)}
 
 
 def _packed(row: _SingleAnchorRow, n_top: int, k: float, price: Optional[Decimal] = None) -> tuple:
@@ -73,8 +64,8 @@ def _baseline(
 ) -> Optional[ClusterPlan]:
     """The plan of a _BASELINE_GPUS policy under req, or None when its GPU does not fit."""
     with localcontext(_BUDGET_CONTEXT):
-        gpus = catalog.gpu_view
-        v_idx = _BASELINE_GPUS[policy](gpus)
+        gpus, key = catalog.gpu_view, _BASELINE_GPUS[policy]
+        v_idx = min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None)
         if v_idx is None:
             return None
         row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
@@ -215,10 +206,10 @@ class SweepResult:
 
 
 def _z_tables(rows: list, scaling: ScalingSource) -> dict:
-    """Per (GPU index, rank): peaks and firsts for t = 1..N, where peaks[t - 1]
-    is the largest Z(n) over n <= t and firsts[t - 1] is n - 1 for the first
-    n that reaches it.  peaks never falls.  Per GPU index: its K(n) for n =
-    1..N, which the sweep reads for every plan's raw performance.
+    """Per (GPU index, rank): peaks for t = 1..N, where peaks[t - 1] is the
+    largest Z(n) over n <= t, accumulate(zs, max); peaks never falls, so the
+    first n that reaches it is bisect_left(peaks, peaks[t - 1], 0, t) + 1.  Per
+    GPU index: its K(n) for n = 1..N, read for every plan's raw performance.
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
     n, and tiering Z does not depend on w, so a GPU's tiering rows share one
@@ -236,12 +227,7 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
         for rank, row in group.items():  # Z(n) as row.z computes it, without a call per n
             zs = ([n * row.spfp * k for n, k in enumerate(ks, 1)] if rank else
                   [((n - 1) * row.spfp + row.odfp) * k for n, k in enumerate(ks, 1)])
-            firsts, first = array("q"), 0
-            for i, z in enumerate(zs):
-                if z > zs[first]:
-                    first = i
-                firsts.append(first)
-            tables[v_idx, rank] = array("d", map(zs.__getitem__, firsts)), firsts
+            tables[v_idx, rank] = array("d", accumulate(zs, max))  # max keeps the first of equals
     return tables
 
 
@@ -282,16 +268,16 @@ def _sweep_plans(
     of each run of one plan, the first from index 0 with (None, 0.0).
 
     A row's planner candidate at n_top is its best with top_k = 1, the first n
-    <= n_top with the largest Z: Z = peaks[n_top - 1] at n = firsts[n_top - 1]
-    + 1.  With K = 1, Z rises strictly with n, so noscale's is the row at
-    n_top.  Keys only fall as pw rises, so a policy's plan is the smallest key
-    offered so far.  A row sleeps in a heap of (price of n, row, n) until pw
-    reaches that price, raises n_top by exact Decimal comparisons up to its
-    top, offers its candidates (those at n_top reuse the price of n_top, so
-    the default sweeps price each row and n once), and sleeps until the first
-    n whose Z beats the planner's or noscale's best Z, or for good (a later n
-    that only ties costs more than pw).  A row that a baseline packs at n_top
-    wakes at every n.
+    <= n_top with the largest Z: Z = peaks[n_top - 1] at n = bisect_left(peaks,
+    Z, 0, n_top) + 1, the first n whose prefix maximum reaches Z.  With K = 1,
+    Z rises strictly with n, so noscale's is the row at n_top.  Keys only fall
+    as pw rises, so a policy's plan is the smallest key offered so far.  A row
+    sleeps in a heap of (price of n, row, n) until pw reaches that price,
+    raises n_top by exact Decimal comparisons up to its top, offers its
+    candidates (those at n_top reuse the price of n_top, so the default sweeps
+    price each row and n once), and sleeps until the first n whose Z beats the
+    planner's or noscale's best Z, or for good (a later n that only ties costs
+    more than pw).  A row that a baseline packs at n_top wakes at every n.
     Plans are built where they change.  Only rows that can win are scheduled:
     _undominated drops, before the tables and the heap are built, each tiering
     row that another row of its GPU beats at every n (on the simulated catalog
@@ -306,8 +292,10 @@ def _sweep_plans(
     rows = [(row, top) for row in _undominated(_rows(catalog, req, sat))
             if (top := row.n_top(req.pw, req.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
-    packs = [(pick(catalog.gpu_view), policy) for policy, pick in _BASELINE_GPUS.items() if policy in policies]
-    records = [(row, top, *tables[row.v_idx, row.rank], [p for v, p in packs if v == row.v_idx and not row.rank])
+    gpus = catalog.gpu_view
+    packs = [(min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None), policy)
+             for policy, key in _BASELINE_GPUS.items() if policy in policies]
+    records = [(row, top, tables[row.v_idx, row.rank], [p for v, p in packs if v == row.v_idx and not row.rank])
                for row, top in rows]
     noscale = "noscale" in policies
     planner_key = noscale_key = (math.inf,)  # the best keys so far
@@ -317,11 +305,11 @@ def _sweep_plans(
     for i, pw in enumerate(grid):
         while wakes and wakes[0][0] <= pw:
             at, r, n_top = heapq.heappop(wakes)  # at: price(n_top), which the candidates at n_top reuse
-            row, top, peaks, firsts, packed = records[r]
+            row, top, peaks, packed = records[r]
             while n_top < top and (price := row.price(n_top + 1)) <= pw:
                 n_top, at = n_top + 1, price
             if -(z := peaks[n_top - 1]) <= planner_key[0]:
-                n = firsts[n_top - 1] + 1
+                n = bisect_left(peaks, z, 0, n_top) + 1
                 candidate = row.candidate(n, z, at if n == n_top else None)
                 if candidate[0] < planner_key:
                     planner_key, changed[PLANNER_POLICY] = candidate[0], candidate
@@ -485,18 +473,9 @@ def _json_float(x: float) -> str:
 
 _json_string = json.encoder.encode_basestring_ascii
 
-# What json.dumps writes for a scalar of exactly these types.
-_JSON_SCALARS = {str: _json_string, float: _json_float, int: int.__repr__, type(None): lambda x: "null"}
-
 
 def _json_value(x, pad: str = " " * 6) -> str:
-    """x as json.dumps(..., indent=2) writes it on a line indented by pad."""
-    if type(x) is float and x - x == 0.0:  # a finite float, the most common value
-        return float.__repr__(x)
-    scalar = _JSON_SCALARS.get(type(x))
-    if scalar is not None:
-        return scalar(x)
-    # bool, subclasses, containers, and the TypeError of what JSON cannot hold
+    """json.dumps(x, indent=2) on a line indented by pad: on a run_sweep result, policies and the normalizer."""
     return json.dumps(x, indent=2).replace("\n", "\n" + pad)
 
 

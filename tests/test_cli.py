@@ -155,6 +155,18 @@ class TestPlanCommand:
         assert code == 0 and len(rows) == 3
         assert rows[0]["rank"] == "1"
 
+    @pytest.mark.parametrize("argv, text", [
+        ((), "1,tiering,D,17,M,1,2.975,16631.592416736858\n2,tiering,D,17,N,1,2.997,16631.592416736858\n"
+             "3,tiering,D,16,M,1,2.81,15804.401696011173\n"),
+        (("--top-k", "3", "--ckpt-size-gib", "64"),  # no CPU holds 128 GiB: cpu and cpu_count are empty
+         "1,single_anchor,D,15,,,2.86,14256.222419245583\n2,single_anchor,D,14,,,2.695,13383.155276959376\n"
+         "3,single_anchor,D,13,,,2.53,12500.796803153005\n"),
+    ])
+    def test_csv_bytes_are_pinned(self, capsys, argv, text):
+        code, out, err = run(capsys, "plan", "--format", "csv", *argv)
+        assert (code, err) == (0, "")
+        assert out == "rank,architecture,gpu,gpu_count,cpu,cpu_count,hourly_price,score_z\n" + text
+
     def test_table_round_trips_through_json_at_6_digits(self, capsys):
         code, table_out, _ = run(capsys, "plan", "--pw", "4.3")
         code2, json_out, _ = run(capsys, "plan", "--pw", "4.3", "--format", "json")

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import json
+import math
 import random
 import re
 from decimal import Decimal
@@ -116,20 +117,24 @@ class TestPlanRequest:
         (plan,) = recommend(simulated_catalog, req)
         assert plan.n_gpu == 8
 
-    @pytest.mark.parametrize("name", ["max_instances", "top_k"])
-    @pytest.mark.parametrize("value", [5.5, 2.0, "3", Decimal(3), None])
+    @pytest.mark.parametrize("name", ["max_instances", "top_k", "buffer_count"])
+    @pytest.mark.parametrize("value", [5.5, 2.0, "3", Decimal(3), None, math.nan, math.inf])
     def test_non_integer_counts_rejected(self, name, value):
         """A float count used to pass the checks and fail later: max_instances
-        in _TieringRow.n_top, top_k in heapq.nsmallest."""
+        in _TieringRow.n_top, top_k in heapq.nsmallest.  A NaN or infinite
+        buffer_count made required_memory NaN or inf and silently dropped every
+        tiering row, a fractional one planned with a fraction of the memory, and
+        a str raised a bare TypeError from <."""
         with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
             PlanRequest(pw="3", **{name: value})
 
     def test_numpy_integer_counts_plan_as_ints(self, simulated_catalog):
         np = pytest.importorskip("numpy")
-        req = PlanRequest(pw="3", max_instances=np.int64(5), top_k=np.int32(2))
-        assert type(req.max_instances) is type(req.top_k) is int
-        assert req == PlanRequest(pw="3", max_instances=5, top_k=2)
-        assert recommend(simulated_catalog, req) == recommend(simulated_catalog, PlanRequest(pw="3", max_instances=5, top_k=2))
+        req = PlanRequest(pw="3", max_instances=np.int64(5), top_k=np.int32(2), buffer_count=np.int16(3))
+        assert type(req.max_instances) is type(req.top_k) is type(req.buffer_count) is int
+        plain = PlanRequest(pw="3", max_instances=5, top_k=2, buffer_count=3)
+        assert req == plain
+        assert recommend(simulated_catalog, req) == recommend(simulated_catalog, plain)
 
 
 class TestSingleAnchor:

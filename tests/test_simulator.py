@@ -10,7 +10,7 @@ import random
 import re
 import warnings
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
 
 import pytest
@@ -209,6 +209,18 @@ class TestSweepSpec:
         np = pytest.importorskip("numpy")
         spec = SweepSpec(pw_max="2", pw_step="0.5", max_instances=np.int64(6))
         assert run_sweep(simulated_catalog, spec) == run_sweep(simulated_catalog, dataclasses.replace(spec, max_instances=6))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, "2"])
+    def test_non_integer_buffer_count_rejected(self, value):
+        """SweepSpec(buffer_count=math.nan) used to sweep only single_anchor plans."""
+        with pytest.raises(ValueError, match=f"^buffer_count must be an integer, not {re.escape(repr(value))}$"):
+            SweepSpec(buffer_count=value)
+
+    def test_numpy_integer_buffer_count_sweeps_as_an_int(self, simulated_catalog):
+        np = pytest.importorskip("numpy")
+        spec = SweepSpec(pw_max="2", pw_step="0.5", buffer_count=np.int64(3))
+        plain = dataclasses.replace(spec, buffer_count=3)
+        assert run_sweep(simulated_catalog, spec) == run_sweep(simulated_catalog, plain)
 
 
 class TestRunSweep:
@@ -536,18 +548,18 @@ def _table_rows(draw):
 @settings(max_examples=60, deadline=None)
 @given(rows=_table_rows())
 def test_z_tables_hold_the_prefix_maximum(rows):
-    """peaks[t - 1] is the largest Z over n <= t and firsts[t - 1] the index of
-    the first n that reaches it, so peaks never falls: what lets the sweep
-    bisect a row's table for the next n that can beat a plan."""
+    """peaks[t - 1] is the largest Z over n <= t, so peaks never falls: what
+    lets the sweep bisect a row's table for the next n that can beat a plan,
+    and bisect_left for the index of the first n that reaches peaks[t - 1]."""
     for scaling in (ScalingSource(), UnitScaling()):
         tables = _z_tables(rows, scaling)
         for row, top in rows:
-            peaks, firsts = tables[row.v_idx, row.rank]
-            assert len(peaks) == len(firsts) == max(t for r, t in rows if r.v_idx == row.v_idx)
+            peaks = tables[row.v_idx, row.rank]
+            assert len(peaks) == max(t for r, t in rows if r.v_idx == row.v_idx)
             zs = [row.z(n, scaling.factor(row.v, n)) for n in range(1, len(peaks) + 1)]
             for t in range(1, len(peaks) + 1):
                 assert peaks[t - 1] == max(zs[:t])
-                assert firsts[t - 1] == zs.index(peaks[t - 1])
+                assert bisect_left(peaks, peaks[t - 1], 0, t) == zs.index(peaks[t - 1])
             assert all(lo <= hi for lo, hi in zip(peaks, peaks[1:]))
 
 
@@ -574,16 +586,17 @@ def _unit_row(architecture: int, spfp: float, odfp: float):
 @given(architecture=st.sampled_from([0, 1]), spfp=_SPFPS, share=st.floats(0.0, 1.0), top=st.integers(1, 300))
 def test_z_tables_hold_row_z_bit_for_bit(architecture, spfp, share, top):
     """_z_tables computes Z(n) without calling row.z.  Its peaks are row.z's
-    values bit for bit, infinities included, firsts the first n of each, and
-    its K(n) list the scaling source's."""
+    values bit for bit, infinities included, bisect_left finds the first n of
+    each, and its K(n) list is the scaling source's."""
     row = _unit_row(architecture, spfp, share * spfp)
     for scaling in (ScalingSource(), UnitScaling()):
         tables = _z_tables([(row, top)], scaling)
         ks = [scaling.factor(row.v, n) for n in range(1, top + 1)]
         zs = [row.z(n, k) for n, k in enumerate(ks, 1)]
-        peaks, firsts = tables[row.v_idx, row.rank]
+        peaks = tables[row.v_idx, row.rank]
         assert tables[row.v_idx] == ks
-        assert list(firsts) == list(itertools.accumulate(range(top), lambda best, i: i if zs[i] > zs[best] else best))
+        firsts = list(itertools.accumulate(range(top), lambda best, i: i if zs[i] > zs[best] else best))
+        assert all(bisect_left(peaks, peaks[t - 1], 0, t) == zs.index(peaks[t - 1]) for t in range(1, top + 1))
         assert peaks.tobytes() == array("d", (zs[i] for i in firsts)).tobytes()
 
 

@@ -257,6 +257,24 @@ def test_bundled_sweep_json_bytes_are_pinned(request, fixture):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SWEEP_JSON_SHA256[fixture]
 
 
+# sha256 of (JSON, CSV) of a sweep whose Z prefix maxima have long flat runs,
+# where a plan's n must be the first that reaches the maximum; per bundled catalog.
+PLATEAU_SPEC = SweepSpec(pw_max="60", pw_step="0.5", max_instances=10000)
+PINNED_PLATEAU_SHA256 = {
+    "simulated_catalog": ("9e08eb46106d638c4d749a1b45dfa550b7b650da3e1d005c80f2caf632d150a3",
+                          "2ef8d702011efd32b0dcb2c2d3cf68cf2be37e876a2275248ad1afc5246da816"),
+    "aws_catalog": ("44dfefc14cc058d6ede415719d6a438de0ff7359caefbeae4d84bee6ba49223e",
+                    "957da565cddd54f23495b3b52b667d2886bd9482afde6a94edfc48bd92585795"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_PLATEAU_SHA256))
+def test_plateau_sweep_bytes_are_pinned(request, fixture):
+    result = run_sweep(request.getfixturevalue(fixture), PLATEAU_SPEC)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (sweep_to_json(result), sweep_to_csv(result)))
+    assert digests == PINNED_PLATEAU_SHA256[fixture]
+
+
 def test_json_peak_memory_is_a_few_times_the_output(simulated_catalog):
     result = run_sweep(simulated_catalog, SweepSpec(pw_max="19.99", pw_step="0.01"))
     assert len(result.grid) == 2000

@@ -285,7 +285,7 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
             raise TypeError(f"available must be true or false, got {json.dumps(available, default=str)}")
     except KeyError as exc:
         raise CatalogParseError(f"instance {label!r}: missing required field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise CatalogParseError(f"instance {label!r}: {exc}") from exc
 
     scaling = None
@@ -299,7 +299,7 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
             raise CatalogParseError(
                 f"instance {label!r}: scaling object missing key {exc}"
             ) from exc
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise CatalogValidationError(f"instance {label!r}: {exc}") from exc
 
     return InstanceSpec(

@@ -125,8 +125,8 @@ class PlanRequest:
             raise ValueError("pw must be positive")
         if not 0 < self.ckpt_size < math.inf:
             raise ValueError("ckpt_size must be positive and finite")
-        if self.buffer_count < 1:
-            raise ValueError("buffer_count must be >= 1")
+        if not 1 <= self.buffer_count <= sys.float_info.max:  # required_memory floats it; int-float compares exactly
+            raise ValueError(f"buffer_count must be in 1..{sys.float_info.max:.4g}")
         if not 1 <= self.max_instances <= MAX_INSTANCES:
             raise ValueError(f"max_instances must be in 1..{MAX_INSTANCES}, not {self.max_instances}")
         if self.top_k < 1:

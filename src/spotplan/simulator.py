@@ -54,9 +54,11 @@ _BASELINE_GPUS = {"cost_first": lambda v: (v.spot_price, -v.eflops),
                   "performance_first": lambda v: (-v.eflops, v.spot_price)}
 
 
-def _packed(row: _SingleAnchorRow, n_top: int, k: float, price: Optional[Decimal] = None) -> tuple:
-    """A baseline's candidate: its GPU's single-anchor row at n_top, with K(n_top) = k (and its price)."""
-    return row.candidate(n_top, row.z(n_top, k), price)
+def _baseline_row(policy: str, catalog: Catalog) -> Optional[_SingleAnchorRow]:
+    """The single-anchor row of the GPU that _BASELINE_GPUS[policy] picks, or None when the catalog has no GPU."""
+    gpus, key = catalog.gpu_view, _BASELINE_GPUS[policy]
+    v_idx = min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None)
+    return None if v_idx is None else _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
 
 
 def _baseline(
@@ -64,13 +66,10 @@ def _baseline(
 ) -> Optional[ClusterPlan]:
     """The plan of a _BASELINE_GPUS policy under req, or None when its GPU does not fit."""
     with localcontext(_BUDGET_CONTEXT):
-        gpus, key = catalog.gpu_view, _BASELINE_GPUS[policy]
-        v_idx = min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None)
-        if v_idx is None:
+        row = _baseline_row(policy, catalog)
+        if row is None or (n_top := row.n_top(req.pw, req.max_instances)) < 1:
             return None
-        row = _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
-        n_top = row.n_top(req.pw, req.max_instances)
-        return _plan(_packed(row, n_top, (scaling or DEFAULT_SCALING).factor(row.v, n_top))) if n_top > 0 else None
+        return _plan(row.candidate(n_top, row.z(n_top, (scaling or DEFAULT_SCALING).factor(row.v, n_top))))
 
 
 def plan_cost_first(
@@ -209,7 +208,8 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     """Per (GPU index, rank): peaks for t = 1..N, where peaks[t - 1] is the
     largest Z(n) over n <= t, accumulate(zs, max); peaks never falls, so the
     first n that reaches it is bisect_left(peaks, peaks[t - 1], 0, t) + 1.  Per
-    GPU index: its K(n) for n = 1..N, read for every plan's raw performance.
+    GPU index: its K(n) for n = 1..N, read for every plan's raw performance and
+    each baseline's Z.
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
     n, and tiering Z does not depend on w, so a GPU's tiering rows share one
@@ -274,14 +274,14 @@ def _sweep_plans(
     as pw rises, so a policy's plan is the smallest key offered so far.  A row
     sleeps in a heap of (price of n, row, n) until pw reaches that price,
     raises n_top by exact Decimal comparisons up to its top, offers its
-    candidates (those at n_top reuse the price of n_top, so the default sweeps
-    price each row and n once), and sleeps until the first n whose Z beats the
-    planner's or noscale's best Z, or for good (a later n that only ties costs
-    more than pw).  A row that a baseline packs at n_top wakes at every n.
-    Plans are built where they change.  Only rows that can win are scheduled:
-    _undominated drops, before the tables and the heap are built, each tiering
-    row that another row of its GPU beats at every n (on the simulated catalog
-    38 of 80 rows remain).
+    candidates (those at n_top reuse the price of n_top), and sleeps until the
+    first n whose Z beats the planner's or noscale's best Z, or for good (a
+    later n that only ties costs more than pw).  A baseline wakes no row: its
+    plan is its GPU's single-anchor row at n_top, taken after each grid
+    point's wakes, as _baseline does.  Plans are built where they change.  Only
+    rows that can win are scheduled: _undominated drops, before the tables and
+    the heap are built, each tiering row that another row of its GPU beats at
+    every n (on the simulated catalog 38 of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
     runs = {policy: [(0, None, 0.0)] for policy in policies}
@@ -292,11 +292,8 @@ def _sweep_plans(
     rows = [(row, top) for row in _undominated(_rows(catalog, req, sat))
             if (top := row.n_top(req.pw, req.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
-    gpus = catalog.gpu_view
-    packs = [(min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None), policy)
-             for policy, key in _BASELINE_GPUS.items() if policy in policies]
-    records = [(row, top, tables[row.v_idx, row.rank], [p for v, p in packs if v == row.v_idx and not row.rank])
-               for row, top in rows]
+    records = [(row, top, tables[row.v_idx, row.rank]) for row, top in rows]
+    baselines = {p: (row, 0) for p in _BASELINE_GPUS if p in policies and (row := _baseline_row(p, catalog))}
     noscale = "noscale" in policies
     planner_key = noscale_key = (math.inf,)  # the best keys so far
     changed: dict = {}  # policy -> its new candidate at this grid point
@@ -305,7 +302,7 @@ def _sweep_plans(
     for i, pw in enumerate(grid):
         while wakes and wakes[0][0] <= pw:
             at, r, n_top = heapq.heappop(wakes)  # at: price(n_top), which the candidates at n_top reuse
-            row, top, peaks, packed = records[r]
+            row, top, peaks = records[r]
             while n_top < top and (price := row.price(n_top + 1)) <= pw:
                 n_top, at = n_top + 1, price
             if -(z := peaks[n_top - 1]) <= planner_key[0]:
@@ -317,15 +314,14 @@ def _sweep_plans(
                 candidate = row.candidate(n_top, z, at) if row.spfp else row.candidate(1, z)  # SPFP 0: all tie
                 if candidate[0] < noscale_key:
                     noscale_key, changed["noscale"] = candidate[0], candidate
-            if packed:
-                changed.update(dict.fromkeys(packed, _packed(row, n_top, tables[row.v_idx][n_top - 1], at)))
-                wake = n_top  # the row wakes at n = wake + 1, or never when wake == top
-            else:
-                wake = bisect_right(peaks, -planner_key[0], n_top, top)
-                if noscale and wake > n_top:
-                    wake = _noscale_wake(row, n_top, wake, -noscale_key[0])
+            wake = bisect_right(peaks, -planner_key[0], n_top, top)  # the row wakes at n = wake + 1
+            if noscale and wake > n_top:
+                wake = _noscale_wake(row, n_top, wake, -noscale_key[0])
             if wake < top:  # price holds price(n_top + 1) > pw when wake == n_top
                 heapq.heappush(wakes, (price if wake == n_top else row.price(wake + 1), r, wake + 1))
+        for policy, (row, count) in baselines.items():  # each baseline's plan is its row at n_top, per point
+            if (n := row.n_top(pw, spec.max_instances)) > count:
+                baselines[policy], changed[policy] = (row, n), row.candidate(n, row.z(n, tables[row.v_idx][n - 1]))
         for policy, candidate in changed.items():
             plan, ((*_, v_idx, _, n, _), v, _) = _plan(candidate), candidate
             if not math.isfinite(raw := n * v.eflops * tables[v_idx][n - 1]):  # evaluate_performance(plan, scaling)

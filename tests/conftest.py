@@ -1,5 +1,7 @@
+import heapq
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,6 +61,27 @@ def price_calls(monkeypatch):
     """price_calls(f, *args): the rows' price() calls that f(*args) makes.  A
     work count, so machine noise does not move it."""
     return _method_calls(monkeypatch, (_SingleAnchorRow, _TieringRow), "price")
+
+
+@pytest.fixture()
+def heap_pops(monkeypatch):
+    """heap_pops(f, *args): the simulator's heapq.heappop calls, one per wake of
+    a sweep row, that f(*args) makes.  A work count, so machine noise does not
+    move it."""
+    calls = [0]
+
+    def heappop(heap):
+        calls[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(simulator, "heapq", SimpleNamespace(**{**vars(heapq), "heappop": heappop}))
+
+    def count(f, *args):
+        calls[0] = 0
+        f(*args)
+        return calls[0]
+
+    return count
 
 
 @pytest.fixture()

@@ -91,6 +91,11 @@ class TestPlanCommand:
             ({"scaling": {"a": True, "b": 10, "c": 5}}, "instance 'solo': a must be a number, got true"),
             ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
             ({"eflops": 1e307}, "x 'solo' scores Z = "),
+            # JSON integers beyond float range, which float() refuses with an OverflowError.
+            ({"eflops": 10**400}, "instance 'solo': int too large to convert to float"),
+            ({"network_gbps": 10**400}, "instance 'solo': int too large to convert to float"),
+            ({"memory_gib": 10**400}, "instance 'solo': int too large to convert to float"),
+            ({"scaling": {"a": 0.1, "b": 10**400, "c": 5}}, "instance 'solo': int too large to convert to float"),
         ],
     )
     def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):
@@ -574,6 +579,22 @@ def test_budget_beyond_float_range_exits_1_in_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("count", ["0", str(10**400)], ids=["zero", "401-digits"])
+def test_buffer_count_out_of_range_exits_1_in_one_line(capsys, command, count):
+    """A 401-digit count ended in an OverflowError traceback from required_memory."""
+    code, out, err = run(capsys, command, "--buffer-count", count)
+    assert code == 1 and out == ""
+    assert err == "error: buffer_count must be in 1..1.798e+308\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_infinite_required_memory_is_accepted(capsys, command):
+    """Only the count is bounded: a finite size times a finite count may overflow to inf, and plans as today."""
+    code, out, err = run(capsys, command, "--ckpt-size-gib", "1e308", "--buffer-count", "10")
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -127,6 +128,19 @@ class TestPlanRequest:
         a str raised a bare TypeError from <."""
         with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
             PlanRequest(pw="3", **{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 10**400, 2**1024], ids=["zero", "negative", "401-digits", "2**1024"])
+    def test_buffer_count_out_of_float_range_rejected(self, value):
+        """required_memory multiplies by float(buffer_count), which raised a bare
+        OverflowError for 10**400; the refusal names no value, since formatting
+        one as a float overflows too."""
+        with pytest.raises(ValueError, match=r"^buffer_count must be in 1\.\.1\.798e\+308$"):
+            PlanRequest(pw="3", buffer_count=value)
+
+    def test_buffer_count_of_float_max_plans(self, simulated_catalog):
+        req = PlanRequest(pw="3", ckpt_size=10, buffer_count=int(sys.float_info.max), top_k=1)
+        assert req.required_memory == math.inf
+        assert [plan.architecture for plan in recommend(simulated_catalog, req)] == ["single_anchor"]
 
     def test_numpy_integer_counts_plan_as_ints(self, simulated_catalog):
         np = pytest.importorskip("numpy")

@@ -216,6 +216,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"^buffer_count must be an integer, not {re.escape(repr(value))}$"):
             SweepSpec(buffer_count=value)
 
+    @pytest.mark.parametrize("value", [0, 10**400], ids=["zero", "401-digits"])
+    def test_buffer_count_out_of_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^buffer_count must be in 1\.\.1\.798e\+308$"):
+            SweepSpec(buffer_count=value)
+
     def test_numpy_integer_buffer_count_sweeps_as_an_int(self, simulated_catalog):
         np = pytest.importorskip("numpy")
         spec = SweepSpec(pw_max="2", pw_step="0.5", buffer_count=np.int64(3))
@@ -658,6 +663,20 @@ def test_sweep_with_a_flopp_that_underflows_equals_per_point_policies(sat_table)
     assert result.curve("noscale")[-1].plan.n_gpu == 1 and result.curve("cost_first")[-1].plan.n_gpu == 6
 
 
+def test_sweep_baselines_fit_their_count_as_the_per_point_calls_do():
+    """With 28 significant digits, the price of 15 nodes rounds to exactly pw in
+    the budget context, while n_top, as plan_cost_first and
+    plan_performance_first take it, finds that 15 does not fit.  The sweep's
+    baselines used to compare that rounded price with pw and pack 15."""
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="1.483680350204430285870941394",
+                     spot_price="0.6731075930107863862554201556", network_bw=10, eflops=1)
+    catalog, pw = Catalog((v,)), Decimal("10.90718665235543969344682357")  # the rounded od + 14 * spot
+    result = run_sweep(catalog, SweepSpec(pw_min=pw, pw_max=pw + 1, pw_step=1))
+    for policy, baseline in (("cost_first", plan_cost_first), ("performance_first", plan_performance_first)):
+        plan = result.curve(policy)[0].plan
+        assert plan == baseline(catalog, PlanRequest(pw=pw, top_k=1)) and plan.n_gpu == 14
+
+
 def test_sweep_plans_only_the_requested_policies():
     """cost_first and noscale would take 3 x 'a', whose raw performance
     overflows; a sweep that asks only for the planner must not plan them, nor
@@ -687,19 +706,21 @@ def test_sweep_wakes_rows_only_when_they_can_change_a_plan(price_calls, simulate
 @pytest.mark.parametrize(
     ("catalog", "spec", "calls", "counts"),
     [
-        ("simulated_catalog", SweepSpec(), 770, 770),
-        ("aws_catalog", SweepSpec(), 341, 341),
-        ("simulated_catalog", SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024), 3204, 3198),
+        ("simulated_catalog", SweepSpec(), 734, 725),
+        ("aws_catalog", SweepSpec(), 405, 341),
+        ("simulated_catalog", SweepSpec(pw_max="60", pw_step="0.05", max_instances=1024), 3225, 3198),
     ],
     ids=["simulated", "aws", "simulated-1024"],
 )
 def test_sweep_prices_each_row_count_about_once(request, monkeypatch, catalog, spec, calls, counts):
     """A row's candidates at its n_top reuse that count's price, the heap key
-    just popped or the last step of raising n_top, so the default sweeps price
-    each (row, n) once; when candidate() priced again they made 1,196 calls on
-    the simulated catalog and 800 on AWS.  What is priced again is a planner
-    candidate below n_top: at the cap, Z stops rising at n = 296 on three
-    tiering rows of one GPU, and two later wakes offer that n again."""
+    just popped or the last step of raising n_top; when candidate() priced
+    again the default sweeps made 1,196 calls on the simulated catalog and 800
+    on AWS.  What is priced again is a baseline's plan, which prices its own
+    n_top at each grid point where that count rises (the row may be priced
+    there too, or never woken there), and a planner candidate below n_top: at
+    the cap, Z stops rising at n = 296 on three tiering rows of one GPU, and
+    two later wakes offer that n again."""
     priced: collections.Counter = collections.Counter()
     for cls in (_SingleAnchorRow, _TieringRow):
         def price(row, n, real=cls.price):
@@ -709,6 +730,17 @@ def test_sweep_prices_each_row_count_about_once(request, monkeypatch, catalog, s
         monkeypatch.setattr(cls, "price", price)
     run_sweep(request.getfixturevalue(catalog), spec)
     assert (sum(priced.values()), len(priced)) == (calls, counts)
+
+
+@pytest.mark.parametrize(("catalog", "pops"), [("simulated_catalog", 429), ("aws_catalog", 299)])
+def test_baselines_wake_no_row(request, heap_pops, catalog, pops):
+    """A baseline's plan is its GPU's single-anchor row at n_top, taken per grid
+    point, so the baselines add no wake to the heap.  When the rows they packed
+    woke at every n, the default sweeps popped 538 wakes on the simulated
+    catalog and 321 on AWS."""
+    catalog = request.getfixturevalue(catalog)
+    assert heap_pops(run_sweep, catalog, SweepSpec(policies=("noscale",))) == pops
+    assert heap_pops(run_sweep, catalog, SweepSpec()) == pops
 
 
 @pytest.mark.parametrize(("catalog", "entries"), [("simulated_catalog", 636), ("aws_catalog", 123)])

@@ -82,11 +82,9 @@ def _resolve_catalog(path):
 
 
 def _resolve_saturation(path):
-    from .saturation import default_saturation_table, load_saturation_file
+    from .saturation import load_saturation_file
 
-    if path:
-        return load_saturation_file(path)
-    return default_saturation_table()
+    return load_saturation_file(path) if path else None
 
 
 def _write(text: str, out: str | None) -> None:

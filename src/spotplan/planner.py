@@ -158,10 +158,9 @@ def flopp(instance: InstanceSpec) -> FloppScore:
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ClusterPlan:
-    """A concrete recommendation produced by one architecture.  __init__ fills
-    __dict__ directly, in about half the time of the generated one."""
+    """A concrete recommendation produced by one architecture."""
 
     architecture: str
     gpu_instance: InstanceSpec
@@ -170,11 +169,6 @@ class ClusterPlan:
     m_cpu: Optional[int]
     hourly_price: Decimal
     score_z: float
-
-    def __init__(self, architecture, gpu_instance, n_gpu, cpu_instance, m_cpu, hourly_price, score_z):
-        f = self.__dict__
-        (f["architecture"], f["gpu_instance"], f["n_gpu"], f["cpu_instance"], f["m_cpu"], f["hourly_price"],
-         f["score_z"]) = architecture, gpu_instance, n_gpu, cpu_instance, m_cpu, hourly_price, score_z
 
     def summary(self) -> dict:
         return {
@@ -225,14 +219,14 @@ class _SingleAnchorRow:
 
 
 class _TieringRow:
-    """n Spot trainers of GPU v plus m = min_cpu_count(n, n_sat) On-Demand
-    memory nodes of CPU w."""
+    """n Spot trainers of GPU v, taken from anchor, v's single-anchor row, plus
+    m = min_cpu_count(n, n_sat) On-Demand memory nodes of CPU w."""
 
     __slots__ = ("v_idx", "v", "spot", "spfp", "w_idx", "w", "cpu", "n_sat")
     rank = 1
 
-    def __init__(self, v_idx: int, v: InstanceSpec, score: FloppScore, w_idx: int, w: InstanceSpec, n_sat: int):
-        self.v_idx, self.v, self.spot, self.spfp = v_idx, v, v.spot_price, score.spfp
+    def __init__(self, anchor: _SingleAnchorRow, w_idx: int, w: InstanceSpec, n_sat: int):
+        self.v_idx, self.v, self.spot, self.spfp = anchor.v_idx, anchor.v, anchor.spot, anchor.spfp
         self.w_idx, self.w, self.cpu, self.n_sat = w_idx, w, w.od_price, n_sat
 
     def n_top(self, pw: Decimal, cap: int) -> int:
@@ -261,13 +255,9 @@ class _TieringRow:
 def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
     """The single-anchor row of each GPU, then the tiering row of each
     (GPU, CPU) pair whose CPU holds the checkpoints."""
-    gpus = catalog.gpu_view
-    scores = [flopp(v) for v in gpus]
-    rows: list = [_SingleAnchorRow(i, v, score) for i, (v, score) in enumerate(zip(gpus, scores))]
+    anchors = [_SingleAnchorRow(i, v, flopp(v)) for i, v in enumerate(catalog.gpu_view)]
     cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
-    for i, (v, score) in enumerate(zip(gpus, scores)):
-        rows += [_TieringRow(i, v, score, j, w, n_sat_lookup(sat, v, w)) for j, w in cpus]
-    return rows
+    return anchors + [_TieringRow(a, j, w, n_sat_lookup(sat, a.v, w)) for a in anchors for j, w in cpus]
 
 
 def _plan(candidate: tuple) -> ClusterPlan:
@@ -292,7 +282,8 @@ def recommend(
     The returned list is sorted by Z descending with fully deterministic
     tie-breaking (price, architecture order, catalog order).  Empty when no
     configuration fits the budget.  Raises ValueError when a returned plan's
-    Z is not finite.
+    Z is not finite.  Work bound: at most one K(n) call per (row, n <= n_top),
+    so at most rows x max_instances, whatever top_k is.
     """
     with localcontext(_BUDGET_CONTEXT):
         scaling = scaling or DEFAULT_SCALING

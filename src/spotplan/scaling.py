@@ -111,7 +111,7 @@ REFERENCE_MODEL_FITS = {
 
 def s_average(p: LogisticParams, n: float) -> float:
     """Logistic speedup c / (1 + exp(-a(n-b))) at node count n."""
-    return p.c / (1.0 + math.exp(-p.a * (n - p.b)))
+    return p.c / _denominators(p.a, p.b, (n,))[0]
 
 
 def s_hybrid(p: LogisticParams, n: float) -> float:

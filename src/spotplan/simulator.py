@@ -206,9 +206,9 @@ class SweepResult:
 
 def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     """Per (GPU index, rank): peaks for t = 1..N, where peaks[t - 1] is the
-    largest Z(n) over n <= t, accumulate(zs, max); peaks never falls, so the
-    first n that reaches it is bisect_left(peaks, peaks[t - 1], 0, t) + 1.  Per
-    GPU index: its K(n) for n = 1..N, read for every plan's raw performance and
+    largest Z(n) = row.z(n, K(n)) over n <= t; peaks never falls, so the first
+    n that reaches it is bisect_left(peaks, peaks[t - 1], 0, t) + 1.  Per GPU
+    index: its K(n) for n = 1..N, read for every plan's raw performance and
     each baseline's Z.
 
     N is the largest n_top of the GPU's rows.  K(n) is taken once per GPU and
@@ -224,10 +224,8 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     for v_idx, group in by_rank.items():
         v = next(iter(group.values())).v
         tables[v_idx] = ks = [scaling.factor(v, n) for n in range(1, n_max[v_idx] + 1)]
-        for rank, row in group.items():  # Z(n) as row.z computes it, without a call per n
-            zs = ([n * row.spfp * k for n, k in enumerate(ks, 1)] if rank else
-                  [((n - 1) * row.spfp + row.odfp) * k for n, k in enumerate(ks, 1)])
-            tables[v_idx, rank] = array("d", accumulate(zs, max))  # max keeps the first of equals
+        for rank, row in group.items():  # max keeps the first of equals
+            tables[v_idx, rank] = array("d", accumulate(map(row.z, range(1, len(ks) + 1), ks), max))
     return tables
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spotplan import LogisticParams, NonConvergenceError, SpeedupSample, fit_logistic
-from spotplan.scaling import sum_squared_residuals
+from spotplan.scaling import s_average, sum_squared_residuals
 
 
 def samples(rows):
@@ -133,6 +133,12 @@ class TestOverflow:
         # a * (b - n) = 799 > 709: the logistic is 0 there.
         params = LogisticParams(1.0, 800.0, 3.0)
         assert sum_squared_residuals(params, [SpeedupSample(1, 2.0)]) == 4.0
+
+    def test_s_average_where_exp_overflows(self):
+        # The same model and n: s_average is 0 there too, rather than an OverflowError.
+        params = LogisticParams(1.0, 800.0, 3.0)
+        assert s_average(params, 1) == 0.0
+        assert s_average(params, 800) == 1.5
 
 
 def test_non_finite_residual_does_not_converge():

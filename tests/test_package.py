@@ -139,3 +139,35 @@ def test_unused_import_check_sees_string_annotations_and_all():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_module_level_import_is_unused(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unreferenced_private_names(sources):
+    """(module, name) of each private module-level function, class or
+    constant (dunder names aside) of sources, {module: source}, that no name
+    or attribute in any of them reads outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = [(node, getattr(node, "id", None) or getattr(node, "attr", None))
+            for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]  # Assign, AnnAssign
+            names = [node.name] if hasattr(node, "name") else [t.id for t in targets if isinstance(t, ast.Name)]
+            inside = set(map(id, ast.walk(node)))
+            unused += [(module, name) for name in names if name[:1] == "_" and name[:2] != "__"
+                       and not any(used == name and id(at) not in inside for at, used in uses)]
+    return sorted(unused)
+
+
+def test_unreferenced_private_name_check_sees_other_modules_and_self_reference():
+    sources = {
+        "a": "__all__ = []\n_A = 1\n_B: int = 2\ndef _f(n):\n    return _f(n - 1)\nclass _K:\n    pass\n",
+        "b": "from .a import _A\nimport a\nx = _A + a._B\n",
+    }
+    assert _unreferenced_private_names(sources) == [("a", "_K"), ("a", "_f")]
+
+
+def test_no_private_module_level_name_is_unreferenced():
+    # A simplification that inlines a helper must delete it too.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _unreferenced_private_names(sources) == []

@@ -399,7 +399,8 @@ class TestFrontier:
         score = dataclasses.replace(flopp(v), spfp=odfp * ratio, odfp=odfp)
         s = [s_hybrid(model, n) for n in range(1, MAX_INSTANCES + 1)]
         assert all(hi >= lo for lo, hi in zip(s, s[1:]))
-        for row in (_SingleAnchorRow(0, v, score), _TieringRow(0, v, score, 0, cpu("w", od="1"), 4)):
+        anchor = _SingleAnchorRow(0, v, score)
+        for row in (anchor, _TieringRow(anchor, 0, cpu("w", od="1"), 4)):
             zs = [row.z(n, k / n) for n, k in enumerate(s, 1)]
             assert all(z >= peak * (1.0 - _SLACK) for z, peak in zip(zs, itertools.accumulate(zs, max)))
 
@@ -579,6 +580,18 @@ class TestBestFirst:
         cases = [(random_catalog(rng), random_request(rng, max_instances=64)) for _ in range(500)]
         calls = factor_calls(lambda: [recommend(catalog, req) for catalog, req in cases])
         assert calls <= 5_672, calls
+
+    @pytest.mark.parametrize(("cap", "pw", "calls"), [(16, "5", 1_176), (64, "40", 5_120)])
+    def test_k_calls_are_at_most_one_per_row_and_count(self, factor_calls, simulated_catalog, sat_table, cap,
+                                                       pw, calls):
+        """recommend()'s work bound: one K(n) call per (row, n <= n_top) at
+        most, whatever top_k is.  At a top_k no row count reaches, every row
+        walks every count, so the calls are exactly the sum of n_top over the
+        rows and one per plan; at top_k 3 both requests make 90."""
+        req, plans = PlanRequest(pw=pw, max_instances=cap, top_k=10**9), []
+        tops = sum(max(0, row.n_top(req.pw, cap)) for row in _rows(simulated_catalog, req, sat_table))
+        assert factor_calls(lambda: plans.extend(recommend(simulated_catalog, req))) == tops == len(plans) == calls
+        assert factor_calls(recommend, simulated_catalog, dataclasses.replace(req, top_k=3)) == 90
 
     @pytest.mark.parametrize("top_k", [1, 5])
     @pytest.mark.parametrize("cap", [1024, MAX_INSTANCES])

@@ -580,19 +580,20 @@ _SPFPS = st.one_of(
 def _unit_row(architecture: int, spfp: float, odfp: float):
     """A row of either architecture with the given FLOPPs; its z() reads nothing else."""
     v = InstanceSpec(name="v", kind=Kind.GPU, od_price="1", spot_price="1", network_bw=10, eflops=1, memory=16)
-    score = FloppScore(instance=v, spfp=spfp, odfp=odfp)
+    anchor = _SingleAnchorRow(0, v, FloppScore(instance=v, spfp=spfp, odfp=odfp))
     if architecture == 0:
-        return _SingleAnchorRow(0, v, score)
+        return anchor
     w = InstanceSpec(name="w", kind=Kind.CPU, od_price="1", spot_price="1", network_bw=10, eflops=0, memory=8)
-    return _TieringRow(0, v, score, 0, w, n_sat=3)
+    return _TieringRow(anchor, 0, w, n_sat=3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(architecture=st.sampled_from([0, 1]), spfp=_SPFPS, share=st.floats(0.0, 1.0), top=st.integers(1, 300))
 def test_z_tables_hold_row_z_bit_for_bit(architecture, spfp, share, top):
-    """_z_tables computes Z(n) without calling row.z.  Its peaks are row.z's
-    values bit for bit, infinities included, bisect_left finds the first n of
-    each, and its K(n) list is the scaling source's."""
+    """_z_tables fills its peaks through row.z, over K(n) taken once per n.
+    They are the prefix maxima of row.z's values bit for bit, infinities
+    included, bisect_left finds the first n of each, and its K(n) list is the
+    scaling source's."""
     row = _unit_row(architecture, spfp, share * spfp)
     for scaling in (ScalingSource(), UnitScaling()):
         tables = _z_tables([(row, top)], scaling)

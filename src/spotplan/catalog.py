@@ -32,6 +32,8 @@ __all__ = [
     "bundled_aws_catalog",
 ]
 
+MAX_PRICE_PLACES = 1000  # exact budget sums have the decimal places of their most precise operand: this bounds them
+
 
 class CatalogError(ValueError):
     """Base class for catalog problems, which are all ValueErrors."""
@@ -51,7 +53,7 @@ class Kind(Enum):
 
 
 def as_price(value: Union[Decimal, int, str, float]) -> Decimal:
-    """Convert a price-like value to an exact, finite Decimal.
+    """Convert a price-like value to an exact, finite Decimal: 0, or one of at most MAX_PRICE_PLACES places.
 
     Floats are routed through their shortest repr, so ``as_price(0.1941)``
     gives exactly ``Decimal("0.1941")``.  NaN and infinities are rejected.
@@ -64,7 +66,9 @@ def as_price(value: Union[Decimal, int, str, float]) -> Decimal:
         raise CatalogParseError(f"not a valid price: {value!r}") from exc
     if not price.is_finite():
         raise CatalogParseError(f"not a finite price: {value!r}")
-    return price
+    if (places := -price.as_tuple().exponent) > MAX_PRICE_PLACES and price:
+        raise CatalogParseError(f"a price has at most {MAX_PRICE_PLACES} decimal places, not {places}")
+    return price or Decimal(0)
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,8 @@ class InstanceSpec:
                 raise bad(f"eflops / spot_price is not a finite float ({self.eflops!r} / {spot!r})")
         elif self.eflops != 0:
             raise bad("eflops must be 0 for cpu instances")
+        elif not float(self.spot_price) > 0:  # as for a GPU's FLOPP: exact budget sums stay within float's digits
+            raise bad(f"spot_price is 0 as a float ({self.spot_price})")
         # The planner relies on Z rising with n, which needs S_hybrid(1) > 0.
         params = self.scaling_params
         if params is not None and not s_hybrid(params, 1) > 0:
@@ -172,13 +178,15 @@ class Catalog:
 
     def to_document(self) -> dict:
         """Plain-JSON representation (round-trips through load_catalog)."""
+        def price(p: Decimal) -> Union[float, str]:  # a float where it reads back exactly, else the exact text
+            return f if Decimal(repr(f := float(p))) == p else str(p)
         entries = []
         for s in self.instances:
             entry: dict[str, Any] = {
                 "name": s.name,
                 "kind": s.kind.value,
-                "od_price": float(s.od_price),
-                "spot_price": float(s.spot_price),
+                "od_price": price(s.od_price),
+                "spot_price": price(s.spot_price),
                 "network_gbps": s.network_bw,
                 "eflops": s.eflops,
                 "memory_gib": s.memory,

@@ -12,7 +12,7 @@ Two architectures ship:
 The search runs over rows: one architecture with one GPU type v and, for
 tiering, one CPU type w.  Within a row the hourly price rises strictly with
 the GPU count n, so the feasible counts are exactly 1..n_top, and n_top is
-computed exactly in Decimal.  The score Z does not fall as n rises within a
+exact, in Decimal at MAX_PREC.  The score Z does not fall as n rises within a
 row, by these invariants (checked by property tests):
 
 * S_hybrid(n) does not fall over n, and S_hybrid(1) > 0; the catalog and
@@ -55,7 +55,8 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
+from decimal import (MAX_PREC, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow,
+                     localcontext)
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -82,18 +83,20 @@ _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
 # rounding moves Z by a few ulps (~1e-16) only.
 _SLACK = 1e-12
 
-# decimal's default context, built here: no caller's context or DefaultContext can move a budget.
-_BUDGET_CONTEXT = Context(prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+# decimal's default context at MAX_PREC, built here: no caller's context or DefaultContext moves a budget, and
+# +, -, * and // are exact.  Budget code has no true division /, which may not terminate (MemoryError at MAX_PREC).
+# Prices and budgets are 0 or finite floats of at most MAX_PRICE_PLACES places (as_price): sums stay < ~1,300 digits.
+_BUDGET_CONTEXT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
                           flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
-MAX_INSTANCES = 10_000  # the largest max_instances; the walk and the sweep grow with it
+MAX_INSTANCES = 10_000  # the largest max_instances and top_k; the walk, the sweep and the plans grow with them
 
 
 def _budget(name: str, value) -> Decimal:
-    """value as an exact price whose float() is finite, as a plan's reported price must be."""
+    """value as an exact price whose float() is finite, as a plan's must be, and not 0 unless value is."""
     price = as_price(value)
-    if not math.isfinite(float(price)):
-        raise ValueError(f"{name} must be a finite float, not {price}")
+    if price and not 0 < abs(f := float(price)) < math.inf:
+        raise ValueError(f"{name} must be a {'finite' if f else 'nonzero'} float, not {price}")
     return price
 
 
@@ -129,8 +132,8 @@ class PlanRequest:
             raise ValueError(f"buffer_count must be in 1..{sys.float_info.max:.4g}")
         if not 1 <= self.max_instances <= MAX_INSTANCES:
             raise ValueError(f"max_instances must be in 1..{MAX_INSTANCES}, not {self.max_instances}")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        if not 1 <= self.top_k <= MAX_INSTANCES:
+            raise ValueError(f"top_k must be in 1..{MAX_INSTANCES}, not {self.top_k}")
 
     @property
     def required_memory(self) -> float:
@@ -183,12 +186,8 @@ class ClusterPlan:
 
 
 def _quotient(x: Decimal, y: Decimal, cap: int) -> int:
-    """x // y for positive y, or cap when the quotient is too long for the
-    Decimal context (DivisionImpossible), and so far above cap."""
-    try:
-        return int(x // y)
-    except InvalidOperation:
-        return cap
+    """min(x // y, cap) for positive y, or x // y when below 10**4; no quotient longer than that or cap is built."""
+    return int(x // y) if x.adjusted() - y.adjusted() < 4 or x < cap * y else cap
 
 
 class _SingleAnchorRow:
@@ -283,7 +282,7 @@ def recommend(
     tie-breaking (price, architecture order, catalog order).  Empty when no
     configuration fits the budget.  Raises ValueError when a returned plan's
     Z is not finite.  Work bound: at most one K(n) call per (row, n <= n_top),
-    so at most rows x max_instances, whatever top_k is.
+    so at most rows x max_instances whatever top_k is, and top_k <= MAX_INSTANCES plans.
     """
     with localcontext(_BUDGET_CONTEXT):
         scaling = scaling or DEFAULT_SCALING

@@ -17,7 +17,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, localcontext
 from itertools import accumulate, chain
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Optional
@@ -154,15 +154,11 @@ class SweepSpec:
         self.request_at(self.pw_max)  # the request checks, max_instances among them
 
     def _points(self) -> int:
-        """(pw_max - pw_min) // pw_step + 1, exactly; at most MAX_GRID_POINTS."""
-        limit = f"the limit is {MAX_GRID_POINTS}"
-        try:
-            with localcontext(_BUDGET_CONTEXT):
-                points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
-        except InvalidOperation:  # the quotient outgrows the Decimal context
-            raise ValueError(f"the PW grid has more than 10**{_BUDGET_CONTEXT.prec} points; {limit}") from None
+        """(pw_max - pw_min) // pw_step + 1, exactly, in the budget context; at most MAX_GRID_POINTS."""
+        with localcontext(_BUDGET_CONTEXT):
+            points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
         if points > MAX_GRID_POINTS:
-            raise ValueError(f"the PW grid has {points} points; {limit}")
+            raise ValueError(f"the PW grid has {points} points; the limit is {MAX_GRID_POINTS}")
         return points
 
     def grid(self) -> tuple[Decimal, ...]:

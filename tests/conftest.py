@@ -14,7 +14,7 @@ from spotplan import (
     recommend,
 )
 from spotplan import simulator
-from spotplan.planner import _SingleAnchorRow, _TieringRow
+from spotplan.planner import MAX_INSTANCES, _SingleAnchorRow, _TieringRow
 
 
 @pytest.fixture(scope="session")
@@ -152,12 +152,14 @@ def writer_work(monkeypatch):
 def _best_of(architecture, catalog, req, scaling=None, sat=None):
     """The best plan of one architecture, or None.
 
-    top_k is at least the number of candidates, so no row's walk stops early
-    and recommend returns every candidate in rank order.
+    recommend returns the top MAX_INSTANCES candidates (the largest top_k) in
+    rank order, so the first of the architecture among them is its best; when
+    none is, fewer came back, and so every candidate.
     """
-    rows = len(catalog.gpu_view) * (1 + len(catalog.cpu_view))
-    plans = recommend(catalog, replace(req, top_k=max(1, rows * req.max_instances)), scaling, sat)
-    return next((plan for plan in plans if plan.architecture == architecture), None)
+    plans = recommend(catalog, replace(req, top_k=MAX_INSTANCES), scaling, sat)
+    best = next((plan for plan in plans if plan.architecture == architecture), None)
+    assert best or len(plans) < MAX_INSTANCES, "the architecture's best may rank below the top MAX_INSTANCES"
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -319,7 +319,7 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("step, count", [("1e-9", "10000000001"), ("1e-40", "more than 10**28")])
+    @pytest.mark.parametrize("step, count", [("1e-9", "10000000001"), ("1e-40", str(10**41 + 1))])
     def test_oversized_grid_exits_1(self, capsys, step, count):
         code, out, err = run(capsys, "simulate", "--pw-step", step)
         assert code == 1 and out == ""
@@ -560,6 +560,60 @@ def test_max_limit_over_the_cap_exits_1_in_one_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-limit", "10001")
     assert code == 1 and out == ""
     assert err == "error: max_instances must be in 1..10000, not 10001\n"
+
+
+def test_top_k_over_the_cap_exits_1_in_one_line(capsys):
+    code, out, err = run(capsys, "plan", "--pw", "1e40", "--top-k", "10001")
+    assert code == 1 and out == ""
+    assert err == "error: top_k must be in 1..10000, not 10001\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["plan", "--pw", "1e-400"], "pw must be a nonzero float, not 1E-400"),
+        (["simulate", "--pw-step", "1e-400"], "pw_step must be a nonzero float, not 1E-400"),
+        (["validate-catalog", "CATALOG"], "instance 'w': spot_price is 0 as a float (1E-400)"),
+    ],
+)
+def test_input_that_is_0_as_a_float_exits_1_in_one_line(capsys, tmp_path, argv, message):
+    """Budget arithmetic is exact, and stays within float's range of digits only without such inputs."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"instances": [
+        {"name": "v", "kind": "gpu", "od_price": 1, "spot_price": 1, "network_gbps": 10, "eflops": 1},
+        {"name": "w", "kind": "cpu", "od_price": 1, "spot_price": "1e-400", "network_gbps": 10}]}))
+    code, out, err = run(capsys, *[str(path) if arg == "CATALOG" else arg for arg in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_zero_pw_min_of_any_exponent_sweeps(capsys):
+    """Each grid point was exact pw_min + i * pw_step, a billion digits long."""
+    code, out, err = run(capsys, "simulate", "--pw-min", "0E-999999999", "--pw-max", "1", "--pw-step", "0.5")
+    assert code == 0 and err == ""
+    assert [row["pw"] for row in csv.DictReader(io.StringIO(out)) if row["policy"] == "planner"] == ["0.0", "0.5", "1.0"]
+
+
+_LONG_PRICE = "1." + "0" * 1001
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["plan", "--pw", _LONG_PRICE], "a price has at most 1000 decimal places, not 1001"),
+        (["simulate", "--pw-step", _LONG_PRICE], "a price has at most 1000 decimal places, not 1001"),
+        (["validate-catalog", "CATALOG"], "instance 'v': a price has at most 1000 decimal places, not 1001"),
+    ],
+    ids=["plan", "simulate", "validate-catalog"],
+)
+def test_a_price_of_more_than_1000_places_exits_1_in_one_line(capsys, tmp_path, argv, message):
+    """Budget arithmetic is exact, so a sum has the decimal places of its most precise operand."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"instances": [
+        {"name": "v", "kind": "gpu", "od_price": _LONG_PRICE, "spot_price": 1, "network_gbps": 10, "eflops": 1}]}))
+    code, out, err = run(capsys, *[str(path) if arg == "CATALOG" else arg for arg in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

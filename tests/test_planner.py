@@ -36,6 +36,7 @@ from spotplan import (
     recommend,
     s_hybrid,
 )
+from spotplan.catalog import MAX_PRICE_PLACES
 from spotplan.planner import _SLACK, MAX_INSTANCES, _plan, _rows, _SingleAnchorRow, _TieringRow
 from spotplan.scaling import DEFAULT_SCALING
 
@@ -100,6 +101,25 @@ class TestPlanRequest:
         assert PlanRequest(pw="1", max_instances=MAX_INSTANCES).max_instances == 10_000
         with pytest.raises(ValueError, match=f"^max_instances must be in 1..{MAX_INSTANCES}, not 10001$"):
             PlanRequest(pw="1", max_instances=MAX_INSTANCES + 1)
+
+    def test_top_k_is_capped(self):
+        """top_k=10**9 at pw=1e40 and the cap returned 800,000 plans in 12 s, with a peak RSS of 505 MiB."""
+        assert PlanRequest(pw="1", top_k=MAX_INSTANCES).top_k == 10_000
+        for top_k in (0, MAX_INSTANCES + 1, 10**9):
+            with pytest.raises(ValueError, match=f"^top_k must be in 1..{MAX_INSTANCES}, not {top_k}$"):
+                PlanRequest(pw="1", top_k=top_k)
+
+    @pytest.mark.parametrize("pw", ["1e-400", "-1e-400", "1e-1000"])
+    def test_pw_that_is_0_as_a_float_rejected(self, pw):
+        """Exact budget sums stay within float's range of digits only if a nonzero budget is a nonzero float."""
+        with pytest.raises(ValueError, match=f"^pw must be a nonzero float, not {re.escape(str(Decimal(pw)))}$"):
+            PlanRequest(pw=pw)
+
+    def test_pw_of_more_than_max_price_places_rejected(self):
+        """An exact sum has the places of its most precise operand, and each plan keeps its price."""
+        assert PlanRequest(pw="1." + "0" * MAX_PRICE_PLACES).pw == 1
+        with pytest.raises(CatalogParseError, match=f"^a price has at most {MAX_PRICE_PLACES} decimal places, not 1001$"):
+            PlanRequest(pw="1." + "0" * 1001)
 
     @pytest.mark.parametrize("pw", ["NaN", "Infinity", float("inf")])
     def test_non_finite_pw_rejected(self, pw):
@@ -588,7 +608,7 @@ class TestBestFirst:
         most, whatever top_k is.  At a top_k no row count reaches, every row
         walks every count, so the calls are exactly the sum of n_top over the
         rows and one per plan; at top_k 3 both requests make 90."""
-        req, plans = PlanRequest(pw=pw, max_instances=cap, top_k=10**9), []
+        req, plans = PlanRequest(pw=pw, max_instances=cap, top_k=MAX_INSTANCES), []
         tops = sum(max(0, row.n_top(req.pw, cap)) for row in _rows(simulated_catalog, req, sat_table))
         assert factor_calls(lambda: plans.extend(recommend(simulated_catalog, req))) == tops == len(plans) == calls
         assert factor_calls(recommend, simulated_catalog, dataclasses.replace(req, top_k=3)) == 90

@@ -11,7 +11,7 @@ import re
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from spotplan import (
     SINGLE_ANCHOR,
     TIERING,
     Catalog,
+    CatalogParseError,
     InstanceSpec,
     Kind,
     LogisticParams,
@@ -42,8 +43,11 @@ from spotplan import (
     sweep_to_csv,
     sweep_to_json,
 )
+from spotplan.catalog import MAX_PRICE_PLACES
 from spotplan.planner import MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
 from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _undominated, _z_tables
+
+from oracles import brute_force_best, plan_tuple
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -165,7 +169,7 @@ class TestSweepSpec:
     def test_grid_size_is_capped(self):
         with pytest.raises(ValueError, match="grid has 10000000001 points"):
             SweepSpec(pw_step="1e-9")
-        with pytest.raises(ValueError, match=r"grid has more than 10\*\*28 points"):
+        with pytest.raises(ValueError, match=f"grid has {10**41 + 1} points"):
             SweepSpec(pw_step="1e-40")
         step = Decimal("0.001")
         largest = SweepSpec(pw_max=(MAX_GRID_POINTS - 1) * step, pw_step=step)
@@ -193,6 +197,31 @@ class TestSweepSpec:
         name, value = next((k, v) for k, v in kw.items() if Decimal(v) > Decimal("1.8e308"))
         with pytest.raises(ValueError, match=f"^{name} must be a finite float, not {re.escape(str(Decimal(value)))}$"):
             SweepSpec(**kw)
+
+    @pytest.mark.parametrize("name", ["pw_min", "pw_max", "pw_step"])
+    def test_budgets_that_are_0_as_a_float_rejected(self, name):
+        """A nonzero budget must be a nonzero float, so that exact budget sums
+        stay within float's range of digits; 0 itself is a budget."""
+        kw = {"pw_min": "1e-400", "pw_max": "1", "pw_step": "1e-400"} if name == "pw_min" else {name: "1e-400"}
+        with pytest.raises(ValueError, match=f"^{name} must be a nonzero float, not 1E-400$"):
+            SweepSpec(**kw)
+
+    def test_a_zero_pw_min_of_any_exponent_sweeps_from_0(self, simulated_catalog):
+        """pw_min 0E-999999999 made each exact grid point a billion-digit
+        Decimal; a zero budget is Decimal(0), whatever its exponent."""
+        spec = SweepSpec(pw_min="0E-999999999", pw_max="1", pw_step="0.1")
+        assert spec.pw_min.as_tuple() == Decimal(0).as_tuple()
+        assert spec.grid() == tuple(Decimal(i) / 10 for i in range(11))
+        assert max(len(pw.as_tuple().digits) for pw in spec.grid()) == 2
+        assert [float(pw) for pw in run_sweep(simulated_catalog, spec).grid] == [i / 10 for i in range(11)]
+
+    @pytest.mark.parametrize("name", ["pw_min", "pw_max", "pw_step"])
+    def test_budgets_of_more_than_max_price_places_rejected(self, name):
+        """An exact sum has the places of its most precise operand: a pw_step
+        of 100,001 places made 1,000 grid points take 57 MiB."""
+        assert SweepSpec(pw_step="0.1" + "0" * (MAX_PRICE_PLACES - 1)).pw_step == Decimal("0.1")
+        with pytest.raises(CatalogParseError, match=f"^a price has at most {MAX_PRICE_PLACES} decimal places, not 1001$"):
+            SweepSpec(**{name: "1." + "0" * 1001} if name != "pw_min" else {name: "0.1" + "0" * 1000})
 
     def test_largest_finite_budgets_sweep(self, simulated_catalog):
         result = run_sweep(simulated_catalog, SweepSpec(pw_max="1.7e308", pw_step="1e308", max_instances=4))
@@ -676,6 +705,46 @@ def test_sweep_baselines_fit_their_count_as_the_per_point_calls_do():
     for policy, baseline in (("cost_first", plan_cost_first), ("performance_first", plan_performance_first)):
         plan = result.curve(policy)[0].plan
         assert plan == baseline(catalog, PlanRequest(pw=pw, top_k=1)) and plan.n_gpu == 14
+
+
+def test_sweep_planner_and_noscale_fit_their_count_exactly():
+    """The sweep's planner and noscale used to raise a row's count by its price
+    rounded to 28 digits, exactly pw for 15 nodes here, and planned 15 at
+    10.9071866523554396934468235724 > pw, where recommend() and plan_noscale()
+    plan 14.  Budget arithmetic is exact now."""
+    v = InstanceSpec(name="v", kind=Kind.GPU, od_price="1.483680350204430285870941394",
+                     spot_price="0.6731075930107863862554201556", network_bw=10, eflops=1)
+    catalog, pw = Catalog((v,)), Decimal("10.90718665235543969344682357")  # the rounded od + 14 * spot
+    result, req = run_sweep(catalog, SweepSpec(pw_min=pw, pw_max=pw + 1, pw_step=1)), PlanRequest(pw=pw, top_k=1)
+    for policy, plans in (("planner", recommend(catalog, req)), ("noscale", plan_noscale(catalog, req))):
+        plan = result.curve(policy)[0].plan
+        assert [plan] == plans and plan.n_gpu == 14 and plan.hourly_price <= pw
+
+
+# A price in [1, 10) of 28 to 34 significant digits.
+_long_prices = st.integers(28, 34).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10**d - 1).map(lambda i: Decimal(i).scaleb(1 - d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(prices=st.lists(_long_prices, min_size=2, max_size=2), k=st.integers(2, 60))
+def test_long_digit_prices_sweep_within_pw_exactly(sat_table, prices, k):
+    """pw is the 28-digit rounding of the price of k nodes; when it rounds
+    down, k nodes no longer fit, and every curve must take k - 1, as each
+    per-point policy and the brute force in exact arithmetic do."""
+    spot, od = sorted(prices)
+    catalog = Catalog((InstanceSpec(name="v", kind=Kind.GPU, od_price=od, spot_price=spot, network_bw=10,
+                                    eflops=1),))
+    pw = Context(prec=28).fma(k - 1, spot, od)
+    spec = SweepSpec(pw_min=pw, pw_max=pw + 1, pw_step=1)
+    result = run_sweep(catalog, spec, sat=sat_table)
+    with localcontext(Context(prec=MAX_PREC)):
+        best = brute_force_best(catalog, spec.request_at(pw), ScalingSource(), sat_table)
+    expected = _policies_at(catalog, spec, pw, ScalingSource(), sat_table)
+    for policy in DEFAULT_POLICIES:
+        plan = result.curve(policy)[0].plan
+        assert plan == expected[policy] and plan.hourly_price <= pw
+        assert (plan_tuple(plan), plan.hourly_price) == (best["config"], best["price"])
 
 
 def test_sweep_plans_only_the_requested_policies():

@@ -9,12 +9,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from typing import IO, Any, Union
+from typing import IO, Union
 
 from .scaling import LogisticParams, s_hybrid
 
@@ -79,6 +79,10 @@ class InstanceSpec:
     positive for available GPU instances and zero for CPU instances (CPU-VMs
     never train).  An optional per-instance logistic parameter set overrides
     the default speedup model.
+
+    The constructor is the one definition of a valid instance: it converts each
+    field once and refuses exactly what ``load_catalog`` refuses, with the same
+    ``CatalogError`` and message; type messages name the document key.
     """
 
     name: str
@@ -92,11 +96,22 @@ class InstanceSpec:
     scaling_params: LogisticParams | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "od_price", as_price(self.od_price))
-        object.__setattr__(self, "spot_price", as_price(self.spot_price))
-        object.__setattr__(self, "network_bw", float(self.network_bw))
-        object.__setattr__(self, "eflops", float(self.eflops))
-        object.__setattr__(self, "memory", float(self.memory))
+        if not isinstance(self.name, str):  # no name to label the error with: load_catalog gives the position
+            raise CatalogParseError(f"name must be a string, got {json.dumps(self.name, default=str)}")
+        try:
+            if not isinstance(self.kind, Kind):
+                raise TypeError(f"kind must be a Kind, got {json.dumps(self.kind, default=str)}")
+            object.__setattr__(self, "od_price", as_price(_number("od_price", self.od_price)))
+            object.__setattr__(self, "spot_price", as_price(_number("spot_price", self.spot_price)))
+            object.__setattr__(self, "network_bw", float(_number("network_gbps", self.network_bw)))
+            object.__setattr__(self, "eflops", float(_number("eflops", self.eflops)))
+            object.__setattr__(self, "memory", float(_number("memory_gib", self.memory)))
+            if not isinstance(self.available, bool):
+                raise TypeError(f"available must be true or false, got {json.dumps(self.available, default=str)}")
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+            raise CatalogParseError(f"instance {self.name!r}: {exc}") from exc
+        if not (self.scaling_params is None or isinstance(self.scaling_params, LogisticParams)):
+            raise CatalogValidationError(f"instance {self.name!r}: scaling must be an object with keys a, b and c")
         self._validate()
 
     def _validate(self) -> None:
@@ -153,7 +168,9 @@ class Catalog:
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
         seen: set[str] = set()
-        for spec in self.instances:
+        for idx, spec in enumerate(self.instances):
+            if not isinstance(spec, InstanceSpec):
+                raise CatalogValidationError(f"catalog entry #{idx} has type {type(spec).__name__}, not InstanceSpec")
             if spec.name in seen:
                 raise CatalogValidationError(f"duplicate instance name {spec.name!r}")
             seen.add(spec.name)
@@ -178,42 +195,24 @@ class Catalog:
 
     def to_document(self) -> dict:
         """Plain-JSON representation (round-trips through load_catalog)."""
-        def price(p: Decimal) -> Union[float, str]:  # a float where it reads back exactly, else the exact text
-            return f if Decimal(repr(f := float(p))) == p else str(p)
-        entries = []
-        for s in self.instances:
-            entry: dict[str, Any] = {
-                "name": s.name,
-                "kind": s.kind.value,
-                "od_price": price(s.od_price),
-                "spot_price": price(s.spot_price),
-                "network_gbps": s.network_bw,
-                "eflops": s.eflops,
-                "memory_gib": s.memory,
-                "available": s.available,
-            }
-            if s.scaling_params is not None:
-                p = s.scaling_params
-                entry["scaling"] = {"a": p.a, "b": p.b, "c": p.c}
-            entries.append(entry)
-        return {"instances": entries}
+        def value(v):  # a price as a float where it reads back exactly, else as its exact text
+            if isinstance(v, Decimal):
+                return f if Decimal(repr(f := float(v))) == v else str(v)
+            if isinstance(v, Kind):
+                return v.value
+            return asdict(v) if isinstance(v, LogisticParams) else v
+        return {"instances": [{key: value(v) for key, field in _ENTRY_KEYS if (v := getattr(s, field)) is not None}
+                              for s in self.instances]}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_document(), indent=indent)
 
 
-_KNOWN_ENTRY_KEYS = {
-    "name",
-    "kind",
-    "od_price",
-    "spot_price",
-    "network_gbps",
-    "eflops",
-    "memory_gib",
-    "available",
-    "scaling",
-    "comment",
-}
+# (document key, InstanceSpec field) in field order; the first five fields have no default, so their keys are required
+_ENTRY_KEYS = (("name", "name"), ("kind", "kind"), ("od_price", "od_price"), ("spot_price", "spot_price"),
+               ("network_gbps", "network_bw"), ("eflops", "eflops"), ("memory_gib", "memory"),
+               ("available", "available"), ("scaling", "scaling_params"))
+_KNOWN_ENTRY_KEYS = {key for key, _ in _ENTRY_KEYS} | {"comment"}
 _KNOWN_TOP_KEYS = {"instances", "comment"}
 
 
@@ -271,6 +270,8 @@ def _number(key: str, value):
 
 
 def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
+    """The entry's values by field, kind as a Kind and a scaling object as
+    LogisticParams, for InstanceSpec to convert and check."""
     name = entry.get("name")
     label = name if isinstance(name, str) else f"#{idx}"
     unknown = set(entry) - _KNOWN_ENTRY_KEYS
@@ -280,29 +281,18 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
             stacklevel=3,
         )
     try:
-        if not isinstance(entry["name"], str):
-            raise TypeError(f"name must be a string, got {json.dumps(name, default=str)}")
-        kind = Kind(entry["kind"])
-        od_price = as_price(_number("od_price", entry["od_price"]))
-        spot_price = as_price(_number("spot_price", entry["spot_price"]))
-        network = float(_number("network_gbps", entry["network_gbps"]))
-        eflops = float(_number("eflops", entry.get("eflops", 0.0)))
-        memory = float(_number("memory_gib", entry.get("memory_gib", 8.0)))
-        available = entry.get("available", True)
-        if not isinstance(available, bool):
-            raise TypeError(f"available must be true or false, got {json.dumps(available, default=str)}")
+        fields = {field: entry[key] for key, field in _ENTRY_KEYS[:5]}
+        fields["kind"] = Kind(fields["kind"])
     except KeyError as exc:
         raise CatalogParseError(f"instance {label!r}: missing required field {exc}") from exc
-    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+    except ValueError as exc:
         raise CatalogParseError(f"instance {label!r}: {exc}") from exc
+    fields.update((field, entry[key]) for key, field in _ENTRY_KEYS[5:] if key in entry)
 
-    scaling = None
-    if entry.get("scaling") is not None:
-        raw = entry["scaling"]
+    raw = fields.get("scaling_params")
+    if isinstance(raw, dict):
         try:
-            if not isinstance(raw, dict):
-                raise TypeError("scaling must be an object with keys a, b and c")
-            scaling = LogisticParams(*(float(_number(key, raw[key])) for key in "abc"))
+            fields["scaling_params"] = LogisticParams(*(float(_number(key, raw[key])) for key in "abc"))
         except KeyError as exc:
             raise CatalogParseError(
                 f"instance {label!r}: scaling object missing key {exc}"
@@ -310,17 +300,12 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
         except (ValueError, TypeError, OverflowError) as exc:
             raise CatalogValidationError(f"instance {label!r}: {exc}") from exc
 
-    return InstanceSpec(
-        name=name,
-        kind=kind,
-        od_price=od_price,
-        spot_price=spot_price,
-        network_bw=network,
-        eflops=eflops,
-        memory=memory,
-        available=available,
-        scaling_params=scaling,
-    )
+    try:
+        return InstanceSpec(**fields)
+    except CatalogParseError as exc:  # a name that is not a str: the document gives its position
+        if isinstance(name, str):
+            raise
+        raise CatalogParseError(f"instance {label!r}: {exc}") from exc
 
 
 def load_catalog_file(path) -> Catalog:

@@ -137,6 +137,14 @@ def _plan(gpu, cpu=None, m=None, n=3, price="1.25", z=12.5):
     return ClusterPlan("tiering" if cpu else "single_anchor", gpu, n, cpu, m, Decimal(price), z)
 
 
+def _named(spec, name):
+    """A copy of spec named name, set after construction, since InstanceSpec
+    refuses a name that is not a str."""
+    spec = dataclasses.replace(spec)
+    object.__setattr__(spec, "name", name)
+    return spec
+
+
 def test_hand_built_results_match_reference(simulated_catalog):
     gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
     shared = _plan(gpu, cpu, 2)
@@ -194,7 +202,7 @@ def test_hand_built_results_match_reference(simulated_catalog):
                  hourly_price=Decimal("1.25"), score_z=12.5)
     looks = dict(
         architecture=[Name("tiering"), ("tiering",)],
-        gpu_instance=[dataclasses.replace(gpu, name=Name("A")), dataclasses.replace(gpu, name=("g", "pu"))],
+        gpu_instance=[dataclasses.replace(gpu, name=Name("A")), _named(gpu, ("g", "pu"))],
         n_gpu=[True, Int(3)],
         cpu_instance=[None, dataclasses.replace(cpu, name=Name("M"))],
         m_cpu=[None, False, True, Int(2)],
@@ -221,8 +229,8 @@ def test_hand_built_results_match_reference(simulated_catalog):
 def test_multi_line_plan_values_match_reference(simulated_catalog):
     # Values json.dumps writes on several lines sit at different indents in a
     # row (6 spaces) and in a plan summary (10).
-    gpu = InstanceSpec(name=("g", "pu"), kind=Kind.GPU, od_price="0.5", spot_price="0.2", network_bw=10,
-                       eflops=100, memory=16)
+    gpu = _named(InstanceSpec(name="gpu", kind=Kind.GPU, od_price="0.5", spot_price="0.2", network_bw=10,
+                              eflops=100, memory=16), ("g", "pu"))
     plans = [ClusterPlan(["single", "anchor"], gpu, 3, None, {"m": [1, 2]}, Decimal("1.25"), 12.5),
              _plan(gpu, simulated_catalog.by_name("M"), [4, 5], z=[6.5])]
     grid = (Decimal("0.5"), Decimal(1))

@@ -16,7 +16,7 @@ from functools import cached_property
 from importlib import resources
 from typing import IO, Union
 
-from .scaling import LogisticParams, s_hybrid
+from .scaling import LogisticParams, _number, s_hybrid
 
 __all__ = [
     "Kind",
@@ -100,15 +100,15 @@ class InstanceSpec:
             raise CatalogParseError(f"name must be a string, got {json.dumps(self.name, default=str)}")
         try:
             if not isinstance(self.kind, Kind):
-                raise TypeError(f"kind must be a Kind, got {json.dumps(self.kind, default=str)}")
-            object.__setattr__(self, "od_price", as_price(_number("od_price", self.od_price)))
-            object.__setattr__(self, "spot_price", as_price(_number("spot_price", self.spot_price)))
-            object.__setattr__(self, "network_bw", float(_number("network_gbps", self.network_bw)))
-            object.__setattr__(self, "eflops", float(_number("eflops", self.eflops)))
-            object.__setattr__(self, "memory", float(_number("memory_gib", self.memory)))
+                raise ValueError(f"kind must be a Kind, got {json.dumps(self.kind, default=str)}")
+            object.__setattr__(self, "od_price", _number("od_price", self.od_price, as_price))
+            object.__setattr__(self, "spot_price", _number("spot_price", self.spot_price, as_price))
+            object.__setattr__(self, "network_bw", _number("network_gbps", self.network_bw))
+            object.__setattr__(self, "eflops", _number("eflops", self.eflops))
+            object.__setattr__(self, "memory", _number("memory_gib", self.memory))
             if not isinstance(self.available, bool):
-                raise TypeError(f"available must be true or false, got {json.dumps(self.available, default=str)}")
-        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+                raise ValueError(f"available must be true or false, got {json.dumps(self.available, default=str)}")
+        except ValueError as exc:
             raise CatalogParseError(f"instance {self.name!r}: {exc}") from exc
         if not (self.scaling_params is None or isinstance(self.scaling_params, LogisticParams)):
             raise CatalogValidationError(f"instance {self.name!r}: scaling must be an object with keys a, b and c")
@@ -166,6 +166,8 @@ class Catalog:
     instances: tuple[InstanceSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not isinstance(self.instances, (tuple, list)):
+            raise CatalogValidationError(f"catalog instances are a {type(self.instances).__name__}, not a tuple")
         object.__setattr__(self, "instances", tuple(self.instances))
         seen: set[str] = set()
         for idx, spec in enumerate(self.instances):
@@ -256,19 +258,6 @@ def _read_json(source: Union[bytes, str, IO], what: str, error: type[Exception])
         raise error(f"malformed {what} document: {exc}") from exc
 
 
-def _is_number(x) -> bool:
-    """A JSON number: int, float or Decimal, and not a bool."""
-    return isinstance(x, (int, float, Decimal)) and not isinstance(x, bool)
-
-
-def _number(key: str, value):
-    """value, given that it is a number or a string such as "Infinity"; a
-    TypeError names the key otherwise."""
-    if not (_is_number(value) or isinstance(value, str)):
-        raise TypeError(f"{key} must be a number, got {json.dumps(value, default=str)}")
-    return value
-
-
 def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
     """The entry's values by field, kind as a Kind and a scaling object as
     LogisticParams, for InstanceSpec to convert and check."""
@@ -289,15 +278,14 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
         raise CatalogParseError(f"instance {label!r}: {exc}") from exc
     fields.update((field, entry[key]) for key, field in _ENTRY_KEYS[5:] if key in entry)
 
-    raw = fields.get("scaling_params")
-    if isinstance(raw, dict):
+    if isinstance(raw := fields.get("scaling_params"), dict):  # keys other than a, b and c are ignored
         try:
-            fields["scaling_params"] = LogisticParams(*(float(_number(key, raw[key])) for key in "abc"))
+            fields["scaling_params"] = LogisticParams(raw["a"], raw["b"], raw["c"])
         except KeyError as exc:
             raise CatalogParseError(
                 f"instance {label!r}: scaling object missing key {exc}"
             ) from exc
-        except (ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:
             raise CatalogValidationError(f"instance {label!r}: {exc}") from exc
 
     try:

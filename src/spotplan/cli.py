@@ -200,10 +200,9 @@ def _read_samples(path: str) -> list:
                 try:
                     if len(row) != 2:
                         raise ValueError(f"expected 2 fields n,speedup, got {len(row)}")
-                    n, speedup = int(row[0]), float(row[1])
+                    samples.append(SpeedupSample(*row))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-                samples.append(SpeedupSample(n=n, speedup=speedup))
         except csv.Error as exc:
             # A row the reader cannot split, such as a field over csv.field_size_limit().
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None

@@ -62,7 +62,7 @@ from typing import Iterator, Optional
 
 from .catalog import Catalog, InstanceSpec, Kind, as_price
 from .saturation import SaturationTable, default_saturation_table, min_cpu_count, n_sat_lookup
-from .scaling import DEFAULT_SCALING, ScalingSource
+from .scaling import DEFAULT_SCALING, ScalingSource, _number
 
 __all__ = [
     "PlanRequest",
@@ -94,7 +94,7 @@ MAX_INSTANCES = 10_000  # the largest max_instances and top_k; the walk, the swe
 
 def _budget(name: str, value) -> Decimal:
     """value as an exact price whose float() is finite, as a plan's must be, and not 0 unless value is."""
-    price = as_price(value)
+    price = _number(name, value, as_price)
     if price and not 0 < abs(f := float(price)) < math.inf:
         raise ValueError(f"{name} must be a {'finite' if f else 'nonzero'} float, not {price}")
     return price
@@ -118,12 +118,12 @@ class PlanRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "pw", _budget("pw", self.pw))
-        object.__setattr__(self, "ckpt_size", float(self.ckpt_size))
+        object.__setattr__(self, "ckpt_size", _number("ckpt_size", self.ckpt_size))
         for name in ("buffer_count", "max_instances", "top_k"):  # operator.index: ints, numpy's among them
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
+            if type(value := getattr(self, name)) is not int:
+                if type(value) is bool or not hasattr(value, "__index__"):
+                    raise ValueError(f"{name} must be an integer, not {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         if not self.pw > 0:
             raise ValueError("pw must be positive")
         if not 0 < self.ckpt_size < math.inf:

@@ -16,7 +16,8 @@ from importlib import resources
 from operator import itemgetter
 from typing import IO, Union
 
-from .catalog import InstanceSpec, _is_number, _read_json
+from .catalog import InstanceSpec, _read_json
+from .scaling import _number
 
 __all__ = [
     "SaturationTable",
@@ -38,19 +39,13 @@ def _entry(row) -> tuple[float, int]:
     if not isinstance(row, (list, tuple)) or len(row) != 2:
         raise ValueError(f"saturation entry {row!r} is not a [bandwidth, n_sat] pair")
     bw, n = row
-    try:
-        bw_ok = _is_number(bw) and 0 < float(bw) < math.inf
-    except OverflowError:  # an int beyond float range
-        bw_ok = False
-    if not bw_ok:
-        raise ValueError(f"saturation bandwidth {_shown(bw)} is not a finite positive number")
-    try:
-        n_ok = _is_number(n) and int(n) == n
-    except (ValueError, OverflowError):  # NaN or infinite
-        n_ok = False
-    if not n_ok:
-        raise ValueError(f"n_sat {_shown(n)} is not an integer")
-    return float(bw), int(n)
+    error = f"saturation bandwidth {_shown(bw)} is not a finite positive number"
+    if isinstance(bw, str) or not 0 < (bw := _number("bandwidth", bw, float, error)) < math.inf:
+        raise ValueError(error)
+    error = f"n_sat {_shown(n)} is not an integer"
+    if isinstance(n, str) or not _number("n_sat", n, float, error).is_integer() or int(n) != n:
+        raise ValueError(error)
+    return bw, int(n)
 
 
 @dataclass(frozen=True)
@@ -60,6 +55,8 @@ class SaturationTable:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.entries, (list, tuple)):
+            raise ValueError(f"saturation entries are a {type(self.entries).__name__}, not a list of pairs")
         normalized = tuple(_entry(row) for row in self.entries)
         object.__setattr__(self, "entries", normalized)
         prev_bw, prev_n = 0.0, 0

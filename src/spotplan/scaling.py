@@ -13,8 +13,11 @@ factor K(n) = S_hybrid(n) / n used to discount cluster performance.
 from __future__ import annotations
 
 import heapq
+import json
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -39,6 +42,8 @@ __all__ = [
     "sum_squared_residuals",
 ]
 
+_NUMBER_TYPES = (int, float, Decimal, str)  # the types _number takes, a bool aside
+
 
 class InsufficientDataError(ValueError):
     """Raised when a fit is requested on too few or too-degenerate samples."""
@@ -57,13 +62,23 @@ class NonConvergenceError(RuntimeError, ValueError):
         self.residual = residual
 
 
+def _number(key: str, value, kind=float, error: str = ""):
+    """kind(value) of one of _NUMBER_TYPES; a ValueError, error or one naming key, refuses other values and overflow."""
+    if type(value) not in _NUMBER_TYPES and (isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES)):
+        raise ValueError(error or f"{key} must be a number, got {json.dumps(value, default=str)}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ValueError(error or exc) from None
+
+
 @dataclass(frozen=True)
 class LogisticParams:
     """Parameters of the logistic speedup curve: the speedup model.
 
     a is the growth rate, b the node count at the inflection point, and c the
-    asymptotic speedup.  All three must be positive.  s_average, s_hybrid and
-    scaling_factor evaluate the model.
+    asymptotic speedup: each a positive, finite float, or the text of one.
+    s_average, s_hybrid and scaling_factor evaluate the model.
     """
 
     a: float
@@ -71,30 +86,32 @@ class LogisticParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"logistic parameter {name} must be positive, got {value}")
+        for name, value in (("a", _number("a", self.a)), ("b", _number("b", self.b)), ("c", _number("c", self.c))):
+            if not 0 < value < math.inf:
+                raise ValueError(f"logistic parameter {name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class SpeedupSample:
-    """One measured point: speedup of an n-node run relative to n = 1."""
+    """One measured point: speedup of an n-node run relative to n = 1; n may be the text of an int."""
 
     n: int
     speedup: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        try:
-            finite = math.isfinite(self.n)
-        except OverflowError:  # an int beyond float range
-            finite = False
-        if not finite:
+        # int() keeps an int exact and refuses a field such as '2.5' by name.
+        n = _number("node count", self.n, int if isinstance(self.n, (int, str)) else float)
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
+        if not n <= sys.float_info.max:  # NaN and infinities among them; int-float compares exactly
             raise ValueError("node count must be finite and within float range")
-        if not (self.speedup > 0 and math.isfinite(self.speedup)):
-            raise ValueError(f"speedup must be positive, got {self.speedup}")
+        if n != int(n):
+            raise ValueError(f"node count must be an integer, got {n}")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "speedup", speedup := _number("speedup", self.speedup))
+        if not 0 < speedup < math.inf:
+            raise ValueError(f"speedup must be positive, got {speedup}")
 
 
 # Averaged fit across the three reference image-classification benchmarks.
@@ -379,8 +396,8 @@ class ScalingSource:
     default: LogisticParams = DEFAULT_PARAMS
 
     def __post_init__(self):
-        if not s_hybrid(self.default, 1) > 0:
-            raise ValueError(f"scaling model {self.default} gives S_hybrid(1) <= 0")
+        if not (isinstance(self.default, LogisticParams) and s_hybrid(self.default, 1) > 0):
+            raise ValueError(f"a scaling model must be LogisticParams with S_hybrid(1) > 0, not {self.default!r}")
 
     def model_for(self, instance: "InstanceSpec") -> LogisticParams:
         """The instance's own scaling_params, or the default."""

@@ -142,6 +142,8 @@ class SweepSpec:
     def __post_init__(self):
         for name in ("pw_min", "pw_max", "pw_step"):
             object.__setattr__(self, name, _budget(name, getattr(self, name)))
+        if not isinstance(self.policies, (tuple, list)):  # a str would be read as one-letter policies
+            raise ValueError(f"policies must be a tuple of policy names, not {self.policies!r}")
         object.__setattr__(self, "policies", tuple(self.policies))
         if self.pw_min < 0 or self.pw_min >= self.pw_max:
             raise ValueError("need 0 <= pw_min < pw_max")
@@ -151,7 +153,9 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown policies: {unknown}")
         self._points()
-        self.request_at(self.pw_max)  # the request checks, max_instances among them
+        req = self.request_at(self.pw_max)  # the request converts and checks the template's fields
+        for name in ("ckpt_size", "buffer_count", "max_instances"):
+            object.__setattr__(self, name, getattr(req, name))
 
     def _points(self) -> int:
         """(pw_max - pw_min) // pw_step + 1, exactly, in the budget context; at most MAX_GRID_POINTS."""
@@ -371,11 +375,26 @@ def _plan_values(plan: ClusterPlan) -> tuple:
             plan.hourly_price, plan.score_z)
 
 
-def _of_planner_types(values: tuple) -> bool:
-    """Whether _plan_values have exactly the types of a planner's plan, as the writers' templates need."""
-    architecture, gpu, n, cpu, m, price, z = values
-    return (type(architecture) is type(gpu) is str and type(n) is int and (cpu is None or type(cpu) is str)
-            and (m is None or type(m) is int) and type(price) is Decimal and type(z) is float)
+_NOT_PLANNER_TYPES = "sweep_to_csv and sweep_to_json write only results of planner types, as run_sweep makes them"
+
+
+def _of_planner_types(result: SweepResult) -> SweepResult:
+    """result, given str policies and a float normalizer, as the writers need; a ValueError otherwise."""
+    if type(result.normalizer) is float and all(type(policy) is str for policy in result.curves):
+        return result
+    raise ValueError(_NOT_PLANNER_TYPES)
+
+
+def _point_values(point: SweepPoint) -> Optional[tuple]:
+    """_plan_values(point.plan), None for no plan, given float raw and normalized and values of a planner's types."""
+    if type(point.raw) is float and type(point.normalized) is float:
+        if not point.plan:
+            return None
+        architecture, gpu, n, cpu, m, price, z = values = _plan_values(point.plan)
+        if (type(architecture) is type(gpu) is str and type(n) is int and (cpu is None or type(cpu) is str)
+                and (m is None or type(m) is int) and type(price) is Decimal and type(z) is float):
+            return values
+    raise ValueError(_NOT_PLANNER_TYPES)
 
 
 def _plan_fields(plan: Optional[ClusterPlan]) -> tuple:
@@ -431,27 +450,23 @@ class _Echo:
 def sweep_to_csv(result: SweepResult) -> str:
     """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run, so
     on a run_sweep result each plan once, and no row sorted (_in_row_order).  csv
-    quotes each field on its own and a float's repr needs no quotes, so with a str
-    policy, float raw and normalized and a plan that passes _of_planner_types, the
-    rest is f"{policy},{raw!r},{normalized!r},{columns}"; else one csv.writer row."""
+    quotes each field on its own and a float's repr needs no quotes, so the rest is
+    f"{policy},{raw!r},{normalized!r},{columns}".  A ValueError refuses a result
+    that is not of planner types (_of_planner_types, _point_values)."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
     names = {}
     # A name's field as csv.writer writes it: after a first field, even an empty name.
     quote = lambda name: names[name] if name in names else names.setdefault(name, line(("", name))[1:-1])
 
     def render(policy, point: SweepPoint) -> str:
-        raw, normalized, plan = point.raw, point.normalized, point.plan
-        if type(policy) is str and type(raw) is type(normalized) is float:
-            if not plan:
-                return f"{quote(policy)},{raw!r},{normalized!r},,,,,,\n"
-            if _of_planner_types(values := _plan_values(plan)):
-                architecture, gpu, n, cpu, m, price, _ = values
-                m = "" if cpu is None or m is None else m
-                return (f"{quote(policy)},{raw!r},{normalized!r},{quote(architecture)},{quote(gpu)},{n},"
-                        f"{quote(cpu)},{m},{float(price)!r}\n")
-        return line((policy, raw, normalized, *_plan_fields(plan)))
+        if (values := _point_values(point)) is None:
+            return f"{quote(policy)},{point.raw!r},{point.normalized!r},,,,,,\n"
+        architecture, gpu, n, cpu, m, price, _ = values
+        m = "" if cpu is None or m is None else m
+        return (f"{quote(policy)},{point.raw!r},{point.normalized!r},{quote(architecture)},{quote(gpu)},{n},"
+                f"{quote(cpu)},{m},{float(price)!r}\n")
 
-    rows = _in_row_order(result, render, lambda pw: float.__repr__(pw) + ",")[2]
+    rows = _in_row_order(_of_planner_types(result), render, lambda pw: float.__repr__(pw) + ",")[2]
     return "".join([line(_CSV_COLUMNS), *chain.from_iterable(rows)])
 
 
@@ -464,11 +479,6 @@ def _json_float(x: float) -> str:
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_value(x, pad: str = " " * 6) -> str:
-    """json.dumps(x, indent=2) on a line indented by pad: on a run_sweep result, policies and the normalizer."""
-    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
-
-
 def _json_texts(a, g, n, c, m, p, z, row_m) -> tuple[str, str]:
     """A plan's JSON row tail (cpu_count row_m) and summary() block, from its values' texts."""
     return (f'      "architecture": {a},\n      "gpu": {g},\n      "gpu_count": {n},\n      "cpu": {c},\n'
@@ -476,21 +486,6 @@ def _json_texts(a, g, n, c, m, p, z, row_m) -> tuple[str, str]:
             f'{{\n          "architecture": {a},\n          "gpu": {g},\n          "gpu_count": {n},\n'
             f'          "cpu": {c},\n          "cpu_count": {m},\n          "hourly_price": {p},\n'
             f'          "score_z": {z}\n        }}')
-
-
-def _json_plan(plan: Optional[ClusterPlan]) -> tuple[str, str]:
-    """_json_texts of a plan: its values' texts by type if they pass
-    _of_planner_types, else from _json_value, re-indented to fit the summary."""
-    if not plan:
-        return _json_texts(*("null",) * 8)[0], "null"
-    if _of_planner_types(values := _plan_values(plan)):
-        architecture, gpu, n, cpu, m, price, z = values
-        c, m = "null" if cpu is None else _json_string(cpu), "null" if m is None else m
-        return _json_texts(_json_string(architecture), _json_string(gpu), n, c, m, _json_float(float(price)),
-                           _json_float(z), "null" if cpu is None else m)
-    texts = [_json_value(x) for x in (*values[:5], float(values[5]), values[6])]
-    summary = _json_texts(*(text.replace("\n", "\n    ") for text in texts), None)[1]
-    return _json_texts(*texts, texts[4] if plan.cpu_instance else "null")[0], summary
 
 
 def _json_array(out: list, items, pad: str) -> None:
@@ -513,28 +508,31 @@ def sweep_to_json(result: SweepResult) -> str:
     plan.summary() or None}, ...]}}, written without building the payload.
     Each grid pw and policy is rendered once, and a row's text after its pw
     and the plan's summary once per run: on a run_sweep result, each plan once,
-    and no row is sorted (_in_row_order).  Only plans that fail
-    _of_planner_types, and raw or normalized that are not floats, go through
-    _json_value.
+    and no row is sorted (_in_row_order).  A ValueError refuses a result that
+    is not of planner types (_of_planner_types, _point_values).
     """
-    policies = {policy: _json_value(policy) for policy in result.curves}
+    policies = {policy: _json_string(policy) for policy in _of_planner_types(result).curves}
 
     def render(policy, point: SweepPoint) -> tuple[str, str]:
-        raw, normalized = point.raw, point.normalized
-        tail, summary = _json_plan(point.plan)
-        value = _json_float if type(raw) is type(normalized) is float else _json_value
-        return (f'      "policy": {policies[policy]},\n      "raw": {value(raw)},\n'
-                f'      "normalized": {value(normalized)},\n{tail}\n    }}'), summary
+        if (values := _point_values(point)) is None:
+            tail, summary = _json_texts(*("null",) * 8)[0], "null"
+        else:
+            architecture, gpu, n, cpu, m, price, z = values
+            c, m = "null" if cpu is None else _json_string(cpu), "null" if m is None else m
+            tail, summary = _json_texts(_json_string(architecture), _json_string(gpu), n, c, m,
+                                        _json_float(float(price)), _json_float(z), "null" if cpu is None else m)
+        return (f'      "policy": {policies[policy]},\n      "raw": {_json_float(point.raw)},\n'
+                f'      "normalized": {_json_float(point.normalized)},\n{tail}\n    }}'), summary
 
     grid, texts, rows = _in_row_order(result, render, _json_float)
     out = ['{\n  "grid": ']
     _json_array(out, ((pw,) for pw in grid), "  ")
-    out += (',\n  "normalizer": ', _json_value(result.normalizer, "  "), ',\n  "rows": ')
+    out += (',\n  "normalizer": ', _json_float(result.normalizer), ',\n  "rows": ')
     _json_array(out, (('{\n      "pw": ', pw, ",\n", row) for pw, (row, _) in rows), "  ")
     out.append(',\n  "plans": {')
     pws = dict(zip(map(id, result.grid), grid))
     for i, (policy, points) in enumerate(result.curves.items()):
-        out += (",\n    " if i else "\n    ", json.dumps({policy: 0})[1:-4], ": ")  # policy as a key
+        out += (",\n    " if i else "\n    ", policies[policy], ": ")
         _json_array(
             out,
             (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ', summary,

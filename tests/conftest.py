@@ -94,10 +94,9 @@ def factor_calls(monkeypatch):
 
 @pytest.fixture()
 def generic_renders(monkeypatch):
-    """generic_renders(f, *args): the values that f(*args) renders through the
-    sweep writers' generic routes, simulator._json_value and csv.writer rows
-    (names the CSV writer quotes among them).  A work count, so machine noise
-    does not move it."""
+    """generic_renders(f, *args): the csv.writer rows that f(*args) renders:
+    the CSV writer's header and the names it quotes.  A work count, so machine
+    noise does not move it."""
     calls = [0]
 
     def counting(real):
@@ -107,7 +106,6 @@ def generic_renders(monkeypatch):
 
         return count
 
-    monkeypatch.setattr(simulator, "_json_value", counting(simulator._json_value))
     monkeypatch.setattr(simulator._Echo, "write", staticmethod(counting(simulator._Echo.write)))
 
     def count(f, *args):

@@ -319,8 +319,10 @@ _ENTRY = '{"name": "A", "kind": "gpu", "od_price": 1, "spot_price": 0.5, "networ
         ('{"instances": {"A": {}}}', 'catalog document must contain an "instances" list'),
         ('{"instances": [5]}', "instance entry #0 is not an object"),
         ('{"instances": [%s, "scaling": {"a": 0.2, "b": 10}}]}' % _ENTRY, "instance 'A': scaling object missing key 'c'"),
+        ('{"instances": [{"name": "x", "kind": "tpu", "od_price": 1, "spot_price": 1, "network_gbps": 10}]}',
+         "instance 'x': 'tpu' is not a valid Kind"),
     ],
-    ids=["no-instances", "instances-not-a-list", "entry-not-an-object", "scaling-missing-key"],
+    ids=["no-instances", "instances-not-a-list", "entry-not-an-object", "scaling-missing-key", "unknown-kind"],
 )
 def test_document_shape_errors_name_the_problem(doc, message):
     with pytest.raises(CatalogParseError) as excinfo:

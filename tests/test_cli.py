@@ -455,7 +455,7 @@ class TestFitCommand:
         path.write_text(f"n,speedup\n1,1\n2,2\n3,3\n{10**400},4\n")
         code, out, err = run(capsys, "fit", str(path))
         assert code == 1 and out == ""
-        assert err == "error: node count must be finite and within float range\n"
+        assert err == f"error: {path}, line 5: node count must be finite and within float range\n"
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_non_finite_residual_exits_1_in_one_line(self, capsys, tmp_path, fmt):
@@ -657,6 +657,22 @@ def test_non_finite_ckpt_size_exits_1_in_one_line(capsys, command, size):
     code, out, err = run(capsys, command, "--ckpt-size-gib", size)
     assert code == 1 and out == ""
     assert err == "error: ckpt_size must be positive and finite\n"
+
+
+@pytest.mark.parametrize("argv", [["validate-catalog"], ["plan", "--catalog"]], ids=["validate-catalog", "plan"])
+def test_unknown_kind_exits_1_in_one_line(capsys, tmp_path, argv):
+    path = tmp_path / "tpu.json"
+    path.write_text(json.dumps({"instances": [
+        {"name": "x", "kind": "tpu", "od_price": 1, "spot_price": 1, "network_gbps": 10}]}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err == "error: instance 'x': 'tpu' is not a valid Kind\n"
+
+
+def test_a_grid_one_point_over_the_limit_exits_1_in_one_line(capsys):
+    code, out, err = run(capsys, "simulate", "--pw-max", "1000", "--pw-step", "0.1")
+    assert code == 1 and out == ""
+    assert err == "error: the PW grid has 10001 points; the limit is 10000\n"
 
 
 @pytest.mark.parametrize("argv", [["validate-catalog"], ["plan", "--catalog"]], ids=["validate-catalog", "plan"])

@@ -139,7 +139,7 @@ class TestPlanRequest:
         assert plan.n_gpu == 8
 
     @pytest.mark.parametrize("name", ["max_instances", "top_k", "buffer_count"])
-    @pytest.mark.parametrize("value", [5.5, 2.0, "3", Decimal(3), None, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [5.5, 2.0, "3", Decimal(3), None, math.nan, math.inf, True])
     def test_non_integer_counts_rejected(self, name, value):
         """A float count used to pass the checks and fail later: max_instances
         in _TieringRow.n_top, top_k in heapq.nsmallest.  A NaN or infinite

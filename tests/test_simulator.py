@@ -158,6 +158,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(policies=("nonsense",))
 
+    @pytest.mark.parametrize("policies", ["planner", "", 5, None, {"planner": 1}])
+    def test_policies_must_be_a_tuple_of_names(self, policies):
+        """A str was read as one-letter policies: unknown policies: ['p', 'l', 'a', ...]."""
+        message = f"^policies must be a tuple of policy names, not {re.escape(repr(policies))}$"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(policies=policies)
+        assert SweepSpec(policies=["planner", "noscale"]).policies == ("planner", "noscale")
+
     def test_step_beyond_the_range_gives_one_infeasible_point(self, simulated_catalog):
         spec = SweepSpec(pw_max="0.05", pw_step="0.1")
         assert spec.grid() == (Decimal(0),)
@@ -171,11 +179,10 @@ class TestSweepSpec:
             SweepSpec(pw_step="1e-9")
         with pytest.raises(ValueError, match=f"grid has {10**41 + 1} points"):
             SweepSpec(pw_step="1e-40")
-        step = Decimal("0.001")
-        largest = SweepSpec(pw_max=(MAX_GRID_POINTS - 1) * step, pw_step=step)
-        assert len(largest.grid()) == MAX_GRID_POINTS
-        with pytest.raises(ValueError, match=f"grid has {MAX_GRID_POINTS + 1} points"):
-            SweepSpec(pw_max=MAX_GRID_POINTS * step, pw_step=step)
+        # The limit's literal value, so that moving it by one fails.
+        assert len(SweepSpec(pw_max="9.999", pw_step="0.001").grid()) == 10_000 == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="^the PW grid has 10001 points; the limit is 10000$"):
+            SweepSpec(pw_max="10", pw_step="0.001")
 
     def test_max_instances_is_capped(self):
         assert SweepSpec(max_instances=MAX_INSTANCES).max_instances == MAX_INSTANCES

@@ -149,11 +149,10 @@ def test_hand_built_results_match_reference(simulated_catalog):
     gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
     shared = _plan(gpu, cpu, 2)
     grid = tuple(Decimal(x) for x in ("0", "0.5", "0.5000000000000000001", "2.718281828459045235"))
-    odd = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, 5e-324, 3]
+    odd = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, 5e-324, 3.0]
 
     def points(plans, raws):
-        return tuple(SweepPoint(pw, raw, raw / 2 if isinstance(raw, float) else raw, plan)
-                     for pw, raw, plan in zip(grid, raws, plans))
+        return tuple(SweepPoint(pw, raw, raw / 2, plan) for pw, raw, plan in zip(grid, raws, plans))
 
     result = SweepResult(
         grid=grid,
@@ -167,7 +166,7 @@ def test_hand_built_results_match_reference(simulated_catalog):
         normalizer=math.nan,
     )
     assert_same_output(result)
-    for normalizer in (0, math.inf, 7.25):
+    for normalizer in (0.0, math.inf, 7.25):
         assert_same_output(SweepResult(grid=grid[:2], curves={"planner": points([shared] * 2, [1.0, 2.0])},
                                        normalizer=normalizer))
     nan = Decimal("NaN")
@@ -175,17 +174,11 @@ def test_hand_built_results_match_reference(simulated_catalog):
     assert_same_output(SweepResult(grid=grid, curves={"noscale": shuffled, "planner": shuffled[::-1]}))
     assert_same_output(SweepResult(grid=()))
     assert_same_output(SweepResult(grid=grid, curves={"planner": ()}))
-    # Policies that are not str: json.dumps writes each key as a string, or
-    # refuses it with a TypeError.
-    keys = (7, 1.5, True, None, math.nan, math.inf)
-    assert_same_output(SweepResult(grid=grid[:2], curves={key: points([shared] * 2, [1.0, 2.0]) for key in keys}))
-    for writer in (sweep_to_json, reference_sweep_to_json):
-        with pytest.raises(TypeError, match="not tuple"):
-            writer(SweepResult(grid=grid[:2], curves={("planner",): points([shared] * 2, [1.0, 2.0])}))
 
-    # Each plan field, one at a time, from its exact type or a look-alike: the
-    # writers' templates take only exact types, and the look-alikes still
-    # render as the reference writers render them.
+    # Each plan field, one at a time, from its exact type or a look-alike: on
+    # exact types the writers equal their references.  sweep_rows renders the
+    # look-alikes, and look-alike raws and policies, as its reference does, and
+    # sweep_to_csv and sweep_to_json refuse each run that holds one.
     class Int(int):
         def __repr__(self):
             return f"Int({int(self)})"
@@ -200,56 +193,77 @@ def test_hand_built_results_match_reference(simulated_catalog):
 
     exact = dict(architecture="tiering", gpu_instance=gpu, n_gpu=3, cpu_instance=cpu, m_cpu=2,
                  hourly_price=Decimal("1.25"), score_z=12.5)
+    planner_typed = dict(cpu_instance=[None], m_cpu=[None], score_z=[math.nan, math.inf, -math.inf])
     looks = dict(
         architecture=[Name("tiering"), ("tiering",)],
         gpu_instance=[dataclasses.replace(gpu, name=Name("A")), _named(gpu, ("g", "pu"))],
         n_gpu=[True, Int(3)],
-        cpu_instance=[None, dataclasses.replace(cpu, name=Name("M"))],
-        m_cpu=[None, False, True, Int(2)],
+        cpu_instance=[dataclasses.replace(cpu, name=Name("M"))],
+        m_cpu=[False, True, Int(2)],
         hourly_price=[1.25, Float(1.25)],
-        score_z=[Float(12.5), math.nan, math.inf, -math.inf],
+        score_z=[Float(12.5)],
     )
-    plans = [ClusterPlan(**exact)]
-    plans += [ClusterPlan(**{**exact, key: value}) for key, values in looks.items() for value in values]
-    plans += [ClusterPlan(**{**exact, "cpu_instance": None, key: value}) for key in ("m_cpu", "n_gpu")
-              for value in looks[key]]
-    raws = itertools.cycle([0.5, math.nan, math.inf, -math.inf, Float(0.25), 0.0])
-    grid = tuple(Decimal(i) / 4 for i in range(2 * len(plans)))
-    curves = {}
-    for policy in ("planner", Name("noscale"), Name("odd")):
-        curve, raw = [], None
-        for i, pw in enumerate(grid):
-            if i % 2 == 0:  # two points per plan: one run
-                raw = next(raws)
-            curve.append(SweepPoint(pw, raw, raw / 2, plans[i // 2]))
-        curves[policy] = tuple(curve)
-    assert_same_output(SweepResult(grid=grid, curves=curves, normalizer=2.0))
+
+    def variants(fields):
+        plans = [ClusterPlan(**{**exact, key: value}) for key, values in fields.items() for value in values]
+        return plans + [ClusterPlan(**{**exact, "cpu_instance": None, key: value}) for key in ("m_cpu", "n_gpu")
+                        for value in fields.get(key, ())]
+
+    def result_of(plans, raws, policies):
+        grid = tuple(Decimal(i) / 4 for i in range(2 * len(plans)))
+        curves = {}
+        for policy in policies:
+            curve, raw = [], None
+            for i, pw in enumerate(grid):
+                if i % 2 == 0:  # two points per plan: one run
+                    raw = next(raws)
+                curve.append(SweepPoint(pw, raw, raw / 2, plans[i // 2]))
+            curves[policy] = tuple(curve)
+        return SweepResult(grid=grid, curves=curves, normalizer=2.0)
+
+    floats = [0.5, math.nan, math.inf, -math.inf, 0.0]
+    assert_same_output(result_of([ClusterPlan(**exact), *variants(planner_typed)], itertools.cycle(floats),
+                                 ("planner", "odd")))
+    foreign = [result_of(variants(looks), itertools.cycle(floats), ("planner",)),
+               result_of([ClusterPlan(**exact)], iter([Float(0.25)]), ("planner",)),
+               result_of([ClusterPlan(**exact)], iter([0.5]), (Name("noscale"),))]
+    for result in foreign:
+        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result))
+        for policy, points in result.curves.items():
+            for i in range(0, len(points), 2):
+                run = SweepResult(grid=result.grid[i:i + 2], curves={policy: points[i:i + 2]}, normalizer=2.0)
+                for writer in (sweep_to_csv, sweep_to_json):
+                    with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of"):
+                        writer(run)
 
 
 def test_multi_line_plan_values_match_reference(simulated_catalog):
-    # Values json.dumps writes on several lines sit at different indents in a
-    # row (6 spaces) and in a plan summary (10).
+    # Values json.dumps would write on several lines: sweep_rows renders them
+    # as its reference does, and the CSV and JSON writers refuse them.
     gpu = _named(InstanceSpec(name="gpu", kind=Kind.GPU, od_price="0.5", spot_price="0.2", network_bw=10,
                               eflops=100, memory=16), ("g", "pu"))
     plans = [ClusterPlan(["single", "anchor"], gpu, 3, None, {"m": [1, 2]}, Decimal("1.25"), 12.5),
              _plan(gpu, simulated_catalog.by_name("M"), [4, 5], z=[6.5])]
     grid = (Decimal("0.5"), Decimal(1))
-    result = SweepResult(grid=grid, curves={"planner": tuple(SweepPoint(pw, 1.0, 0.5, plan)
-                                                              for pw, plan in zip(grid, plans))})
-    assert_same_output(result)
+    for plan in plans:
+        result = SweepResult(grid=grid[:1], curves={"planner": (SweepPoint(grid[0], 1.0, 0.5, plan),)})
+        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result))
+        for writer in (sweep_to_csv, sweep_to_json):
+            with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of"):
+                writer(result)
 
 
 @pytest.mark.parametrize("fixture", ["simulated_catalog", "aws_catalog"])
 def test_planner_plans_skip_the_generic_renderers(request, fixture, generic_renders):
-    # The generic routes render each policy and the normalizer (JSON), and
-    # the header and each distinct name (CSV), but no field of a plan.
+    # csv.writer renders the header and each distinct name (CSV), but no field
+    # of a plan; the JSON writer has no generic route.
     result = run_sweep(request.getfixturevalue(fixture), SweepSpec())
     plans = {id(p.plan): p.plan for points in result.curves.values() for p in points if p.plan}.values()
     names = {*result.curves, *(x for plan in plans for x in (plan.architecture, plan.gpu_instance.name,
                                                               plan.cpu_instance and plan.cpu_instance.name))}
     json_renders, csv_renders = generic_renders(sweep_to_json, result), generic_renders(sweep_to_csv, result)
     assert len(plans) > 100
-    assert (json_renders, csv_renders) == (len(result.curves) + 1, 1 + len(names))
+    assert (json_renders, csv_renders) == (0, 1 + len(names))
 
 
 # sha256 of the default sweep's JSON per bundled catalog, from the dict-tree writer.

@@ -2,9 +2,10 @@
 
 Each hand-built SweepResult mixes what run_sweep never makes: grids whose
 floats collide or hold NaN, curves that are short or shuffled against the
-grid, unknown and non-str policies, and runs that do or do not share their
-objects.  The writers must still equal the reference writers of
-test_sweep_output byte for byte.
+grid, unknown policies, and runs that do or do not share their objects.  On
+results of planner types the writers must still equal the reference writers
+of test_sweep_output byte for byte; sweep_to_csv and sweep_to_json refuse
+any other result in one line, and sweep_rows still equals its reference.
 """
 import dataclasses
 import math
@@ -18,13 +19,13 @@ from spotplan import SweepSpec, run_sweep, sweep_rows, sweep_to_csv, sweep_to_js
 from spotplan.planner import ClusterPlan
 from spotplan.simulator import SweepPoint, SweepResult
 
-from test_sweep_output import assert_same_output
+from test_sweep_output import _named, assert_same_output, reference_sweep_rows
 
 WRITERS = (sweep_rows, sweep_to_csv, sweep_to_json)
 
 # Grid values: two that round to the float 3.0, a NaN, and plain budgets.
 PWS = ("0", "0.5", "1.25", "3", "3.00000000000000000001", "7.5", "NaN")
-POLICIES = ("planner", "noscale", "cost_first", "performance_first", "unknown", "z-last", 7, 1.5, True, None, math.nan)
+POLICIES = ("planner", "noscale", "cost_first", "performance_first", "unknown", "z-last")
 RAWS = (0.0, -0.0, 0.5, 1e300, 5e-324, math.nan, math.inf, -math.inf)
 
 
@@ -35,7 +36,7 @@ def _plans(simulated_catalog):
         ClusterPlan("single_anchor", gpu, 3, None, None, Decimal("1.25"), 12.5),
         ClusterPlan("tiering", gpu, 9, cpu, 2, Decimal("2.5"), 40.0),
         ClusterPlan("tiering", gpu, 1, cpu, None, Decimal("0.75"), math.nan),  # m None with a CPU
-        ClusterPlan("single_anchor", gpu, True, None, 4, Decimal("1"), math.inf),  # fails _of_planner_types
+        ClusterPlan("single_anchor", gpu, 3, None, 4, Decimal("1"), math.inf),  # m without a CPU
     ]
 
 
@@ -77,6 +78,35 @@ def _results(draw, plans):
 @given(data=st.data())
 def test_generated_results_match_reference(simulated_catalog, data):
     assert_same_output(data.draw(_results(_plans(simulated_catalog))))
+
+
+def _foreign(simulated_catalog):
+    """name -> a result of planner types but for one value."""
+    gpu = simulated_catalog.by_name("A")
+    plan = ClusterPlan("single_anchor", gpu, 3, None, None, Decimal("1.25"), 12.5)
+    pw = Decimal(1)
+
+    def result(policy="planner", raw=1.0, normalized=0.5, p=plan, normalizer=2.0):
+        return SweepResult((pw,), {policy: (SweepPoint(pw, raw, normalized, p),)}, normalizer)
+
+    cases = {f"policy {policy!r}": result(policy=policy) for policy in (7, 1.5, True, None, math.nan, ("planner",))}
+    cases["an empty curve of policy 7"] = SweepResult((pw,), {"planner": (), 7: ()}, 2.0)
+    cases.update((f"raw {raw!r}", result(raw=raw)) for raw in (1, True, None, "1.0"))
+    cases.update((f"normalized {x!r}", result(normalized=x, p=None)) for x in (0, None))
+    cases.update((f"normalizer {x!r}", result(normalizer=x)) for x in (0, None))
+    fields = dict(n_gpu=True, hourly_price=1.25, score_z=12, architecture=["single", "anchor"], m_cpu="2",
+                  gpu_instance=_named(gpu, ("g", "pu")))
+    cases.update((f"plan {key}={value!r}", result(p=dataclasses.replace(plan, **{key: value})))
+                 for key, value in fields.items())
+    return cases
+
+
+def test_results_of_other_types_are_refused_by_the_writers(simulated_catalog):
+    for name, result in _foreign(simulated_catalog).items():
+        for writer in (sweep_to_csv, sweep_to_json):
+            with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of planner types"):
+                writer(result)
+        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result)), name
 
 
 class _CountedPw(Decimal):

@@ -16,7 +16,7 @@ from functools import cached_property
 from importlib import resources
 from typing import IO, Union
 
-from .scaling import LogisticParams, _number, s_hybrid
+from .scaling import LogisticParams, _number, _json_text, s_hybrid
 
 __all__ = [
     "Kind",
@@ -97,17 +97,17 @@ class InstanceSpec:
 
     def __post_init__(self):
         if not isinstance(self.name, str):  # no name to label the error with: load_catalog gives the position
-            raise CatalogParseError(f"name must be a string, got {json.dumps(self.name, default=str)}")
+            raise CatalogParseError(f"name must be a string, got {_json_text(self.name)}")
         try:
             if not isinstance(self.kind, Kind):
-                raise ValueError(f"kind must be a Kind, got {json.dumps(self.kind, default=str)}")
+                raise ValueError(f"kind must be a Kind, got {_json_text(self.kind)}")
             object.__setattr__(self, "od_price", _number("od_price", self.od_price, as_price))
             object.__setattr__(self, "spot_price", _number("spot_price", self.spot_price, as_price))
             object.__setattr__(self, "network_bw", _number("network_gbps", self.network_bw))
             object.__setattr__(self, "eflops", _number("eflops", self.eflops))
             object.__setattr__(self, "memory", _number("memory_gib", self.memory))
             if not isinstance(self.available, bool):
-                raise ValueError(f"available must be true or false, got {json.dumps(self.available, default=str)}")
+                raise ValueError(f"available must be true or false, got {_json_text(self.available)}")
         except ValueError as exc:
             raise CatalogParseError(f"instance {self.name!r}: {exc}") from exc
         if not (self.scaling_params is None or isinstance(self.scaling_params, LogisticParams)):
@@ -177,8 +177,8 @@ class Catalog:
                 raise CatalogValidationError(f"duplicate instance name {spec.name!r}")
             seen.add(spec.name)
 
-    # The views are built once per catalog and are not fields, so equality,
-    # hashing, repr and dataclasses.replace ignore them.
+    # The views and the planner's table (planner._planning) are built once per catalog and kept in its __dict__,
+    # not as fields: equality, hashing, repr and dataclasses.replace ignore them, and an unpickled copy keeps them.
     @cached_property
     def gpu_view(self) -> tuple[InstanceSpec, ...]:
         """Available GPU instances, in catalog order."""

@@ -251,12 +251,21 @@ class _TieringRow:
         return key, self.v, self.w
 
 
+def _planning(catalog: Catalog) -> tuple[list, dict]:
+    """catalog's planning table: each GPU's FloppScore and, per saturation table, n_sat by (GPU, CPU) index."""
+    table = catalog.__dict__.get("_planning")  # kept beside the views (Catalog); stored whole, in one step
+    return table or catalog.__dict__.setdefault("_planning", ([flopp(v) for v in catalog.gpu_view], {}))
+
+
 def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
     """The single-anchor row of each GPU, then the tiering row of each
     (GPU, CPU) pair whose CPU holds the checkpoints."""
-    anchors = [_SingleAnchorRow(i, v, flopp(v)) for i, v in enumerate(catalog.gpu_view)]
+    scores, n_sats = _planning(catalog)
+    if (table := n_sats.get(sat)) is None:
+        n_sats[sat] = table = [[n_sat_lookup(sat, s.instance, w) for w in catalog.cpu_view] for s in scores]
+    anchors = [_SingleAnchorRow(i, s.instance, s) for i, s in enumerate(scores)]
     cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
-    return anchors + [_TieringRow(a, j, w, n_sat_lookup(sat, a.v, w)) for a in anchors for j, w in cpus]
+    return anchors + [_TieringRow(a, j, w, table[a.v_idx][j]) for a in anchors for j, w in cpus]
 
 
 def _plan(candidate: tuple) -> ClusterPlan:

@@ -56,7 +56,7 @@ class SaturationTable:
 
     def __post_init__(self):
         if not isinstance(self.entries, (list, tuple)):
-            raise ValueError(f"saturation entries are a {type(self.entries).__name__}, not a list of pairs")
+            raise ValueError(f"saturation entries must be a list of pairs, not {type(self.entries).__name__}")
         normalized = tuple(_entry(row) for row in self.entries)
         object.__setattr__(self, "entries", normalized)
         prev_bw, prev_n = 0.0, 0
@@ -93,8 +93,8 @@ def min_cpu_count(n_gpu: int, n_sat: int) -> int:
 def load_saturation(source: Union[bytes, str, IO]) -> SaturationTable:
     """Parse a saturation table document: {"entries": [[bw, n_sat], ...]}."""
     doc = _read_json(source, "saturation", ValueError)
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        raise ValueError('saturation document must contain an "entries" list')
+    if not isinstance(doc, dict) or "entries" not in doc:
+        raise ValueError('saturation document must be an object with an "entries" key')
     return SaturationTable(doc["entries"])
 
 

@@ -62,10 +62,18 @@ class NonConvergenceError(RuntimeError, ValueError):
         self.residual = residual
 
 
+def _json_text(value) -> str:
+    """value as a JSON document writes it (true, null, [1]), or its repr where JSON cannot (a tuple key, a cycle)."""
+    try:
+        return json.dumps(value, default=str)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _number(key: str, value, kind=float, error: str = ""):
     """kind(value) of one of _NUMBER_TYPES; a ValueError, error or one naming key, refuses other values and overflow."""
     if type(value) not in _NUMBER_TYPES and (isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES)):
-        raise ValueError(error or f"{key} must be a number, got {json.dumps(value, default=str)}")
+        raise ValueError(error or f"{key} must be a number, got {_json_text(value)}")
     try:
         return kind(value)
     except OverflowError as exc:
@@ -111,7 +119,7 @@ class SpeedupSample:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "speedup", speedup := _number("speedup", self.speedup))
         if not 0 < speedup < math.inf:
-            raise ValueError(f"speedup must be positive, got {speedup}")
+            raise ValueError(f"speedup must be positive and finite, got {speedup}")
 
 
 # Averaged fit across the three reference image-classification benchmarks.

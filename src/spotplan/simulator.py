@@ -23,7 +23,7 @@ from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Optional
 
 from .catalog import Catalog
-from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _rows, _SingleAnchorRow, flopp,
+from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _planning, _rows, _SingleAnchorRow,
                       recommend)
 from .saturation import SaturationTable, default_saturation_table
 from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
@@ -58,7 +58,7 @@ def _baseline_row(policy: str, catalog: Catalog) -> Optional[_SingleAnchorRow]:
     """The single-anchor row of the GPU that _BASELINE_GPUS[policy] picks, or None when the catalog has no GPU."""
     gpus, key = catalog.gpu_view, _BASELINE_GPUS[policy]
     v_idx = min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None)
-    return None if v_idx is None else _SingleAnchorRow(v_idx, gpus[v_idx], flopp(gpus[v_idx]))
+    return None if v_idx is None else _SingleAnchorRow(v_idx, gpus[v_idx], _planning(catalog)[0][v_idx])
 
 
 def _baseline(

@@ -112,7 +112,7 @@ class TestPlanCommand:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ('{"entries": 5}', 'must contain an "entries" list'),
+            ('{"entries": 5}', "saturation entries must be a list of pairs, not int"),
             ('{"entries": [["NaN", 3]]}', "bandwidth 'NaN' is not a finite positive number"),
             ('{"entries": [["Infinity", 3]]}', "bandwidth 'Infinity' is not a finite positive number"),
             ('{"entries": [[NaN, 3]]}', "bandwidth nan is not a finite positive number"),

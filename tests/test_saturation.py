@@ -84,8 +84,8 @@ def test_load_saturation_document():
 
 # Documents that must be refused, with the message each gives.
 BAD_DOCUMENTS = {
-    '{"entries": 5}': 'must contain an "entries" list',
-    '{"entries": {"0.3": 3}}': 'must contain an "entries" list',
+    '{"entries": 5}': "saturation entries must be a list of pairs, not int",
+    '{"entries": {"0.3": 3}}': "saturation entries must be a list of pairs, not dict",
     '{"entries": [["NaN", 3]]}': "bandwidth 'NaN' is not a finite positive number",
     '{"entries": [["Infinity", 3]]}': "bandwidth 'Infinity' is not a finite positive number",
     '{"entries": [[NaN, 3]]}': "bandwidth nan is not a finite positive number",

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from spotplan import (
     DEFAULT_PARAMS,
     Catalog,
+    CatalogParseError,
     CatalogValidationError,
     InstanceSpec,
     Kind,
@@ -161,14 +162,10 @@ ENTRIES = [
 def test_saturation_table_refuses_what_a_document_refuses(text):
     with pytest.raises(ValueError) as from_document:
         load_saturation('{"entries": %s}' % text)
-    entries = json.loads(text, parse_float=Decimal)
-    if not isinstance(entries, list):  # the document's own shape check, before the table sees its entries
-        assert str(from_document.value) == 'saturation document must contain an "entries" list'
     with pytest.raises(ValueError) as from_constructor:
-        SaturationTable(entries)
-    if isinstance(entries, list):
-        assert type(from_document.value) is type(from_constructor.value)
-        assert str(from_document.value) == str(from_constructor.value)
+        SaturationTable(json.loads(text, parse_float=Decimal))
+    assert type(from_document.value) is type(from_constructor.value)
+    assert str(from_document.value) == str(from_constructor.value)
     assert "\n" not in str(from_constructor.value)
 
 
@@ -178,6 +175,16 @@ def test_every_saturation_table_that_constructs_round_trips(pairs):
     bws = sorted({bw for bw, _ in pairs})
     table = SaturationTable(tuple(zip(bws, sorted(n for _, n in pairs))))
     assert load_saturation(json.dumps({"entries": table.entries})) == table
+
+
+@pytest.mark.parametrize("speedup", ["inf", "1e400"])
+def test_an_infinite_speedup_is_named_as_not_finite(capsys, tmp_path, speedup):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"n,speedup\n1,1\n4,{speedup}\n")
+    assert main(["fit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}, line 3: speedup must be positive and finite, got inf\n")
 
 
 # A valid value for each field of each value type.
@@ -191,7 +198,9 @@ VALID = {
                     max_instances=256),
     SaturationTable: dict(entries=((10.0, 3),)),
 }
-HOSTILE = [True, None, "x", [], {}, 5, 10**400, math.nan, math.inf, -1]
+CYCLE = []
+CYCLE.append(CYCLE)
+HOSTILE = [True, None, "x", [], {}, {(1, 2): 3}, CYCLE, 5, 10**400, math.nan, math.inf, -1]
 
 
 @pytest.mark.parametrize("cls, field", [(cls, field) for cls, fields in VALID.items() for field in fields])
@@ -209,3 +218,23 @@ def test_hostile_values_construct_or_are_refused_in_one_line(cls, field):
 def test_numbers_refuse_a_bool(cls, fields):
     with pytest.raises(ValueError, match="must be a number, got (true|false)$"):
         cls(**fields)
+
+
+# Values that JSON cannot write, each refused by the field's name and shown by its repr.
+UNWRITABLE = [({(1, 2): 3}, "{(1, 2): 3}"), (CYCLE, "[[...]]")]
+
+
+@pytest.mark.parametrize("value, shown", UNWRITABLE)
+def test_a_value_json_cannot_write_is_refused_by_name(value, shown):
+    with pytest.raises(ValueError) as excinfo:
+        LogisticParams(value, 1, 1)
+    assert str(excinfo.value) == f"a must be a number, got {shown}"
+    fields = dict(name="solo", kind=Kind.GPU, od_price="0.2", spot_price="0.1", network_bw=10, eflops=10)
+    for field, message in [("od_price", "od_price must be a number"), ("network_bw", "network_gbps must be a number"),
+                           ("kind", "kind must be a Kind"), ("available", "available must be true or false")]:
+        with pytest.raises(CatalogParseError) as excinfo:
+            InstanceSpec(**{**fields, field: value})
+        assert str(excinfo.value) == f"instance 'solo': {message}, got {shown}"
+    with pytest.raises(CatalogParseError) as excinfo:
+        InstanceSpec(**{**fields, "name": value})
+    assert str(excinfo.value) == f"name must be a string, got {shown}"

@@ -178,7 +178,10 @@ class Catalog:
             seen.add(spec.name)
 
     # The views and the planner's table (planner._planning) are built once per catalog and kept in its __dict__,
-    # not as fields: equality, hashing, repr and dataclasses.replace ignore them, and an unpickled copy keeps them.
+    # not as fields: equality, hashing, repr, dataclasses.replace and pickling ignore them.
+    def __getstate__(self) -> dict:
+        return {"instances": self.instances}
+
     @cached_property
     def gpu_view(self) -> tuple[InstanceSpec, ...]:
         """Available GPU instances, in catalog order."""
@@ -274,8 +277,9 @@ def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
         fields["kind"] = Kind(fields["kind"])
     except KeyError as exc:
         raise CatalogParseError(f"instance {label!r}: missing required field {exc}") from exc
-    except ValueError as exc:
-        raise CatalogParseError(f"instance {label!r}: {exc}") from exc
+    except ValueError as exc:  # Kind refuses the value
+        kind = _json_text(fields["kind"])
+        raise CatalogParseError(f'instance {label!r}: kind must be "gpu" or "cpu", got {kind}') from exc
     fields.update((field, entry[key]) for key, field in _ENTRY_KEYS[5:] if key in entry)
 
     if isinstance(raw := fields.get("scaling_params"), dict):  # keys other than a, b and c are ignored

@@ -43,10 +43,9 @@ With top_k = 1 a row's best candidate is the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
 classes and reads that candidate from per-GPU tables of the largest Z up to
 each n instead of walking; those tables never fall, so a row sleeps until
-the first n whose entry beats a policy's plan.  The sweep also drops each
-tiering row that another row of the same GPU beats at every n, one whose
-CPU costs no more and saturates no earlier (simulator._undominated), so it
-schedules only rows that can give a top-1 plan.
+the first n whose entry beats a policy's plan.  Both search the rows of
+_rows, which builds no tiering row that top_k others beat at every n, so the
+sweep (top_k = 1) schedules only rows that can give a top-1 plan.
 """
 from __future__ import annotations
 
@@ -54,6 +53,7 @@ import heapq
 import math
 import operator
 import sys
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from decimal import (MAX_PREC, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow,
                      localcontext)
@@ -251,21 +251,32 @@ class _TieringRow:
         return key, self.v, self.w
 
 
-def _planning(catalog: Catalog) -> tuple[list, dict]:
-    """catalog's planning table: each GPU's FloppScore and, per saturation table, n_sat by (GPU, CPU) index."""
+def _planning(catalog: Catalog) -> tuple[list, dict, list]:
+    """catalog's planning table: each GPU's FloppScore, per saturation table n_sat by (GPU, CPU) index, and the CPU
+    indices in (od_price, index) order."""
     table = catalog.__dict__.get("_planning")  # kept beside the views (Catalog); stored whole, in one step
-    return table or catalog.__dict__.setdefault("_planning", ([flopp(v) for v in catalog.gpu_view], {}))
+    return table or catalog.__dict__.setdefault("_planning", ([flopp(v) for v in catalog.gpu_view], {}, sorted(
+        range(len(catalog.cpu_view)), key=lambda j: catalog.cpu_view[j].od_price)))
 
 
 def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
-    """The single-anchor row of each GPU, then the tiering row of each
-    (GPU, CPU) pair whose CPU holds the checkpoints."""
-    scores, n_sats = _planning(catalog)
+    """The single-anchor row of each GPU, then its tiering rows with the CPUs
+    that hold the checkpoints, by CPU (price, index), less each that top_k
+    others beat at every n: a GPU's tiering rows share Z(n), and a CPU earlier
+    in that order with an n_sat no lower gives a smaller key and fits every n."""
+    scores, n_sats, by_price = _planning(catalog)
     if (table := n_sats.get(sat)) is None:
         n_sats[sat] = table = [[n_sat_lookup(sat, s.instance, w) for w in catalog.cpu_view] for s in scores]
     anchors = [_SingleAnchorRow(i, s.instance, s) for i, s in enumerate(scores)]
-    cpus = [(j, w) for j, w in enumerate(catalog.cpu_view) if w.memory >= req.required_memory]
-    return anchors + [_TieringRow(a, j, w, table[a.v_idx][j]) for a in anchors for j, w in cpus]
+    cpus = [(j, w) for j in by_price if (w := catalog.cpu_view[j]).memory >= req.required_memory]
+    rows = []
+    for anchor in anchors:
+        n_sat, seen = table[anchor.v_idx], []  # the n_sat of the CPUs walked so far, ascending
+        for j, w in cpus:
+            if len(seen) - bisect_left(seen, n_sat[j]) < req.top_k:
+                rows.append(_TieringRow(anchor, j, w, n_sat[j]))
+            insort(seen, n_sat[j])
+    return anchors + rows
 
 
 def _plan(candidate: tuple) -> ClusterPlan:

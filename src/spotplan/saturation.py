@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cache
 from importlib import resources
 from operator import itemgetter
 from typing import IO, Union
 
 from .catalog import InstanceSpec, _read_json
-from .scaling import _number
+from .scaling import _json_text, _number
 
 __all__ = [
     "SaturationTable",
@@ -29,20 +28,16 @@ __all__ = [
 ]
 
 
-def _shown(x) -> str:
-    return str(x) if isinstance(x, Decimal) else repr(x)  # JSON numbers parse to Decimal
-
-
 def _entry(row) -> tuple[float, int]:
     """One [bandwidth, n_sat] pair: a finite positive bandwidth and an
     integral n_sat."""
     if not isinstance(row, (list, tuple)) or len(row) != 2:
-        raise ValueError(f"saturation entry {row!r} is not a [bandwidth, n_sat] pair")
+        raise ValueError(f"saturation entry {_json_text(row)} is not a [bandwidth, n_sat] pair")
     bw, n = row
-    error = f"saturation bandwidth {_shown(bw)} is not a finite positive number"
+    error = f"saturation bandwidth {_json_text(bw)} is not a finite positive number"
     if isinstance(bw, str) or not 0 < (bw := _number("bandwidth", bw, float, error)) < math.inf:
         raise ValueError(error)
-    error = f"n_sat {_shown(n)} is not an integer"
+    error = f"n_sat {_json_text(n)} is not an integer"
     if isinstance(n, str) or not _number("n_sat", n, float, error).is_integer() or int(n) != n:
         raise ValueError(error)
     return bw, int(n)

@@ -63,9 +63,14 @@ class NonConvergenceError(RuntimeError, ValueError):
 
 
 def _json_text(value) -> str:
-    """value as a JSON document writes it (true, null, [1]), or its repr where JSON cannot (a tuple key, a cycle)."""
+    """value as a JSON document writes it (true, null, [1]), or its repr where JSON cannot (a tuple key, a cycle).
+    JSON numbers parse to Decimal: one is shown as its number text, and one inside a list or object as the float
+    that holds it exactly, else as its text in quotes."""
+    if isinstance(value, Decimal):
+        return str(value)
     try:
-        return json.dumps(value, default=str)
+        return json.dumps(value, default=lambda x: f if isinstance(x, Decimal) and Decimal(repr(f := float(x))) == x
+                          else str(x))
     except (TypeError, ValueError):
         return repr(value)
 

@@ -229,25 +229,6 @@ def _z_tables(rows: list, scaling: ScalingSource) -> dict:
     return tables
 
 
-def _undominated(rows: list) -> list:
-    """rows without the tiering rows that never give a top-1 candidate, in order.
-
-    A GPU's tiering rows share Z(n).  If CPU w costs no more than w' (and
-    comes first in the catalog at an equal price) and saturates no earlier
-    (n_sat >= n_sat'), w's row needs no more memory nodes, n // n_sat + 1, at
-    any n: its candidate key is the smaller at every n, and its n_top no lower.
-    So, taking a GPU's rows by (CPU price, CPU index), a row is kept only if
-    its n_sat is above that of every earlier row, whatever the order of rows.
-    """
-    most: dict[int, int] = {}  # GPU index -> the largest n_sat kept so far
-    kept = set()
-    for row in sorted((row for row in rows if row.rank), key=lambda row: (row.cpu, row.w_idx)):
-        if row.n_sat > most.get(row.v_idx, 0):
-            most[row.v_idx] = row.n_sat
-            kept.add(row)
-    return [row for row in rows if not row.rank or row in kept]
-
-
 def _noscale_wake(row, lo: int, hi: int, best: float) -> int:
     """bisect_right(zs, best, lo, hi) over noscale's zs[i] = row.z(i + 1, 1.0),
     which never falls (K = 1), without building zs."""
@@ -277,9 +258,9 @@ def _sweep_plans(
     later n that only ties costs more than pw).  A baseline wakes no row: its
     plan is its GPU's single-anchor row at n_top, taken after each grid
     point's wakes, as _baseline does.  Plans are built where they change.  Only
-    rows that can win are scheduled: _undominated drops, before the tables and
-    the heap are built, each tiering row that another row of its GPU beats at
-    every n (on the simulated catalog 38 of 80 rows remain).
+    rows that can win are scheduled: at top_k = 1, _rows builds no tiering row
+    that another row of its GPU beats at every n (on the simulated catalog 38
+    of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
     runs = {policy: [(0, None, 0.0)] for policy in policies}
@@ -287,7 +268,7 @@ def _sweep_plans(
         # All prices are positive, so a zero ceiling admits no plan.
         return runs
     req = spec.request_at(grid[-1])
-    rows = [(row, top) for row in _undominated(_rows(catalog, req, sat))
+    rows = [(row, top) for row in _rows(catalog, req, sat)
             if (top := row.n_top(req.pw, req.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
     records = [(row, top, tables[row.v_idx, row.rank]) for row, top in rows]

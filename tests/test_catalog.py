@@ -320,7 +320,7 @@ _ENTRY = '{"name": "A", "kind": "gpu", "od_price": 1, "spot_price": 0.5, "networ
         ('{"instances": [5]}', "instance entry #0 is not an object"),
         ('{"instances": [%s, "scaling": {"a": 0.2, "b": 10}}]}' % _ENTRY, "instance 'A': scaling object missing key 'c'"),
         ('{"instances": [{"name": "x", "kind": "tpu", "od_price": 1, "spot_price": 1, "network_gbps": 10}]}',
-         "instance 'x': 'tpu' is not a valid Kind"),
+         'instance \'x\': kind must be "gpu" or "cpu", got "tpu"'),
     ],
     ids=["no-instances", "instances-not-a-list", "entry-not-an-object", "scaling-missing-key", "unknown-kind"],
 )

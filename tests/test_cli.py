@@ -113,9 +113,9 @@ class TestPlanCommand:
         "doc, message",
         [
             ('{"entries": 5}', "saturation entries must be a list of pairs, not int"),
-            ('{"entries": [["NaN", 3]]}', "bandwidth 'NaN' is not a finite positive number"),
-            ('{"entries": [["Infinity", 3]]}', "bandwidth 'Infinity' is not a finite positive number"),
-            ('{"entries": [[NaN, 3]]}', "bandwidth nan is not a finite positive number"),
+            ('{"entries": [["NaN", 3]]}', 'bandwidth "NaN" is not a finite positive number'),
+            ('{"entries": [["Infinity", 3]]}', 'bandwidth "Infinity" is not a finite positive number'),
+            ('{"entries": [[NaN, 3]]}', "bandwidth NaN is not a finite positive number"),
             ('{"entries": [[10, 20, 30]]}', "is not a [bandwidth, n_sat] pair"),
             ('{"entries": [10]}', "is not a [bandwidth, n_sat] pair"),
             ('{"entries": [[10, 3.7]]}', "n_sat 3.7 is not an integer"),
@@ -666,7 +666,7 @@ def test_unknown_kind_exits_1_in_one_line(capsys, tmp_path, argv):
         {"name": "x", "kind": "tpu", "od_price": 1, "spot_price": 1, "network_gbps": 10}]}))
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1 and out == ""
-    assert err == "error: instance 'x': 'tpu' is not a valid Kind\n"
+    assert err == 'error: instance \'x\': kind must be "gpu" or "cpu", got "tpu"\n'
 
 
 def test_a_grid_one_point_over_the_limit_exits_1_in_one_line(capsys):

@@ -83,6 +83,19 @@ def test_constructor_refuses_what_the_loader_refuses(entry, fields):
     assert "\n" not in str(from_constructor.value)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"name": 1.5}, "name must be a string, got 1.5"),
+    ({"available": 0.5}, "instance 'solo': available must be true or false, got 0.5"),
+    ({"name": [1.5, "x"]}, 'name must be a string, got [1.5, "x"]'),
+])
+def test_a_number_in_a_document_is_shown_as_a_number(entry, message):
+    """JSON numbers parse to Decimal; a refusal shows one as the number the document wrote, not as a string."""
+    with pytest.raises(CatalogParseError) as excinfo:
+        load_catalog(json.dumps({"instances": [{**DOC, **entry}]}))
+    label = "" if isinstance(entry.get("name", ""), str) else "instance '#0': "
+    assert str(excinfo.value) == label + message
+
+
 @pytest.mark.parametrize("kind", ["gpu", "GPU", None, 0])
 def test_kind_must_be_a_kind(kind):
     with pytest.raises(CatalogParseError) as excinfo:

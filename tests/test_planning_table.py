@@ -1,9 +1,10 @@
 """The planning table: FLOPP and n_sat once per catalog, not once per request.
 
 Each catalog keeps one table in its __dict__, as it keeps its views: the
-FloppScore of each available GPU and, per saturation table, the n_sat of
-every (GPU, CPU) pair.  recommend(), run_sweep() and the sweep's baselines
-read it, and it is no part of the catalog's value.
+FloppScore of each available GPU, per saturation table the n_sat of every
+(GPU, CPU) pair, and the CPUs in (price, index) order, the order in which
+_rows drops dominated tiering rows.  recommend(), run_sweep() and the
+sweep's baselines read it, and it is no part of the catalog's value.
 """
 import dataclasses
 import pickle
@@ -77,6 +78,25 @@ def test_flopp_and_n_sat_run_once_per_catalog_and_saturation_table(table_work, s
     assert table_work == {"flopp": 2 * gpus, "n_sat_lookup": 3 * gpus * cpus}
 
 
+@pytest.mark.parametrize("load, limit", [(bundled_simulated_catalog, 82), (bundled_aws_catalog, 31)])
+def test_recommend_builds_only_rows_that_can_reach_the_top_k(monkeypatch, load, limit):
+    """A work count: the rows recommend() builds for REQUESTS.  Building the
+    tiering row of every CPU that holds the checkpoints made 110 on the
+    simulated catalog and 45 on AWS; _rows skips each row that top_k rows of
+    cheaper CPUs with an n_sat no lower beat at every n."""
+    built = [0]
+
+    def counting(*args, real=planner._rows):
+        built[0] += len(rows := real(*args))
+        return rows
+
+    monkeypatch.setattr(planner, "_rows", counting)
+    catalog = load()
+    for req in REQUESTS:
+        recommend(catalog, req)
+    assert built[0] <= limit, built[0]
+
+
 @pytest.mark.parametrize("load", [bundled_simulated_catalog, bundled_aws_catalog])
 def test_a_table_in_use_plans_as_a_fresh_catalog_does(load):
     """Whatever the table holds already, each saturation table's plans and sweeps are those of a fresh catalog."""
@@ -102,6 +122,7 @@ def test_the_table_is_not_part_of_the_catalogs_value(sat_table):
 
     unpickled = pickle.loads(pickle.dumps(planned))
     assert unpickled == fresh and hash(unpickled) == hash(fresh) and repr(unpickled) == repr(fresh)
+    assert vars(unpickled) == {"instances": fresh.instances}  # a pickle carries no view and no table
     assert [recommend(unpickled, req) for req in REQUESTS] == [recommend(fresh, req) for req in REQUESTS]
 
 
@@ -130,8 +151,9 @@ def test_threads_sharing_fresh_catalogs_plan_as_one_thread_does():
             for _ in range(10):
                 shared = bundled_simulated_catalog()
                 assert list(pool.map(lambda req: recommend(shared, req), requests, timeout=60)) == expected
-                scores, n_sats = vars(shared)["_planning"]
+                scores, n_sats, by_price = vars(shared)["_planning"]
                 assert [s.instance for s in scores] == list(shared.gpu_view) and len(n_sats) == 1
+                assert by_price == sorted(range(len(shared.cpu_view)), key=lambda j: shared.cpu_view[j].od_price)
     finally:
         sys.setswitchinterval(interval)
 

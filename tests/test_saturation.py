@@ -86,23 +86,23 @@ def test_load_saturation_document():
 BAD_DOCUMENTS = {
     '{"entries": 5}': "saturation entries must be a list of pairs, not int",
     '{"entries": {"0.3": 3}}': "saturation entries must be a list of pairs, not dict",
-    '{"entries": [["NaN", 3]]}': "bandwidth 'NaN' is not a finite positive number",
-    '{"entries": [["Infinity", 3]]}': "bandwidth 'Infinity' is not a finite positive number",
-    '{"entries": [[NaN, 3]]}': "bandwidth nan is not a finite positive number",
-    '{"entries": [[Infinity, 3]]}': "bandwidth inf is not a finite positive number",
+    '{"entries": [["NaN", 3]]}': 'bandwidth "NaN" is not a finite positive number',
+    '{"entries": [["Infinity", 3]]}': 'bandwidth "Infinity" is not a finite positive number',
+    '{"entries": [[NaN, 3]]}': "bandwidth NaN is not a finite positive number",
+    '{"entries": [[Infinity, 3]]}': "bandwidth Infinity is not a finite positive number",
     '{"entries": [[1e400, 3]]}': "bandwidth 1E+400 is not a finite positive number",
     '{"entries": [[0, 3]]}': "bandwidth 0 is not a finite positive number",
-    '{"entries": [["0.3", 3]]}': "bandwidth '0.3' is not a finite positive number",
-    '{"entries": [[true, 3]]}': "bandwidth True is not a finite positive number",
-    '{"entries": [[0.3, 3, 4]]}': "entry [Decimal('0.3'), 3, 4] is not a [bandwidth, n_sat] pair",
-    '{"entries": [[0.3]]}': "entry [Decimal('0.3')] is not a [bandwidth, n_sat] pair",
+    '{"entries": [["0.3", 3]]}': 'bandwidth "0.3" is not a finite positive number',
+    '{"entries": [[true, 3]]}': "bandwidth true is not a finite positive number",
+    '{"entries": [[0.3, 3, 4]]}': "entry [0.3, 3, 4] is not a [bandwidth, n_sat] pair",
+    '{"entries": [[0.3]]}': "entry [0.3] is not a [bandwidth, n_sat] pair",
     '{"entries": [5]}': "entry 5 is not a [bandwidth, n_sat] pair",
-    '{"entries": ["ab"]}': "entry 'ab' is not a [bandwidth, n_sat] pair",
+    '{"entries": ["ab"]}': 'entry "ab" is not a [bandwidth, n_sat] pair',
     '{"entries": [[0.3, 3.7]]}': "n_sat 3.7 is not an integer",
-    '{"entries": [[0.3, NaN]]}': "n_sat nan is not an integer",
-    '{"entries": [[0.3, Infinity]]}': "n_sat inf is not an integer",
-    '{"entries": [[0.3, "3"]]}': "n_sat '3' is not an integer",
-    '{"entries": [[0.3, null]]}': "n_sat None is not an integer",
+    '{"entries": [[0.3, NaN]]}': "n_sat NaN is not an integer",
+    '{"entries": [[0.3, Infinity]]}': "n_sat Infinity is not an integer",
+    '{"entries": [[0.3, "3"]]}': 'n_sat "3" is not an integer',
+    '{"entries": [[0.3, null]]}': "n_sat null is not an integer",
 }
 
 

@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import hashlib
+import heapq
 import io
 import itertools
 import json
@@ -34,6 +35,7 @@ from spotplan import (
     estimate_cost,
     evaluate_performance,
     flopp,
+    n_sat_lookup,
     plan_cost_first,
     plan_noscale,
     plan_performance_first,
@@ -45,9 +47,9 @@ from spotplan import (
 )
 from spotplan.catalog import MAX_PRICE_PLACES
 from spotplan.planner import MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
-from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _undominated, _z_tables
+from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _z_tables
 
-from oracles import brute_force_best, plan_tuple
+from oracles import brute_force_best, brute_force_candidates, plan_tuple
 
 # L(1) with the reference parameters; frozen from direct evaluation.
 K_AT_1 = 0.633170399973
@@ -829,7 +831,7 @@ def test_sweep_takes_k_once_per_table_entry(request, factor_calls, sat_table, ca
     catalog, spec = request.getfixturevalue(catalog), SweepSpec()
     req = spec.request_at(spec.pw_max)
     tops: dict[int, int] = {}
-    for row in _undominated(_rows(catalog, req, sat_table)):
+    for row in _rows(catalog, req, sat_table):  # top_k 1: only the rows that can give a plan
         tops[row.v_idx] = max(tops.get(row.v_idx, 0), row.n_top(req.pw, req.max_instances))
     assert sum(tops.values()) == entries
     assert factor_calls(run_sweep, catalog, spec) == entries
@@ -852,7 +854,7 @@ def test_sweep_prices_only_rows_that_can_win(price_calls, simulated_catalog, aws
 
 
 @st.composite
-def _tied_cpus(draw):
+def _tied_cpus(draw, min_cpus=1):
     """A catalog whose CPUs tie: prices from a few values, bandwidths below
     and above each GPU's (above it, the GPU is the bottleneck and n_sat ties),
     and copies of earlier CPUs under another name, which tie on price and
@@ -865,7 +867,7 @@ def _tied_cpus(draw):
             network_bw=draw(st.sampled_from([1.7, 5, 12.5])), eflops=draw(st.integers(20, 1200)), memory=16,
         ))
     cpus = []
-    for j in range(draw(st.integers(1, 8))):
+    for j in range(draw(st.integers(min_cpus, 8))):
         if cpus and draw(st.integers(0, 2)) == 0:
             cpus.append(dataclasses.replace(draw(st.sampled_from(cpus)), name=f"c{j}"))
         else:
@@ -884,28 +886,54 @@ def _dominates(a, b) -> bool:
             and (a.cpu < b.cpu or a.cpu == b.cpu and a.w_idx < b.w_idx))
 
 
+def _row_id(row) -> tuple:
+    return row.rank, row.v_idx, getattr(row, "w_idx", -1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=_tied_cpus(), order=st.randoms(use_true_random=False))
-def test_sweep_drops_exactly_the_dominated_rows(case, order):
-    """_undominated drops a tiering row exactly when another row of its GPU
-    dominates it, whatever the order of the rows; and a dominator's candidate
-    key is smaller at every n up to the dropped row's n_top, which is no
-    higher than the dominator's, so a dropped row never gives a top-1 plan."""
+@given(case=_tied_cpus(), top_k=st.integers(1, 4), buffer_count=st.integers(1, 2))
+def test_rows_drop_exactly_the_rows_top_k_others_dominate(case, top_k, buffer_count):
+    """_rows drops a tiering row exactly when at least top_k other rows of its
+    GPU, among the CPUs that hold the checkpoints, dominate it; and each
+    dominator's candidate key is smaller at every n up to the dropped row's
+    n_top, which is no higher than the dominator's, so a dropped row never
+    gives a top_k plan.  The sweep's top_k is 1."""
     catalog, pw, cap = case
-    rows = _rows(catalog, PlanRequest(pw=pw, buffer_count=1, max_instances=cap), default_saturation_table())
-    shuffled = order.sample(rows, len(rows))
-    kept = _undominated(shuffled)
-    assert kept == [row for row in shuffled if row in kept]
-    tiering = [row for row in rows if row.rank]
-    assert [row for row in rows if row not in kept] == [b for b in tiering if any(_dominates(a, b) for a in tiering)]
+    req = PlanRequest(pw=pw, buffer_count=buffer_count, max_instances=cap, top_k=top_k)
+    every = _rows(catalog, dataclasses.replace(req, top_k=MAX_INSTANCES), default_saturation_table())
+    built = [_row_id(row) for row in _rows(catalog, req, default_saturation_table())]
+    tiering = [row for row in every if row.rank]
+    dominators = {_row_id(b): [a for a in tiering if _dominates(a, b)] for b in tiering}
+    assert sorted(built) == sorted(_row_id(row) for row in every if len(dominators.get(_row_id(row), ())) < top_k)
     scaling = ScalingSource()
-    for b in tiering:
-        for a in (a for a in kept if a.rank and _dominates(a, b)):
-            top = b.n_top(pw, cap)
+    for b in (b for b in tiering if _row_id(b) not in built):
+        top = b.n_top(pw, cap)
+        for a in dominators[_row_id(b)]:
             assert a.n_top(pw, cap) >= top
             for n in range(1, top + 1):
                 z = b.z(n, scaling.factor(b.v, n))
                 assert a.z(n, scaling.factor(a.v, n)) == z and a.candidate(n, z)[0] < b.candidate(n, z)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tied_cpus(min_cpus=3), top_k=st.integers(2, 5), buffer_count=st.integers(1, 2))
+def test_top_k_on_crowded_cpus_matches_minimal_m_oracle(sat_table, case, top_k, buffer_count):
+    """With several CPUs per GPU, _rows drops rows at top_k > 1 too: recommend()
+    and plan_noscale() still return the brute-force top_k of the candidates
+    with the minimum memory-node count."""
+    catalog, pw, cap = case
+    req = PlanRequest(pw=pw, buffer_count=buffer_count, max_instances=cap, top_k=top_k)
+    n_sat = {(v.name, w.name): n_sat_lookup(sat_table, v, w) for v in catalog.gpu_view for w in catalog.cpu_view}
+    for scaling, plans in ((ScalingSource(), recommend(catalog, req, sat=sat_table)),
+                           (UnitScaling(), plan_noscale(catalog, req, sat=sat_table))):
+        expected = heapq.nsmallest(top_k, (
+            (key, (arch, v, n, w, m))
+            for key, (arch, v, n, w, m) in brute_force_candidates(catalog, req, scaling, sat_table)
+            if w is None or m == n // n_sat[v, w] + 1
+        ))
+        assert [(plan_tuple(p), p.hourly_price, p.score_z) for p in plans] == [
+            (desc, key[1], -key[0]) for key, desc in expected
+        ]
 
 
 @settings(max_examples=100, deadline=None)

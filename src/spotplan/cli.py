@@ -3,9 +3,9 @@
 Each command imports the package modules it runs inside its own function, so
 one CLI process loads and compiles no more of the package than it needs.
 """
-import argparse
 import os
 import sys
+from argparse import SUPPRESS, ArgumentParser
 
 __all__ = ["main"]
 
@@ -16,7 +16,7 @@ EXIT_INFEASIBLE = 2
 CATALOG_ENV = "SPOTPLAN_CATALOG"
 
 
-class _Parser(argparse.ArgumentParser):
+class _Parser(ArgumentParser):
     # Usage errors must exit 1, not argparse's default 2 (2 means infeasible).
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -38,24 +38,26 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", help="output path (default: stdout)")
 
+    # A flag named after a PlanRequest or SweepSpec field sets it only when given; --pw has no library default.
+    def add_request_flags(p):
+        p.add_argument("--ckpt-size-gib", dest="ckpt_size", metavar="CKPT_SIZE_GIB", type=float, default=SUPPRESS)
+        p.add_argument("--buffer-count", type=int, default=SUPPRESS)
+        p.add_argument("--max-limit", dest="max_instances", metavar="MAX_LIMIT", type=int, default=SUPPRESS)
+
     p_plan = sub.add_parser("plan", help="recommend cluster configurations")
     add_catalog_flags(p_plan)
     p_plan.add_argument("--pw", default="3", help="hourly price ceiling (default 3)")
-    p_plan.add_argument("--ckpt-size-gib", type=float, default=0.5)
-    p_plan.add_argument("--buffer-count", type=int, default=2)
-    p_plan.add_argument("--max-limit", type=int, default=256)
-    p_plan.add_argument("--top-k", type=int, default=3)
+    add_request_flags(p_plan)
+    p_plan.add_argument("--top-k", type=int, default=SUPPRESS)
     add_output_flags(p_plan, ("table", "json", "csv"), "table")
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="sweep the price ceiling over a grid")
     add_catalog_flags(p_sim)
-    p_sim.add_argument("--pw-min", default="0")
-    p_sim.add_argument("--pw-max", default="10")
-    p_sim.add_argument("--pw-step", default="0.1")
-    p_sim.add_argument("--ckpt-size-gib", type=float, default=0.5)
-    p_sim.add_argument("--buffer-count", type=int, default=2)
-    p_sim.add_argument("--max-limit", type=int, default=256)
+    p_sim.add_argument("--pw-min", default=SUPPRESS)
+    p_sim.add_argument("--pw-max", default=SUPPRESS)
+    p_sim.add_argument("--pw-step", default=SUPPRESS)
+    add_request_flags(p_sim)
     add_output_flags(p_sim, ("csv", "json", "table"), "csv")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -99,19 +101,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _given(cls, args) -> dict:
+    """The parsed flags that name fields of the dataclass cls."""
+    return {k: v for k, v in vars(args).items() if k in cls.__dataclass_fields__}
+
+
 def cmd_plan(args) -> int:
     from .planner import PlanRequest, recommend
 
     catalog = _resolve_catalog(args.catalog)
     sat = _resolve_saturation(args.saturation)
-    req = PlanRequest(
-        pw=args.pw,
-        ckpt_size=args.ckpt_size_gib,
-        buffer_count=args.buffer_count,
-        max_instances=args.max_limit,
-        top_k=args.top_k,
-    )
-    plans = recommend(catalog, req, sat=sat)
+    plans = recommend(catalog, PlanRequest(**_given(PlanRequest, args)), sat=sat)
     if not plans:
         print("no feasible configuration", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -125,8 +125,7 @@ def cmd_plan(args) -> int:
         import io
 
         buf = io.StringIO()
-        cols = ["rank", "architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price", "score_z"]
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=["rank", *plans[0].summary()], lineterminator="\n")
         writer.writeheader()
         writer.writerows({"rank": rank, **p.summary()} for rank, p in enumerate(plans, 1))  # None -> ""
         text = buf.getvalue()
@@ -152,15 +151,7 @@ def cmd_simulate(args) -> int:
 
     catalog = _resolve_catalog(args.catalog)
     sat = _resolve_saturation(args.saturation)
-    spec = SweepSpec(
-        pw_min=args.pw_min,
-        pw_max=args.pw_max,
-        pw_step=args.pw_step,
-        ckpt_size=args.ckpt_size_gib,
-        buffer_count=args.buffer_count,
-        max_instances=args.max_limit,
-    )
-    result = run_sweep(catalog, spec, sat=sat)
+    result = run_sweep(catalog, SweepSpec(**_given(SweepSpec, args)), sat=sat)
     if args.format == "json":
         text = sweep_to_json(result) + "\n"
     elif args.format == "table":
@@ -210,12 +201,12 @@ def _read_samples(path: str) -> list:
 
 
 def cmd_fit(args) -> int:
-    from .scaling import LogisticParams, average_params, fit_logistic, sum_squared_residuals
+    from .scaling import average_params, fit_logistic, sum_squared_residuals
 
-    fits = []
+    models, fits = [], []
     for path in args.inputs:
         samples = _read_samples(path)
-        params = fit_logistic(samples)
+        models.append(params := fit_logistic(samples))
         fits.append(
             {
                 "file": path,
@@ -227,7 +218,7 @@ def cmd_fit(args) -> int:
         )
 
     if args.average and len(fits) > 1:
-        avg = average_params([LogisticParams(f["a"], f["b"], f["c"]) for f in fits])
+        avg = average_params(models)
         payload = {"a": avg.a, "b": avg.b, "c": avg.c, "residual": None, "fits": fits}
     elif len(fits) == 1:
         payload = dict(fits[0])

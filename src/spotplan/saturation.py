@@ -45,7 +45,7 @@ def _entry(row) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class SaturationTable:
-    """(bandwidth Gbps, n_sat) pairs, ascending by bandwidth."""
+    """(bandwidth Gbps, n_sat) pairs, ascending by bandwidth; at least one."""
 
     entries: tuple[tuple[float, int], ...]
 
@@ -53,6 +53,8 @@ class SaturationTable:
         if not isinstance(self.entries, (list, tuple)):
             raise ValueError(f"saturation entries must be a list of pairs, not {type(self.entries).__name__}")
         normalized = tuple(_entry(row) for row in self.entries)
+        if not normalized:
+            raise ValueError("saturation table is empty")
         object.__setattr__(self, "entries", normalized)
         prev_bw, prev_n = 0.0, 0
         for bw, n in normalized:
@@ -69,8 +71,6 @@ def n_sat_lookup(table: SaturationTable, v: InstanceSpec, w: InstanceSpec) -> in
     Keys on the bottleneck bandwidth min(v, w); floors to the nearest lower
     table key, or the smallest key when below the table.
     """
-    if not table.entries:
-        raise ValueError("saturation table is empty")
     beta = min(v.network_bw, w.network_bw)
     idx = bisect_right(table.entries, beta, key=itemgetter(0)) - 1
     if idx < 0:

@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -76,13 +75,18 @@ def _json_text(value) -> str:
 
 
 def _number(key: str, value, kind=float, error: str = ""):
-    """kind(value) of one of _NUMBER_TYPES; a ValueError, error or one naming key, refuses other values and overflow."""
+    """kind(value) of one of _NUMBER_TYPES; a ValueError, error or one naming key, refuses other values, overflow
+    and text that float() or int() cannot read."""
     if type(value) not in _NUMBER_TYPES and (isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES)):
         raise ValueError(error or f"{key} must be a number, got {_json_text(value)}")
     try:
         return kind(value)
     except OverflowError as exc:
         raise ValueError(error or exc) from None
+    except ValueError as exc:
+        if kind not in (float, int):  # as_price refuses in its own words
+            raise
+        raise ValueError(error or f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,6 @@ def _first(pred, lo: int, hi: int) -> int:
     return lo
 
 
-@lru_cache(maxsize=256)
 def superlinear_from(params: LogisticParams) -> int | None:
     """The first integer n >= 1 with K(n) > 1, or None if K(n) <= 1 for all n.
 
@@ -181,7 +184,7 @@ def superlinear_from(params: LogisticParams) -> int | None:
     interval.  Every such n is below c, since S_hybrid <= c.  Two bisections
     find its start: one for the peak of S_hybrid(n) - n over 1..ceil(c) (the
     first n where it stops rising), then one for the first n up to the peak
-    with K(n) > 1.  Cached, as the result depends on the parameters only.
+    with K(n) > 1.
     """
     def k_above_one(n: int) -> bool:
         return s_hybrid(params, n) / n > 1.0
@@ -209,10 +212,6 @@ def _denominators(a: float, b: float, ns: Sequence[float]) -> list[float]:
 
     inf where the exponential overflows, so that the logistic there is 0.
     """
-    try:
-        return [1.0 + math.exp(-a * (n - b)) for n in ns]
-    except OverflowError:
-        pass
     dens = []
     for n in ns:
         try:

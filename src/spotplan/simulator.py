@@ -135,9 +135,9 @@ class SweepSpec:
     pw_max: Decimal = Decimal("10")
     pw_step: Decimal = Decimal("0.1")
     policies: tuple[str, ...] = DEFAULT_POLICIES
-    ckpt_size: float = 0.5
-    buffer_count: int = 2
-    max_instances: int = 256
+    ckpt_size: float = PlanRequest.ckpt_size
+    buffer_count: int = PlanRequest.buffer_count
+    max_instances: int = PlanRequest.max_instances
 
     def __post_init__(self):
         for name in ("pw_min", "pw_max", "pw_step"):

@@ -11,8 +11,16 @@ import sys
 import pytest
 
 import spotplan
-from spotplan import bundled_aws_catalog
-from spotplan.cli import main
+from spotplan import (
+    PlanRequest,
+    SweepSpec,
+    bundled_aws_catalog,
+    bundled_simulated_catalog,
+    recommend,
+    run_sweep,
+    sweep_to_csv,
+)
+from spotplan.cli import _build_parser, main
 
 BUNDLED = pathlib.Path(spotplan.__file__).parent / "data" / "catalogs"
 
@@ -131,6 +139,17 @@ class TestPlanCommand:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_an_empty_saturation_table_exits_1_whatever_the_catalog(self, capsys, tmp_path, command):
+        # A catalog with no CPU looks up no n_sat: the table is refused as it loads.
+        doc = {"instances": [{"name": "solo", "kind": "gpu", "od_price": 0.2, "spot_price": 0.1,
+                              "network_gbps": 10, "eflops": 10}]}
+        (tmp_path / "cat.json").write_text(json.dumps(doc))
+        (tmp_path / "sat.json").write_text('{"entries": []}')
+        code, out, err = run(capsys, command, "--catalog", str(tmp_path / "cat.json"),
+                             "--saturation", str(tmp_path / "sat.json"))
+        assert (code, out, err) == (1, "", "error: saturation table is empty\n")
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
     @pytest.mark.parametrize("data", [b'{"entries": [[10, 3]]', b"\xff", b'{"entries": [[10, ' + b"1" * 5000 + b"]]}"],
                              ids=["syntax", "not-utf8", "int-over-4300-digits"])
     def test_unreadable_saturation_exits_1_in_one_line(self, capsys, tmp_path, command, data):
@@ -213,6 +232,40 @@ class TestPlanCommand:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "plan", "--catalog", str(path), "--format", "json")
         assert code == 0
+
+
+class TestRequestFields:
+    """Each request flag sets its PlanRequest or SweepSpec field only when given, so every
+    default but --pw's is the library's."""
+
+    def test_the_parser_sets_no_library_default(self):
+        plan = vars(_build_parser().parse_args(["plan"]))
+        assert plan.keys() & PlanRequest.__dataclass_fields__.keys() == {"pw"}
+        simulate = vars(_build_parser().parse_args(["simulate"]))
+        assert not simulate.keys() & SweepSpec.__dataclass_fields__.keys()
+
+    @pytest.mark.parametrize("flags, fields", [
+        ((), {}),
+        (("--ckpt-size-gib", "1", "--buffer-count", "3", "--max-limit", "9", "--top-k", "2"),
+         dict(ckpt_size=1.0, buffer_count=3, max_instances=9, top_k=2)),
+    ])
+    def test_plan_is_recommend_with_the_given_fields(self, capsys, flags, fields):
+        code, out, err = run(capsys, "plan", "--format", "json", *flags)
+        plans = recommend(bundled_simulated_catalog(), PlanRequest(pw="3", **fields))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"plans": [p.summary() for p in plans]}
+
+    @pytest.mark.parametrize("flags, fields", [
+        ((), {}),
+        (("--pw-min", "1", "--pw-max", "2", "--pw-step", "0.5", "--max-limit", "9"),
+         dict(pw_min="1", pw_max="2", pw_step="0.5", max_instances=9)),
+        (("--ckpt-size-gib", "64", "--buffer-count", "1", "--pw-step", "2"),
+         dict(ckpt_size=64.0, buffer_count=1, pw_step="2")),
+    ])
+    def test_simulate_is_run_sweep_with_the_given_fields(self, capsys, flags, fields):
+        code, out, err = run(capsys, "simulate", *flags)
+        assert (code, err) == (0, "")
+        assert out == sweep_to_csv(run_sweep(bundled_simulated_catalog(), SweepSpec(**fields)))
 
 
 def _python(code, *args):
@@ -395,7 +448,7 @@ class TestFitCommand:
         [
             ("2", "expected 2 fields n,speedup, got 1"),
             ("2,1.9,7", "expected 2 fields n,speedup, got 3"),
-            ("2,fast", "could not convert string to float: 'fast'"),
+            ("2,fast", "speedup: could not convert string to float: 'fast'"),
             pytest.param("2," + "1" * 131_073, "field larger than field limit (131072)", id="oversized-field"),
         ],
     )

@@ -61,9 +61,8 @@ def test_monotone_in_bandwidth(sat_table):
 
 
 def test_empty_table_errors():
-    empty = SaturationTable(())
-    with pytest.raises(ValueError, match="empty"):
-        n_sat_lookup(empty, inst(10), inst(10, Kind.CPU, "y"))
+    with pytest.raises(ValueError, match="^saturation table is empty$"):
+        SaturationTable(())
 
 
 def test_table_invariants_enforced():

@@ -118,6 +118,18 @@ def test_speedup_sample_refuses_what_a_fit_row_refuses(tmp_path, row):
     assert "\n" not in str(from_constructor.value)
 
 
+@pytest.mark.parametrize("cls, fields, message", [
+    (SpeedupSample, dict(n="2.5", speedup=1), "node count: invalid literal for int() with base 10: '2.5'"),
+    (SpeedupSample, dict(n=1, speedup="fast"), "speedup: could not convert string to float: 'fast'"),
+    (LogisticParams, dict(a="x", b=1, c=1), "a: could not convert string to float: 'x'"),
+    (PlanRequest, dict(pw="3", ckpt_size="abc"), "ckpt_size: could not convert string to float: 'abc'"),
+])
+def test_text_that_is_no_number_is_refused_by_name(cls, fields, message):
+    with pytest.raises(ValueError) as excinfo:
+        cls(**fields)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, True, None, "2.0"])
 def test_a_node_count_must_be_an_int_or_its_text(n):
     with pytest.raises(ValueError):
@@ -155,6 +167,7 @@ ENTRIES = [
     "[[0.3, 3, 4]]",
     "[[0.3, 3], [0.3, 4]]",
     "[[0.3, 3], [0.4, 2]]",
+    "[]",
 ]
 
 
@@ -170,7 +183,7 @@ def test_saturation_table_refuses_what_a_document_refuses(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(positive, st.integers(min_value=1, max_value=10**6)), max_size=8))
+@given(st.lists(st.tuples(positive, st.integers(min_value=1, max_value=10**6)), min_size=1, max_size=8))
 def test_every_saturation_table_that_constructs_round_trips(pairs):
     bws = sorted({bw for bw, _ in pairs})
     table = SaturationTable(tuple(zip(bws, sorted(n for _, n in pairs))))

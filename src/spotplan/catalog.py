@@ -16,7 +16,7 @@ from functools import cached_property
 from importlib import resources
 from typing import IO, Union
 
-from .scaling import LogisticParams, _number, _json_text, s_hybrid
+from .scaling import LogisticParams, _json_decimal, _json_text, _number, s_hybrid
 
 __all__ = [
     "Kind",
@@ -96,8 +96,10 @@ class InstanceSpec:
     scaling_params: LogisticParams | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str):  # no name to label the error with: load_catalog gives the position
-            raise CatalogParseError(f"name must be a string, got {_json_text(self.name)}")
+        if type(self.name) is not str:  # no name to label the error with: load_catalog gives the position
+            # Nor a str subclass: the sweep CSV writer keys names on equality.
+            shown = f"a {type(self.name).__name__}" if isinstance(self.name, str) else _json_text(self.name)
+            raise CatalogParseError(f"name must be a string, got {shown}")
         try:
             if not isinstance(self.kind, Kind):
                 raise ValueError(f"kind must be a Kind, got {_json_text(self.kind)}")
@@ -200,12 +202,10 @@ class Catalog:
 
     def to_document(self) -> dict:
         """Plain-JSON representation (round-trips through load_catalog)."""
-        def value(v):  # a price as a float where it reads back exactly, else as its exact text
-            if isinstance(v, Decimal):
-                return f if Decimal(repr(f := float(v))) == v else str(v)
+        def value(v):
             if isinstance(v, Kind):
                 return v.value
-            return asdict(v) if isinstance(v, LogisticParams) else v
+            return asdict(v) if isinstance(v, LogisticParams) else _json_decimal(v) if isinstance(v, Decimal) else v
         return {"instances": [{key: value(v) for key, field in _ENTRY_KEYS if (v := getattr(s, field)) is not None}
                               for s in self.instances]}
 

@@ -134,13 +134,10 @@ def cmd_plan(args) -> int:
             f"{'#':>2}  {'architecture':<14} {'gpu':<14} {'n':>4}  {'cpu':<14} {'m':>4}  "
             f"{'price/h':>10}  {'score_z':>12}"
         ]
-        for rank, p in enumerate(plans, 1):
-            cpu = p.cpu_instance.name if p.cpu_instance else "-"
-            m = p.m_cpu if p.m_cpu is not None else "-"
-            lines.append(
-                f"{rank:>2}  {p.architecture:<14} {p.gpu_instance.name:<14} {p.n_gpu:>4}  "
-                f"{cpu:<14} {m:>4}  {_fmt(float(p.hourly_price)):>10}  {_fmt(p.score_z):>12}"
-            )
+        for rank, p in enumerate(plans, 1):  # a plan has no CPU or m_cpu >= 1 of one
+            architecture, gpu, n, cpu, m, price, z = p.summary().values()
+            lines.append(f"{rank:>2}  {architecture:<14} {gpu:<14} {n:>4}  {cpu or '-':<14} {m or '-':>4}  "
+                         f"{_fmt(price):>10}  {_fmt(z):>12}")
         text = "\n".join(lines) + "\n"
     _write(text, args.out)
     return EXIT_OK

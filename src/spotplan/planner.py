@@ -100,6 +100,13 @@ def _budget(name: str, value) -> Decimal:
     return price
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, by operator.index: ints, numpy's among them; a ValueError refuses a bool and a non-integer."""
+    if type(value) is bool or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """User inputs for one planning run.
@@ -119,11 +126,8 @@ class PlanRequest:
     def __post_init__(self):
         object.__setattr__(self, "pw", _budget("pw", self.pw))
         object.__setattr__(self, "ckpt_size", _number("ckpt_size", self.ckpt_size))
-        for name in ("buffer_count", "max_instances", "top_k"):  # operator.index: ints, numpy's among them
-            if type(value := getattr(self, name)) is not int:
-                if type(value) is bool or not hasattr(value, "__index__"):
-                    raise ValueError(f"{name} must be an integer, not {value!r}")
-                object.__setattr__(self, name, operator.index(value))
+        for name in ("buffer_count", "max_instances", "top_k"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.pw > 0:
             raise ValueError("pw must be positive")
         if not 0 < self.ckpt_size < math.inf:
@@ -163,7 +167,8 @@ def flopp(instance: InstanceSpec) -> FloppScore:
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """A concrete recommendation produced by one architecture."""
+    """A concrete recommendation: single_anchor with no CPU and m_cpu None, or tiering with m_cpu >= 1 nodes of
+    a CPU.  The constructor converts and checks each field, and refuses a Z that is not finite."""
 
     architecture: str
     gpu_instance: InstanceSpec
@@ -172,6 +177,28 @@ class ClusterPlan:
     m_cpu: Optional[int]
     hourly_price: Decimal
     score_z: float
+
+    def __post_init__(self):
+        gpu, cpu, n, m, z = self.gpu_instance, self.cpu_instance, self.n_gpu, self.m_cpu, self.score_z
+        if not (isinstance(gpu, InstanceSpec) and (cpu is None or isinstance(cpu, InstanceSpec))
+                and isinstance(self.hourly_price, Decimal)):
+            raise ValueError(f"a plan holds InstanceSpecs and a Decimal price, not {gpu!r}, {cpu!r} and "
+                             f"{self.hourly_price!r}")
+        architecture = SINGLE_ANCHOR if cpu is None else TIERING
+        if type(self.architecture) is not str or self.architecture != architecture or cpu is None and m is not None:
+            shape = "without a CPU is single_anchor with m_cpu None" if cpu is None else "with a CPU is tiering"
+            raise ValueError(f"a plan {shape}, not {self.architecture!r} with m_cpu {m!r}")
+        if type(n) is not int:
+            object.__setattr__(self, "n_gpu", n := _integer("n_gpu", n))
+        if cpu is not None and type(m) is not int:
+            object.__setattr__(self, "m_cpu", m := _integer("m_cpu", m))
+        if n < 1 or cpu is not None and m < 1:
+            raise ValueError(f"a plan's n_gpu and m_cpu are at least 1, not {n} and {m}")
+        if type(z) is not float:
+            object.__setattr__(self, "score_z", z := _number("score_z", z))
+        if not z - z == 0.0:  # not finite
+            raise ValueError(f"the {architecture} plan of {n} x {gpu.name!r} scores Z = {z}: "
+                             "the instance's eflops, prices or scaling overflow float")
 
     def summary(self) -> dict:
         return {
@@ -280,13 +307,8 @@ def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
 
 
 def _plan(candidate: tuple) -> ClusterPlan:
-    """The plan of a chosen candidate, whose Z must be finite."""
+    """The plan of a chosen candidate; ClusterPlan refuses a Z that is not finite."""
     (neg_z, price, rank, _, _, n, m), v, w = candidate
-    if not math.isfinite(neg_z):
-        raise ValueError(
-            f"the {_ARCHITECTURES[rank]} plan of {n} x {v.name!r} scores Z = {-neg_z}: "
-            "the instance's eflops, prices or scaling overflow float"
-        )
     return ClusterPlan(_ARCHITECTURES[rank], v, n, w, m if w is not None else None, price, -neg_z)
 
 

@@ -61,15 +61,19 @@ class NonConvergenceError(RuntimeError, ValueError):
         self.residual = residual
 
 
+def _json_decimal(value):
+    """What JSON writes for a Decimal: the float that holds it exactly, else its text; the text of any other value."""
+    return f if isinstance(value, Decimal) and Decimal(repr(f := float(value))) == value else str(value)
+
+
 def _json_text(value) -> str:
     """value as a JSON document writes it (true, null, [1]), or its repr where JSON cannot (a tuple key, a cycle).
-    JSON numbers parse to Decimal: one is shown as its number text, and one inside a list or object as the float
-    that holds it exactly, else as its text in quotes."""
+    JSON numbers parse to Decimal: one is shown as its number text, and one inside a list or object as
+    _json_decimal writes it, the text in quotes."""
     if isinstance(value, Decimal):
         return str(value)
     try:
-        return json.dumps(value, default=lambda x: f if isinstance(x, Decimal) and Decimal(repr(f := float(x))) == x
-                          else str(x))
+        return json.dumps(value, default=_json_decimal)
     except (TypeError, ValueError):
         return repr(value)
 

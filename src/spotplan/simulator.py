@@ -18,15 +18,15 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from itertools import accumulate, chain
-from operator import attrgetter, is_, itemgetter
-from typing import Iterable, Optional
+from itertools import accumulate, chain, groupby
+from operator import lt
+from typing import Optional
 
 from .catalog import Catalog
 from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _planning, _rows, _SingleAnchorRow,
                       recommend)
 from .saturation import SaturationTable, default_saturation_table
-from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling
+from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling, _number
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -183,22 +183,47 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepPoint:
     """One policy at one grid point: its plan (None when nothing fits), raw, the plan's
-    evaluate_performance(), and normalized, raw over the sweep's normalizer."""
+    evaluate_performance(), and normalized, raw over the sweep's normalizer, both float()."""
 
     pw: Decimal
     raw: float
     normalized: float
     plan: Optional[ClusterPlan]
 
+    def __post_init__(self):
+        if type(self.raw) is not float or type(self.normalized) is not float:
+            object.__setattr__(self, "raw", _number("raw", self.raw))
+            object.__setattr__(self, "normalized", _number("normalized", self.normalized))
+        if not (self.plan is None or isinstance(self.plan, ClusterPlan)):
+            raise ValueError(f"a sweep point's plan is a ClusterPlan or None, not {self.plan!r}")
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's grid and each policy's curve over it.  normalizer is the full planner's
-    raw performance at the top of the grid; when it is 0.0, so is every normalized."""
+    """A sweep's grid, a tuple of finite Decimals that strictly rise, and each policy's
+    curve over it: one SweepPoint per grid value, whose pw is that Decimal or one of the
+    same sign, digits and exponent.  normalizer is the full planner's raw performance at
+    the top of the grid, taken through float(); when it is 0.0, so is every normalized."""
 
     grid: tuple[Decimal, ...]
     curves: dict[str, tuple[SweepPoint, ...]] = field(default_factory=dict)
     normalizer: float = 0.0
+
+    def __post_init__(self):
+        grid = self.grid
+        if not (type(grid) is tuple and all(isinstance(pw, Decimal) and pw.is_finite() for pw in grid)
+                and all(map(lt, grid, grid[1:]))):
+            raise ValueError(f"a sweep grid is a tuple of finite Decimals that strictly rise, not {grid!r}")
+        object.__setattr__(self, "normalizer", _number("normalizer", self.normalizer))
+        if not isinstance(self.curves, dict):
+            raise ValueError(f"curves must be a dict of each policy's points, not {self.curves!r}")
+        for policy, points in self.curves.items():
+            if type(policy) is not str or policy not in DEFAULT_POLICIES:
+                raise ValueError(f"a curve's policy is one of {DEFAULT_POLICIES}, not {policy!r}")
+            at_grid = (isinstance(p, SweepPoint) and (p.pw is pw or isinstance(p.pw, Decimal)
+                                                      and p.pw.compare_total(pw) == 0) for p, pw in zip(points, grid))
+            if type(points) is not tuple or len(points) != len(grid) or not all(at_grid):
+                raise ValueError(f"the {policy} curve must hold one SweepPoint per grid value, in grid order")
 
     def curve(self, policy: str) -> tuple[SweepPoint, ...]:
         return self.curves[policy]
@@ -345,59 +370,19 @@ def run_sweep(
     return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
 
 
-_PLAN_COLUMNS = ("architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price")
-_CSV_COLUMNS = ("pw", "policy", "raw", "normalized", *_PLAN_COLUMNS)
+_CSV_COLUMNS = ("pw", "policy", "raw", "normalized", "architecture", "gpu", "gpu_count", "cpu", "cpu_count",
+                "hourly_price")
 
 
-def _plan_values(plan: ClusterPlan) -> tuple:
-    """A plan's summary() values, hourly_price before float()."""
-    cpu = plan.cpu_instance
-    return (plan.architecture, plan.gpu_instance.name, plan.n_gpu, cpu.name if cpu else None, plan.m_cpu,
-            plan.hourly_price, plan.score_z)
-
-
-_NOT_PLANNER_TYPES = "sweep_to_csv and sweep_to_json write only results of planner types, as run_sweep makes them"
-
-
-def _of_planner_types(result: SweepResult) -> SweepResult:
-    """result, given str policies and a float normalizer, as the writers need; a ValueError otherwise."""
-    if type(result.normalizer) is float and all(type(policy) is str for policy in result.curves):
-        return result
-    raise ValueError(_NOT_PLANNER_TYPES)
-
-
-def _point_values(point: SweepPoint) -> Optional[tuple]:
-    """_plan_values(point.plan), None for no plan, given float raw and normalized and values of a planner's types."""
-    if type(point.raw) is float and type(point.normalized) is float:
-        if not point.plan:
-            return None
-        architecture, gpu, n, cpu, m, price, z = values = _plan_values(point.plan)
-        if (type(architecture) is type(gpu) is str and type(n) is int and (cpu is None or type(cpu) is str)
-                and (m is None or type(m) is int) and type(price) is Decimal and type(z) is float):
-            return values
-    raise ValueError(_NOT_PLANNER_TYPES)
-
-
-def _plan_fields(plan: Optional[ClusterPlan]) -> tuple:
-    """The _PLAN_COLUMNS of one plan; all None for an infeasible point."""
-    if not plan:
-        return (None,) * len(_PLAN_COLUMNS)
-    architecture, gpu, n, cpu, m, price, _ = _plan_values(plan)
-    return architecture, gpu, n, cpu, m if plan.cpu_instance else None, float(price)
-
-
-def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, Iterable[tuple]]:
+def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, list[tuple]]:
     """The grid's pw_text(float(pw)); per curve, render(policy, point) of each
     point, once per run of consecutive points that share their raw, normalized
     and plan objects, as run_sweep makes them; and the rows, (pw text, point
-    text) in the stable sort of the points, curves in insertion order, on
-    (float(pw), policy order).  That is plain grid-major, policy-minor order,
-    and no row is sorted, when each curve holds the grid's own pw objects in
-    grid order and the grid's floats strictly rise from above -inf, so that
-    not even a lone one is NaN, as run_sweep makes them.
+    text), policy by policy within each run of grid points of one float.  As
+    SweepResult's grid rises and its curves follow it, that is the order of a
+    stable sort of the points, curves in insertion order, on (float(pw), policy order).
     """
-    orders = {policy: i for i, policy in enumerate(DEFAULT_POLICIES)}
-    grid, floats, texts = result.grid, [float(pw) for pw in result.grid], {}
+    texts = {}
     for policy, points in result.curves.items():  # each curve once, in its own order
         texts[policy], last = [], None
         for p in points:
@@ -405,21 +390,20 @@ def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, Ite
                 text = render(policy, p)
             texts[policy].append(text)
             last = p
-    pws = list(map(pw_text, floats))
-    if all(map(float.__lt__, [-math.inf, *floats], floats)) and all(  # rising, and no lone NaN
-            len(c) == len(grid) and all(map(is_, map(attrgetter("pw"), c), grid)) for c in result.curves.values()):
-        rows = zip(pws, zip(*(texts[k] for k in sorted(texts, key=lambda k: orders.get(k, len(orders))))))
-        return pws, texts, ((pw, text) for pw, row in rows for text in row)
-    entries = sorted(((float(p.pw), orders.get(policy, len(orders)), text) for policy, c in result.curves.items()
-                      for p, text in zip(c, texts[policy])), key=itemgetter(0, 1))
-    return pws, texts, [(pw_text(pw), text) for pw, _, text in entries]
+    floats = [float(pw) for pw in result.grid]
+    pws, curves = list(map(pw_text, floats)), [texts[policy] for policy in DEFAULT_POLICIES if policy in texts]
+    groups = [list(group) for _, group in groupby(range(len(pws)), floats.__getitem__)]
+    return pws, texts, [(pws[i], curve[i]) for group in groups for curve in curves for i in group]
 
 
 def sweep_rows(result: SweepResult) -> list[dict]:
-    """Flatten a sweep into one row per (grid point, policy).  On a run_sweep
-    result it reads each plan's fields once and sorts no row (_in_row_order)."""
-    rows = _in_row_order(result, lambda policy, p: (policy, p.raw, p.normalized, *_plan_fields(p.plan)), float)[2]
-    return [dict(zip(_CSV_COLUMNS, (pw, *values))) for pw, values in rows]
+    """Flatten a sweep into one row per (grid point, policy): pw, policy, raw, normalized and the plan's
+    summary() but score_z, all None for no plan.  Each run's plan is read once, and no row sorted."""
+    def render(policy, p: SweepPoint) -> tuple:
+        plan = p.plan.summary() if p.plan else {}
+        return (policy, p.raw, p.normalized, *map(plan.get, _CSV_COLUMNS[4:]))
+
+    return [dict(zip(_CSV_COLUMNS, (pw, *values))) for pw, values in _in_row_order(result, render, float)[2]]
 
 
 class _Echo:
@@ -432,22 +416,20 @@ def sweep_to_csv(result: SweepResult) -> str:
     """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run, so
     on a run_sweep result each plan once, and no row sorted (_in_row_order).  csv
     quotes each field on its own and a float's repr needs no quotes, so the rest is
-    f"{policy},{raw!r},{normalized!r},{columns}".  A ValueError refuses a result
-    that is not of planner types (_of_planner_types, _point_values)."""
+    f"{policy},{raw!r},{normalized!r},{columns}"."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
     names = {}
     # A name's field as csv.writer writes it: after a first field, even an empty name.
     quote = lambda name: names[name] if name in names else names.setdefault(name, line(("", name))[1:-1])
 
     def render(policy, point: SweepPoint) -> str:
-        if (values := _point_values(point)) is None:
-            return f"{quote(policy)},{point.raw!r},{point.normalized!r},,,,,,\n"
-        architecture, gpu, n, cpu, m, price, _ = values
-        m = "" if cpu is None or m is None else m
-        return (f"{quote(policy)},{point.raw!r},{point.normalized!r},{quote(architecture)},{quote(gpu)},{n},"
-                f"{quote(cpu)},{m},{float(price)!r}\n")
+        head = f"{quote(policy)},{point.raw!r},{point.normalized!r},"
+        if not point.plan:
+            return head + ",,,,,\n"
+        architecture, gpu, n, cpu, m, price, _ = point.plan.summary().values()
+        return f"{head}{quote(architecture)},{quote(gpu)},{n},{quote(cpu)},{'' if m is None else m},{price!r}\n"
 
-    rows = _in_row_order(_of_planner_types(result), render, lambda pw: float.__repr__(pw) + ",")[2]
+    rows = _in_row_order(result, render, lambda pw: float.__repr__(pw) + ",")[2]
     return "".join([line(_CSV_COLUMNS), *chain.from_iterable(rows)])
 
 
@@ -460,10 +442,10 @@ def _json_float(x: float) -> str:
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_texts(a, g, n, c, m, p, z, row_m) -> tuple[str, str]:
-    """A plan's JSON row tail (cpu_count row_m) and summary() block, from its values' texts."""
+def _json_texts(a, g, n, c, m, p, z) -> tuple[str, str]:
+    """A plan's JSON row tail and summary() block, from its values' texts."""
     return (f'      "architecture": {a},\n      "gpu": {g},\n      "gpu_count": {n},\n      "cpu": {c},\n'
-            f'      "cpu_count": {row_m},\n      "hourly_price": {p}',
+            f'      "cpu_count": {m},\n      "hourly_price": {p}',
             f'{{\n          "architecture": {a},\n          "gpu": {g},\n          "gpu_count": {n},\n'
             f'          "cpu": {c},\n          "cpu_count": {m},\n          "hourly_price": {p},\n'
             f'          "score_z": {z}\n        }}')
@@ -489,20 +471,17 @@ def sweep_to_json(result: SweepResult) -> str:
     plan.summary() or None}, ...]}}, written without building the payload.
     Each grid pw and policy is rendered once, and a row's text after its pw
     and the plan's summary once per run: on a run_sweep result, each plan once,
-    and no row is sorted (_in_row_order).  A ValueError refuses a result that
-    is not of planner types (_of_planner_types, _point_values).
+    and no row is sorted (_in_row_order).  Policies, of DEFAULT_POLICIES, need no escapes.
     """
-    policies = {policy: _json_string(policy) for policy in _of_planner_types(result).curves}
-
     def render(policy, point: SweepPoint) -> tuple[str, str]:
-        if (values := _point_values(point)) is None:
-            tail, summary = _json_texts(*("null",) * 8)[0], "null"
+        if not point.plan:
+            tail, summary = _json_texts(*("null",) * 7)[0], "null"
         else:
-            architecture, gpu, n, cpu, m, price, z = values
-            c, m = "null" if cpu is None else _json_string(cpu), "null" if m is None else m
-            tail, summary = _json_texts(_json_string(architecture), _json_string(gpu), n, c, m,
-                                        _json_float(float(price)), _json_float(z), "null" if cpu is None else m)
-        return (f'      "policy": {policies[policy]},\n      "raw": {_json_float(point.raw)},\n'
+            architecture, gpu, n, cpu, m, price, z = point.plan.summary().values()
+            tail, summary = _json_texts(_json_string(architecture), _json_string(gpu), n,
+                                        "null" if cpu is None else _json_string(cpu), "null" if m is None else m,
+                                        _json_float(price), _json_float(z))
+        return (f'      "policy": "{policy}",\n      "raw": {_json_float(point.raw)},\n'
                 f'      "normalized": {_json_float(point.normalized)},\n{tail}\n    }}'), summary
 
     grid, texts, rows = _in_row_order(result, render, _json_float)
@@ -511,14 +490,9 @@ def sweep_to_json(result: SweepResult) -> str:
     out += (',\n  "normalizer": ', _json_float(result.normalizer), ',\n  "rows": ')
     _json_array(out, (('{\n      "pw": ', pw, ",\n", row) for pw, (row, _) in rows), "  ")
     out.append(',\n  "plans": {')
-    pws = dict(zip(map(id, result.grid), grid))
-    for i, (policy, points) in enumerate(result.curves.items()):
-        out += (",\n    " if i else "\n    ", policies[policy], ": ")
-        _json_array(
-            out,
-            (('{\n        "pw": ', pws.get(id(p.pw)) or _json_float(float(p.pw)), ',\n        "plan": ', summary,
-              "\n      }") for p, (_, summary) in zip(points, texts[policy])),
-            "    ",
-        )
+    for i, (policy, points) in enumerate(texts.items()):
+        out += (",\n    " if i else "\n    ", f'"{policy}": ')
+        _json_array(out, (('{\n        "pw": ', pw, ',\n        "plan": ', summary, "\n      }")
+                          for pw, (_, summary) in zip(grid, points)), "    ")
     out.append("\n  }\n}" if result.curves else "}\n}")
     return "".join(out)

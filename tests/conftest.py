@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from spotplan import (
+    ClusterPlan,
     ScalingSource,
     UnitScaling,
     bundled_aws_catalog,
@@ -120,22 +121,22 @@ def generic_renders(monkeypatch):
 def writer_work(monkeypatch):
     """writer_work(f, *args): the work of a sweep writer f(*args), as (reads,
     sorts).  reads counts, per plan id, the plan's reads through
-    simulator._plan_values, which every route of every writer takes once per
-    render; sorts lists the length of each sorted() in simulator.  Work counts,
-    so machine noise does not move them."""
+    ClusterPlan.summary, which every writer takes once per render; sorts lists
+    the length of each sorted() in simulator.  Work counts, so machine noise
+    does not move them."""
     reads, sorts = Counter(), []
-    real_values = simulator._plan_values
+    real_summary = ClusterPlan.summary
 
-    def values(plan):
+    def summary(plan):
         reads[id(plan)] += 1
-        return real_values(plan)
+        return real_summary(plan)
 
     def counting_sorted(items, **kwargs):
         items = list(items)
         sorts.append(len(items))
         return sorted(items, **kwargs)
 
-    monkeypatch.setattr(simulator, "_plan_values", values)
+    monkeypatch.setattr(ClusterPlan, "summary", summary)
     monkeypatch.setattr(simulator, "sorted", counting_sorted, raising=False)
 
     def count(f, *args):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from spotplan import LogisticParams, NonConvergenceError, SpeedupSample, fit_logistic
-from spotplan.scaling import s_average, sum_squared_residuals
+from spotplan import scaling
+from spotplan.scaling import _solve3, s_average, sum_squared_residuals
 
 
 def samples(rows):
@@ -102,6 +103,25 @@ STUCK = samples([(1, 1.0), (2, 1.0), (3, 1.0), (400, 900.0)])
 def test_matches_the_numpy_fit(curve):
     sample = noisy_curve(*curve)
     fit = fit_logistic(sample)
+    assert (fit.a, fit.b, fit.c) == pytest.approx(numpy_fit(sample), rel=1e-6)
+
+
+def test_a_zero_pivot_has_no_solution():
+    # lam is lost in 1e20 + 1e-12, so elimination leaves the second column's pivots at 0.
+    assert _solve3([[1e20, 1e20, 0.0, 1.0], [1e20, 1e20, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]], 1e-12) is None
+
+
+def test_a_step_with_no_solution_is_retried_with_more_damping(monkeypatch):
+    calls, real = [], scaling._solve3
+
+    def solve3(system, lam):
+        calls.append(lam)
+        return None if len(calls) == 1 else real(system, lam)
+
+    monkeypatch.setattr(scaling, "_solve3", solve3)
+    sample = noisy_curve(*CURVES[0])
+    fit = fit_logistic(sample)
+    assert calls[:2] == [1e-3, 1e-2]
     assert (fit.a, fit.b, fit.c) == pytest.approx(numpy_fit(sample), rel=1e-6)
 
 

@@ -5,10 +5,8 @@ reference_sweep_rows, reference_sweep_to_csv and reference_sweep_to_json are
 the writers the package used to ship: they build every row dict and the whole
 payload, then hand it to csv.DictWriter or json.dumps(indent=2)."""
 import csv
-import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import math
 import random
@@ -137,14 +135,6 @@ def _plan(gpu, cpu=None, m=None, n=3, price="1.25", z=12.5):
     return ClusterPlan("tiering" if cpu else "single_anchor", gpu, n, cpu, m, Decimal(price), z)
 
 
-def _named(spec, name):
-    """A copy of spec named name, set after construction, since InstanceSpec
-    refuses a name that is not a str."""
-    spec = dataclasses.replace(spec)
-    object.__setattr__(spec, "name", name)
-    return spec
-
-
 def test_hand_built_results_match_reference(simulated_catalog):
     gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
     shared = _plan(gpu, cpu, 2)
@@ -156,12 +146,11 @@ def test_hand_built_results_match_reference(simulated_catalog):
 
     result = SweepResult(
         grid=grid,
-        curves={
-            "unknown": points([None, shared, _plan(gpu, m=4), None], odd[:4]),
-            "performance_first": points([shared, shared, None, _plan(gpu, n=1, z=math.inf)], odd[4:]),
-            "planner": points([_plan(gpu, cpu, None, z=math.nan), None, shared], odd[2:5]),  # short curve
-            "z-last": points([None] * 4, [0.0] * 4),
-            "noscale": (),
+        curves={  # not in policy order
+            "cost_first": points([None, shared, _plan(gpu, m=None, n=1, z=5e-324), None], odd[:4]),
+            "performance_first": points([shared, shared, None, _plan(gpu, cpu, 1, price="1E+2")], odd[4:]),
+            "planner": points([None] * 4, [0.0] * 4),
+            "noscale": points([_plan(gpu)] * 4, odd[2:6]),
         },
         normalizer=math.nan,
     )
@@ -169,88 +158,8 @@ def test_hand_built_results_match_reference(simulated_catalog):
     for normalizer in (0.0, math.inf, 7.25):
         assert_same_output(SweepResult(grid=grid[:2], curves={"planner": points([shared] * 2, [1.0, 2.0])},
                                        normalizer=normalizer))
-    nan = Decimal("NaN")
-    shuffled = tuple(SweepPoint(pw, 1.0, 0.5, shared) for pw in (nan, Decimal(2), nan, Decimal(1), nan))
-    assert_same_output(SweepResult(grid=grid, curves={"noscale": shuffled, "planner": shuffled[::-1]}))
     assert_same_output(SweepResult(grid=()))
-    assert_same_output(SweepResult(grid=grid, curves={"planner": ()}))
-
-    # Each plan field, one at a time, from its exact type or a look-alike: on
-    # exact types the writers equal their references.  sweep_rows renders the
-    # look-alikes, and look-alike raws and policies, as its reference does, and
-    # sweep_to_csv and sweep_to_json refuse each run that holds one.
-    class Int(int):
-        def __repr__(self):
-            return f"Int({int(self)})"
-
-    class Float(float):
-        def __repr__(self):
-            return f"Float({float(self)})"
-
-    class Name(str):  # hashes and compares as its text, but csv writes str()
-        def __str__(self):
-            return "not " + str.__str__(self)
-
-    exact = dict(architecture="tiering", gpu_instance=gpu, n_gpu=3, cpu_instance=cpu, m_cpu=2,
-                 hourly_price=Decimal("1.25"), score_z=12.5)
-    planner_typed = dict(cpu_instance=[None], m_cpu=[None], score_z=[math.nan, math.inf, -math.inf])
-    looks = dict(
-        architecture=[Name("tiering"), ("tiering",)],
-        gpu_instance=[dataclasses.replace(gpu, name=Name("A")), _named(gpu, ("g", "pu"))],
-        n_gpu=[True, Int(3)],
-        cpu_instance=[dataclasses.replace(cpu, name=Name("M"))],
-        m_cpu=[False, True, Int(2)],
-        hourly_price=[1.25, Float(1.25)],
-        score_z=[Float(12.5)],
-    )
-
-    def variants(fields):
-        plans = [ClusterPlan(**{**exact, key: value}) for key, values in fields.items() for value in values]
-        return plans + [ClusterPlan(**{**exact, "cpu_instance": None, key: value}) for key in ("m_cpu", "n_gpu")
-                        for value in fields.get(key, ())]
-
-    def result_of(plans, raws, policies):
-        grid = tuple(Decimal(i) / 4 for i in range(2 * len(plans)))
-        curves = {}
-        for policy in policies:
-            curve, raw = [], None
-            for i, pw in enumerate(grid):
-                if i % 2 == 0:  # two points per plan: one run
-                    raw = next(raws)
-                curve.append(SweepPoint(pw, raw, raw / 2, plans[i // 2]))
-            curves[policy] = tuple(curve)
-        return SweepResult(grid=grid, curves=curves, normalizer=2.0)
-
-    floats = [0.5, math.nan, math.inf, -math.inf, 0.0]
-    assert_same_output(result_of([ClusterPlan(**exact), *variants(planner_typed)], itertools.cycle(floats),
-                                 ("planner", "odd")))
-    foreign = [result_of(variants(looks), itertools.cycle(floats), ("planner",)),
-               result_of([ClusterPlan(**exact)], iter([Float(0.25)]), ("planner",)),
-               result_of([ClusterPlan(**exact)], iter([0.5]), (Name("noscale"),))]
-    for result in foreign:
-        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result))
-        for policy, points in result.curves.items():
-            for i in range(0, len(points), 2):
-                run = SweepResult(grid=result.grid[i:i + 2], curves={policy: points[i:i + 2]}, normalizer=2.0)
-                for writer in (sweep_to_csv, sweep_to_json):
-                    with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of"):
-                        writer(run)
-
-
-def test_multi_line_plan_values_match_reference(simulated_catalog):
-    # Values json.dumps would write on several lines: sweep_rows renders them
-    # as its reference does, and the CSV and JSON writers refuse them.
-    gpu = _named(InstanceSpec(name="gpu", kind=Kind.GPU, od_price="0.5", spot_price="0.2", network_bw=10,
-                              eflops=100, memory=16), ("g", "pu"))
-    plans = [ClusterPlan(["single", "anchor"], gpu, 3, None, {"m": [1, 2]}, Decimal("1.25"), 12.5),
-             _plan(gpu, simulated_catalog.by_name("M"), [4, 5], z=[6.5])]
-    grid = (Decimal("0.5"), Decimal(1))
-    for plan in plans:
-        result = SweepResult(grid=grid[:1], curves={"planner": (SweepPoint(grid[0], 1.0, 0.5, plan),)})
-        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result))
-        for writer in (sweep_to_csv, sweep_to_json):
-            with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of"):
-                writer(result)
+    assert_same_output(SweepResult(grid=(), curves={"planner": ()}))
 
 
 @pytest.mark.parametrize("fixture", ["simulated_catalog", "aws_catalog"])

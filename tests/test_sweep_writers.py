@@ -1,63 +1,57 @@
-"""Sweep writers on generated results, and their work bound.
+"""Sweep writers on generated results, the constructors that define what they
+write, and their work bound.
 
-Each hand-built SweepResult mixes what run_sweep never makes: grids whose
-floats collide or hold NaN, curves that are short or shuffled against the
-grid, unknown policies, and runs that do or do not share their objects.  On
-results of planner types the writers must still equal the reference writers
-of test_sweep_output byte for byte; sweep_to_csv and sweep_to_json refuse
-any other result in one line, and sweep_rows still equals its reference.
+ClusterPlan, SweepPoint and SweepResult convert and check their own fields,
+so every result the writers see has a rising grid of finite Decimals, curves
+of known policies that follow it point for point, and plans of exact types.
+On every such result, including grids whose floats collide, NaN and infinite
+raws and runs that do or do not share their objects, the writers equal the
+reference writers of test_sweep_output byte for byte; each invariant the
+constructors hold is refused in one ValueError line.
 """
 import dataclasses
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotplan import SweepSpec, run_sweep, sweep_rows, sweep_to_csv, sweep_to_json
-from spotplan.planner import ClusterPlan
-from spotplan.simulator import SweepPoint, SweepResult
+from spotplan import (ScalingSource, SweepSpec, bundled_simulated_catalog, recommend, run_sweep, sweep_rows,
+                      sweep_to_csv, sweep_to_json)
+from spotplan.catalog import InstanceSpec, Kind
+from spotplan.planner import ClusterPlan, PlanRequest
+from spotplan.simulator import DEFAULT_POLICIES, SweepPoint, SweepResult
 
-from test_sweep_output import _named, assert_same_output, reference_sweep_rows
+from test_sweep_output import assert_same_output
 
 WRITERS = (sweep_rows, sweep_to_csv, sweep_to_json)
 
-# Grid values: two that round to the float 3.0, a NaN, and plain budgets.
-PWS = ("0", "0.5", "1.25", "3", "3.00000000000000000001", "7.5", "NaN")
-POLICIES = ("planner", "noscale", "cost_first", "performance_first", "unknown", "z-last")
+# Grid values, in rising order: two that round to the float 3.0, one that is
+# -0.0 and one 0.0 as floats, and two beyond float range.
+PWS = ("-1e-400", "0", "0.5", "1.25", "3", "3.00000000000000000001", "7.5", "1e400", "1e401")
 RAWS = (0.0, -0.0, 0.5, 1e300, 5e-324, math.nan, math.inf, -math.inf)
 
 
 def _plans(simulated_catalog):
-    gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
+    gpu, cpu, other = (simulated_catalog.by_name(name) for name in ("A", "M", "K"))
     return [
         None,
         ClusterPlan("single_anchor", gpu, 3, None, None, Decimal("1.25"), 12.5),
         ClusterPlan("tiering", gpu, 9, cpu, 2, Decimal("2.5"), 40.0),
-        ClusterPlan("tiering", gpu, 1, cpu, None, Decimal("0.75"), math.nan),  # m None with a CPU
-        ClusterPlan("single_anchor", gpu, 3, None, 4, Decimal("1"), math.inf),  # m without a CPU
+        ClusterPlan("tiering", simulated_catalog.by_name("J"), 1, other, 1, Decimal("1E+2"), 5e-324),
     ]
 
 
 @st.composite
 def _results(draw, plans):
-    values = draw(st.lists(st.sampled_from(PWS), max_size=8))
-    if draw(st.booleans()):  # rising, as run_sweep makes grids
-        values = sorted(set(values) - {"NaN"}, key=Decimal)
+    values = sorted(set(draw(st.lists(st.sampled_from(PWS), max_size=8))), key=PWS.index)
     grid = tuple(Decimal(x) for x in values)
-    if draw(st.booleans()):  # one pw object twice
-        grid += grid[-1:]
     curves = {}
-    for policy in draw(st.lists(st.sampled_from(POLICIES), unique_by=id, max_size=5)):
-        shape = draw(st.sampled_from(["grid", "short", "shuffled", "copies"]))
-        pws = list(grid)
-        if shape == "short":
-            pws = pws[:draw(st.integers(0, len(pws)))]
-        elif shape == "shuffled":
-            pws = draw(st.permutations(pws))
-        elif shape == "copies":  # equal values, other objects
-            pws = [Decimal(str(pw)) for pw in pws]
+    for policy in draw(st.permutations(DEFAULT_POLICIES))[:draw(st.integers(0, len(DEFAULT_POLICIES)))]:
+        # The grid's own objects, or copies: equal values of the same digits, other objects.
+        pws = grid if draw(st.booleans()) else [Decimal(str(pw)) for pw in grid]
         points, i = [], 0
         while i < len(pws):
             size = draw(st.integers(1, 3))
@@ -80,33 +74,102 @@ def test_generated_results_match_reference(simulated_catalog, data):
     assert_same_output(data.draw(_results(_plans(simulated_catalog))))
 
 
-def _foreign(simulated_catalog):
-    """name -> a result of planner types but for one value."""
-    gpu = simulated_catalog.by_name("A")
-    plan = ClusterPlan("single_anchor", gpu, 3, None, None, Decimal("1.25"), 12.5)
-    pw = Decimal(1)
-
-    def result(policy="planner", raw=1.0, normalized=0.5, p=plan, normalizer=2.0):
-        return SweepResult((pw,), {policy: (SweepPoint(pw, raw, normalized, p),)}, normalizer)
-
-    cases = {f"policy {policy!r}": result(policy=policy) for policy in (7, 1.5, True, None, math.nan, ("planner",))}
-    cases["an empty curve of policy 7"] = SweepResult((pw,), {"planner": (), 7: ()}, 2.0)
-    cases.update((f"raw {raw!r}", result(raw=raw)) for raw in (1, True, None, "1.0"))
-    cases.update((f"normalized {x!r}", result(normalized=x, p=None)) for x in (0, None))
-    cases.update((f"normalizer {x!r}", result(normalizer=x)) for x in (0, None))
-    fields = dict(n_gpu=True, hourly_price=1.25, score_z=12, architecture=["single", "anchor"], m_cpu="2",
-                  gpu_instance=_named(gpu, ("g", "pu")))
-    cases.update((f"plan {key}={value!r}", result(p=dataclasses.replace(plan, **{key: value})))
-                 for key, value in fields.items())
-    return cases
+_GPU, _CPU = (bundled_simulated_catalog().by_name(name) for name in ("A", "M"))
+_TIERING = dict(architecture="tiering", gpu_instance=_GPU, n_gpu=9, cpu_instance=_CPU, m_cpu=2,
+                hourly_price=Decimal("2.5"), score_z=40.0)
+_ANCHOR = dict(_TIERING, architecture="single_anchor", cpu_instance=None, m_cpu=None)
+_GRID = (Decimal("0.5"), Decimal(1))
+_POINTS = tuple(SweepPoint(pw, 1.0, 0.5, None) for pw in _GRID)
 
 
-def test_results_of_other_types_are_refused_by_the_writers(simulated_catalog):
-    for name, result in _foreign(simulated_catalog).items():
-        for writer in (sweep_to_csv, sweep_to_json):
-            with pytest.raises(ValueError, match="^sweep_to_csv and sweep_to_json write only results of planner types"):
-                writer(result)
-        assert repr(sweep_rows(result)) == repr(reference_sweep_rows(result)), name
+class _Name(str):
+    def __repr__(self):
+        return f"_Name({str.__repr__(self)})"
+
+
+# name -> a constructor call that breaks one invariant.
+_REFUSED = {
+    **{f"plan {key}={value!r}": lambda key=key, value=value: ClusterPlan(**{**_TIERING, key: value})
+       for key, value in [
+        ("architecture", "single_anchor"), ("architecture", _Name("tiering")), ("architecture", ["tiering"]),
+        ("n_gpu", True), ("n_gpu", 0), ("n_gpu", 2.0), ("m_cpu", None), ("m_cpu", 0), ("m_cpu", "2"),
+        ("m_cpu", [4, 5]), ("hourly_price", 2.5), ("score_z", [6.5]), ("score_z", "fast"), ("score_z", 10**400),
+        ("gpu_instance", None), ("cpu_instance", "M")]},
+    **{f"single-anchor plan {key}={value!r}": lambda key=key, value=value: ClusterPlan(**{**_ANCHOR, key: value})
+       for key, value in [("architecture", "tiering"), ("m_cpu", 4), ("m_cpu", {"m": [1, 2]})]},
+    **{f"point {key}={value!r}": lambda key=key, value=value: SweepPoint(**{"pw": _GRID[0], "raw": 1.0,
+                                                                            "normalized": 0.5, "plan": None,
+                                                                            key: value})
+       for key, value in [("raw", None), ("raw", True), ("normalized", "x"), ("normalized", 10**400),
+                          ("plan", _ANCHOR)]},
+    **{f"grid {grid!r}": lambda grid=grid: SweepResult(grid) for grid in [
+        [Decimal(1)], (Decimal(1), Decimal(1)), (Decimal(2), Decimal(1)), (Decimal("NaN"),), (Decimal("sNaN"),),
+        (Decimal(1), Decimal("Infinity")), (0.5, 1.0), ("0.5",)]},
+    "normalizer None": lambda: SweepResult(_GRID, {"planner": _POINTS}, None),
+    "curves as pairs": lambda: SweepResult(_GRID, [("planner", _POINTS)]),
+    **{f"policy {policy!r}": lambda policy=policy: SweepResult(_GRID, {policy: _POINTS})
+       for policy in ("unknown", _Name("planner"), 7, math.nan, None, ("planner",))},
+    **{f"curve {name}": lambda curve=curve: SweepResult(_GRID, {"noscale": curve}) for name, curve in [
+        ("short", _POINTS[:1]), ("long", _POINTS + _POINTS[1:]), ("shuffled", _POINTS[::-1]),
+        ("as a list", [*_POINTS]), ("off the grid", (_POINTS[0], SweepPoint(Decimal(2), 1.0, 0.5, None))),
+        ("with a pw of other digits", (_POINTS[0], SweepPoint(Decimal("1.0"), 1.0, 0.5, None))),
+        ("with a pw of another type", (_POINTS[0], SweepPoint(1, 1.0, 0.5, None))),
+        ("of plain values", ((_GRID[0], 1.0, 0.5, None), _POINTS[1]))]},
+    "curve with a pw of the other sign": lambda: SweepResult(
+        (Decimal("-0"),), {"noscale": (SweepPoint(Decimal(0), 1.0, 0.5, None),)}),
+    # The CSV writer keys names on equality, so a str subclass would share an equal plain name's field.
+    "instance name _Name('A')": lambda: InstanceSpec(name=_Name("A"), kind=Kind.GPU, od_price="1", spot_price="1",
+                                                     network_bw=10, eflops=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_each_invariant_is_refused_by_its_constructor(case):
+    with pytest.raises(ValueError) as excinfo:
+        _REFUSED[case]()
+    assert "\n" not in str(excinfo.value)
+
+
+def test_a_non_finite_z_is_refused_in_the_planner_s_words(simulated_catalog):
+    gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
+    for architecture, m, w, z in [("single_anchor", None, None, math.inf), ("tiering", 2, cpu, math.nan),
+                                  ("tiering", 1, cpu, -math.inf)]:
+        with pytest.raises(ValueError) as excinfo:
+            ClusterPlan(architecture, gpu, 3, w, m, Decimal("1.25"), z)
+        assert str(excinfo.value) == (f"the {architecture} plan of 3 x 'A' scores Z = {z}: "
+                                      "the instance's eflops, prices or scaling overflow float")
+
+
+def test_numbers_of_other_types_are_converted(simulated_catalog):
+    gpu, cpu = simulated_catalog.by_name("A"), simulated_catalog.by_name("M")
+    exact = ClusterPlan("tiering", gpu, 9, cpu, 2, Decimal("2.5"), 40.0)
+    converted = ClusterPlan("tiering", gpu, np.int64(9), cpu, np.int32(2), Decimal("2.5"), np.float64(40.0))
+    assert converted == exact
+    assert [type(x) for x in (converted.n_gpu, converted.m_cpu, converted.score_z)] == [int, int, float]
+    assert ClusterPlan("tiering", gpu, 9, cpu, 2, Decimal("2.5"), "40").score_z == 40.0
+    point = SweepPoint(Decimal(1), np.float64(0.25), Decimal("0.125"), exact)
+    assert (type(point.raw), type(point.normalized)) == (float, float)
+    assert point == SweepPoint(Decimal(1), 0.25, 0.125, exact)
+    result = SweepResult((Decimal(1),), {"planner": (point,)}, np.float64(2.0))
+    assert type(result.normalizer) is float
+    assert_same_output(result)
+
+
+class _NumpyScaling(ScalingSource):
+    """K(n) as numpy.float64, a float subclass, bit for bit the default's."""
+
+    def factor(self, instance, n):
+        return np.float64(super().factor(instance, n))
+
+
+def test_a_numpy_scaling_source_plans_and_writes_as_the_default(simulated_catalog, aws_catalog):
+    for catalog in (simulated_catalog, aws_catalog):
+        plans = recommend(catalog, PlanRequest(pw="7.5", top_k=5), scaling=_NumpyScaling())
+        assert plans == recommend(catalog, PlanRequest(pw="7.5", top_k=5))
+        assert {type(plan.score_z) for plan in plans} == {float}
+        result, default = run_sweep(catalog, SweepSpec(), _NumpyScaling()), run_sweep(catalog, SweepSpec())
+        assert sweep_to_csv(result) == sweep_to_csv(default)
+        assert sweep_to_json(result) == sweep_to_json(default)
 
 
 class _CountedPw(Decimal):
@@ -140,23 +203,19 @@ def test_writers_render_each_plan_once_and_sort_no_row(request, fixture, writer,
     assert _CountedPw.floats == len(result.grid)  # so no row has a sort key
 
 
-def test_a_lone_nan_budget_keeps_the_curve_order():
-    """The rows of a one-point NaN grid compare equal in the reference's sort,
-    so the curves keep their insertion order, noscale first here; the
-    grid-major order put the planner first."""
-    point = SweepPoint(Decimal("NaN"), 0.0, 0.0, None)
-    result = SweepResult(grid=(point.pw,), curves={"noscale": (point,), "planner": (point,)})
-    assert_same_output(result)
-    assert [row["policy"] for row in sweep_rows(result)] == ["noscale", "planner"]
-
-
 @pytest.mark.parametrize("writer", WRITERS)
 def test_a_result_out_of_grid_order_is_sorted(simulated_catalog, writer, writer_work):
-    # The counts see the sort that the grid-major order skips.
+    # A curve out of grid order is refused, so no writer sees one; curves inserted
+    # out of policy order give rows in grid-major, policy order with no sort (the
+    # JSON "plans" map alone keeps the curves' own order, as the reference does).
     result = _counted(run_sweep(simulated_catalog, SweepSpec(pw_max="2", pw_step="0.5")))
-    shuffled = dataclasses.replace(result, curves={policy: points[::-1] for policy, points in result.curves.items()})
+    with pytest.raises(ValueError, match="in grid order"):
+        dataclasses.replace(result, curves={policy: points[::-1] for policy, points in result.curves.items()})
+    reversed_policies = dataclasses.replace(result, curves=dict(reversed(result.curves.items())))
+    assert list(reversed_policies.curves) != list(result.curves)
     _CountedPw.floats = 0
-    _, sorts = writer_work(writer, shuffled)
-    rows = len(result.grid) * len(result.curves)
-    assert max(sorts, default=0) == rows
-    assert _CountedPw.floats == len(result.grid) + rows
+    _, sorts = writer_work(writer, reversed_policies)
+    assert sorts == []
+    assert _CountedPw.floats == len(result.grid)
+    assert sweep_rows(reversed_policies) == sweep_rows(result)
+    assert_same_output(reversed_policies)

@@ -8,7 +8,8 @@ through its loader.
 The loaders: a catalog entry's "scaling" object for LogisticParams (whose
 CatalogValidationError labels the constructor's ValueError, its cause), a
 row of a `spotplan fit` CSV file for SpeedupSample, and load_saturation for
-SaturationTable.
+SaturationTable.  ClusterPlan, SweepPoint and SweepResult have no loader;
+hostile values are refused in one line by them too.
 """
 import json
 import math
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from spotplan import (
     DEFAULT_PARAMS,
     Catalog,
+    ClusterPlan,
     CatalogParseError,
     CatalogValidationError,
     InstanceSpec,
@@ -30,6 +32,8 @@ from spotplan import (
     SaturationTable,
     ScalingSource,
     SpeedupSample,
+    SweepPoint,
+    SweepResult,
     SweepSpec,
     load_catalog,
     load_saturation,
@@ -200,6 +204,9 @@ def test_an_infinite_speedup_is_named_as_not_finite(capsys, tmp_path, speedup):
         "", f"error: {path}, line 3: speedup must be positive and finite, got inf\n")
 
 
+_GPU = InstanceSpec(name="v", kind=Kind.GPU, od_price="2", spot_price="1", network_bw=10, eflops=3, memory=16)
+_CPU = InstanceSpec(name="w", kind=Kind.CPU, od_price="0.5", spot_price="0.2", network_bw=10, eflops=0, memory=64)
+
 # A valid value for each field of each value type.
 VALID = {
     LogisticParams: dict(a=0.2, b=10.0, c=5.0),
@@ -210,6 +217,11 @@ VALID = {
     SweepSpec: dict(pw_min="0", pw_max="10", pw_step="0.5", policies=("planner",), ckpt_size=0.5, buffer_count=2,
                     max_instances=256),
     SaturationTable: dict(entries=((10.0, 3),)),
+    ClusterPlan: dict(architecture="tiering", gpu_instance=_GPU, n_gpu=4, cpu_instance=_CPU, m_cpu=1,
+                      hourly_price=Decimal("4.5"), score_z=12.0),
+    SweepPoint: dict(pw=Decimal(1), raw=1.0, normalized=0.5, plan=None),
+    SweepResult: dict(grid=(Decimal(1),), curves={"planner": (SweepPoint(Decimal(1), 1.0, 0.5, None),)},
+                      normalizer=2.0),
 }
 CYCLE = []
 CYCLE.append(CYCLE)

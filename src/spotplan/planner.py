@@ -35,9 +35,11 @@ threshold T, the top_k-th largest finite Z pooled so far, ends both loops:
 the row loop at the first row whose bound is below T, and each row's walk
 of n down from n_top at the first n whose Z is below T by the slack.  T
 only rises, and Z falls at most a few ulps below its running maximum, so
-no candidate skipped can reach the final top_k.  The pooled candidates are
-ranked deterministically: higher Z first, then lower price, then
-architecture (single_anchor before tiering), then catalog order.
+no candidate skipped can reach the final top_k.  A candidate is (key, row),
+the key being (-Z, price, architecture rank, v index, w index or -1, n): the
+plan at n of the one row that (rank, v, w) names.  Candidates are ranked by
+key: higher Z first, then lower price, then architecture (single_anchor
+before tiering), then catalog order.
 
 With top_k = 1 a row's best candidate is the first n <= n_top with the
 largest Z.  The price-ceiling sweep (simulator.run_sweep) uses the same row
@@ -85,7 +87,7 @@ _SLACK = 1e-12
 
 # decimal's default context at MAX_PREC, built here: no caller's context or DefaultContext moves a budget, and
 # +, -, * and // are exact.  Budget code has no true division /, which may not terminate (MemoryError at MAX_PREC).
-# Prices and budgets are 0 or finite floats of at most MAX_PRICE_PLACES places (as_price): sums stay < ~1,300 digits.
+# Prices and budgets are 0 or finite floats of <= MAX_PRICE_PLACES places (as_price): sums, quotients < ~1,310 digits.
 _BUDGET_CONTEXT = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
                           flags=[], traps=[InvalidOperation, DivisionByZero, Overflow])
 
@@ -212,25 +214,20 @@ class ClusterPlan:
         }
 
 
-def _quotient(x: Decimal, y: Decimal, cap: int) -> int:
-    """min(x // y, cap) for positive y, or x // y when below 10**4; no quotient longer than that or cap is built."""
-    return int(x // y) if x.adjusted() - y.adjusted() < 4 or x < cap * y else cap
-
-
 class _SingleAnchorRow:
     """GPU v as one On-Demand anchor plus n - 1 Spot trainers."""
 
     __slots__ = ("v_idx", "v", "od", "spot", "spfp", "odfp")
-    rank = 0
+    rank, w = 0, None
 
     def __init__(self, v_idx: int, v: InstanceSpec, score: FloppScore):
         self.v_idx, self.v, self.od, self.spot = v_idx, v, v.od_price, v.spot_price
         self.spfp, self.odfp = score.spfp, score.odfp
 
     def n_top(self, pw: Decimal, cap: int) -> int:
-        """Largest n that fits pw and cap, exactly; below 1 when none does."""
+        """Largest n that fits pw and cap, exactly in _BUDGET_CONTEXT; below 1 when none does."""
         spot_budget = pw - self.od
-        return min(cap, 1 + _quotient(spot_budget, self.spot, cap)) if spot_budget >= 0 else 0
+        return min(cap, 1 + int(spot_budget // self.spot)) if spot_budget >= 0 else 0
 
     def price(self, n: int) -> Decimal:
         return self.od + (n - 1) * self.spot
@@ -239,9 +236,8 @@ class _SingleAnchorRow:
         return ((n - 1) * self.spfp + self.odfp) * k
 
     def candidate(self, n: int, z: float, price: Optional[Decimal] = None) -> tuple:
-        """(sort key, v, w), the sort key being (-Z, price, architecture rank,
-        v index, w index or -1, n, m or 0); price is price(n), if known."""
-        return (-z, self.price(n) if price is None else price, 0, self.v_idx, -1, n, 0), self.v, None
+        """(key, row) of n; price is price(n), if known."""
+        return (-z, self.price(n) if price is None else price, 0, self.v_idx, -1, n), self
 
 
 class _TieringRow:
@@ -256,15 +252,15 @@ class _TieringRow:
         self.w_idx, self.w, self.cpu, self.n_sat = w_idx, w, w.od_price, n_sat
 
     def n_top(self, pw: Decimal, cap: int) -> int:
-        """Largest n that fits pw and cap, exactly; below 1 when none does.
+        """Largest n that fits pw and cap, exactly in _BUDGET_CONTEXT; below 1 when none does.
 
         It is the top of the range of the largest receiver count m whose
         smallest n, max(1, (m - 1) * n_sat), fits the budget and cap.
         """
         spot, cpu, n_sat = self.spot, self.cpu, self.n_sat
         block = n_sat * spot
-        m = min(cap, min_cpu_count(cap, n_sat), _quotient(pw + block, block + cpu, cap))
-        return min(cap, m * n_sat - 1, _quotient(pw - m * cpu, spot, cap))
+        m = min(cap, min_cpu_count(cap, n_sat), int((pw + block) // (block + cpu)))
+        return min(cap, m * n_sat - 1, int((pw - m * cpu) // spot))
 
     def price(self, n: int) -> Decimal:
         return n * self.spot + min_cpu_count(n, self.n_sat) * self.cpu
@@ -273,17 +269,16 @@ class _TieringRow:
         return n * self.spfp * k
 
     def candidate(self, n: int, z: float, price: Optional[Decimal] = None) -> tuple:
-        price = self.price(n) if price is None else price
-        key = (-z, price, 1, self.v_idx, self.w_idx, n, min_cpu_count(n, self.n_sat))
-        return key, self.v, self.w
+        return (-z, self.price(n) if price is None else price, 1, self.v_idx, self.w_idx, n), self
 
 
 def _planning(catalog: Catalog) -> tuple[list, dict, list]:
-    """catalog's planning table: each GPU's FloppScore, per saturation table n_sat by (GPU, CPU) index, and the CPU
-    indices in (od_price, index) order."""
+    """catalog's planning table: each GPU's single-anchor row, per saturation table n_sat by (GPU, CPU) index, and
+    the CPU indices in (od_price, index) order."""
     table = catalog.__dict__.get("_planning")  # kept beside the views (Catalog); stored whole, in one step
-    return table or catalog.__dict__.setdefault("_planning", ([flopp(v) for v in catalog.gpu_view], {}, sorted(
-        range(len(catalog.cpu_view)), key=lambda j: catalog.cpu_view[j].od_price)))
+    return table or catalog.__dict__.setdefault("_planning", (
+        [_SingleAnchorRow(i, v, flopp(v)) for i, v in enumerate(catalog.gpu_view)], {},
+        sorted(range(len(catalog.cpu_view)), key=lambda j: catalog.cpu_view[j].od_price)))
 
 
 def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
@@ -291,10 +286,9 @@ def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
     that hold the checkpoints, by CPU (price, index), less each that top_k
     others beat at every n: a GPU's tiering rows share Z(n), and a CPU earlier
     in that order with an n_sat no lower gives a smaller key and fits every n."""
-    scores, n_sats, by_price = _planning(catalog)
+    anchors, n_sats, by_price = _planning(catalog)
     if (table := n_sats.get(sat)) is None:
-        n_sats[sat] = table = [[n_sat_lookup(sat, s.instance, w) for w in catalog.cpu_view] for s in scores]
-    anchors = [_SingleAnchorRow(i, s.instance, s) for i, s in enumerate(scores)]
+        n_sats[sat] = table = [[n_sat_lookup(sat, a.v, w) for w in catalog.cpu_view] for a in anchors]
     cpus = [(j, w) for j in by_price if (w := catalog.cpu_view[j]).memory >= req.required_memory]
     rows = []
     for anchor in anchors:
@@ -308,8 +302,9 @@ def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
 
 def _plan(candidate: tuple) -> ClusterPlan:
     """The plan of a chosen candidate; ClusterPlan refuses a Z that is not finite."""
-    (neg_z, price, rank, _, _, n, m), v, w = candidate
-    return ClusterPlan(_ARCHITECTURES[rank], v, n, w, m if w is not None else None, price, -neg_z)
+    (neg_z, price, rank, *_, n), row = candidate
+    m = min_cpu_count(n, row.n_sat) if rank else None
+    return ClusterPlan(_ARCHITECTURES[rank], row.v, n, row.w, m, price, -neg_z)
 
 
 def recommend(

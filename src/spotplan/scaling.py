@@ -86,7 +86,7 @@ def _number(key: str, value, kind=float, error: str = ""):
     try:
         return kind(value)
     except OverflowError as exc:
-        raise ValueError(error or exc) from None
+        raise ValueError(error or f"{key}: {exc}") from None
     except ValueError as exc:
         if kind not in (float, int):  # as_price refuses in its own words
             raise

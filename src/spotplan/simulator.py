@@ -56,9 +56,8 @@ _BASELINE_GPUS = {"cost_first": lambda v: (v.spot_price, -v.eflops),
 
 def _baseline_row(policy: str, catalog: Catalog) -> Optional[_SingleAnchorRow]:
     """The single-anchor row of the GPU that _BASELINE_GPUS[policy] picks, or None when the catalog has no GPU."""
-    gpus, key = catalog.gpu_view, _BASELINE_GPUS[policy]
-    v_idx = min(range(len(gpus)), key=lambda i: key(gpus[i]), default=None)
-    return None if v_idx is None else _SingleAnchorRow(v_idx, gpus[v_idx], _planning(catalog)[0][v_idx])
+    key = _BASELINE_GPUS[policy]
+    return min(_planning(catalog)[0], key=lambda row: key(row.v), default=None)
 
 
 def _baseline(
@@ -327,9 +326,9 @@ def _sweep_plans(
             if (n := row.n_top(pw, spec.max_instances)) > count:
                 baselines[policy], changed[policy] = (row, n), row.candidate(n, row.z(n, tables[row.v_idx][n - 1]))
         for policy, candidate in changed.items():
-            plan, ((*_, v_idx, _, n, _), v, _) = _plan(candidate), candidate
-            if not math.isfinite(raw := n * v.eflops * tables[v_idx][n - 1]):  # evaluate_performance(plan, scaling)
-                raise ValueError(f"the plan of {n} x {v.name!r} performs {raw}: it overflows float")
+            plan, ((*_, n), row) = _plan(candidate), candidate
+            if not math.isfinite(raw := n * row.v.eflops * tables[row.v_idx][n - 1]):  # evaluate_performance()
+                raise ValueError(f"the plan of {n} x {row.v.name!r} performs {raw}: it overflows float")
             runs[policy].append((i, plan, raw))
         changed.clear()
     return runs

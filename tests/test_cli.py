@@ -100,10 +100,10 @@ class TestPlanCommand:
             ({"scaling": {"a": 0.1, "b": 10, "c": 1e308}}, "plan of 1 x 'solo' scores Z = inf"),
             ({"eflops": 1e307}, "x 'solo' scores Z = "),
             # JSON integers beyond float range, which float() refuses with an OverflowError.
-            ({"eflops": 10**400}, "instance 'solo': int too large to convert to float"),
-            ({"network_gbps": 10**400}, "instance 'solo': int too large to convert to float"),
-            ({"memory_gib": 10**400}, "instance 'solo': int too large to convert to float"),
-            ({"scaling": {"a": 0.1, "b": 10**400, "c": 5}}, "instance 'solo': int too large to convert to float"),
+            ({"eflops": 10**400}, "instance 'solo': eflops: int too large to convert to float"),
+            ({"network_gbps": 10**400}, "instance 'solo': network_gbps: int too large to convert to float"),
+            ({"memory_gib": 10**400}, "instance 'solo': memory_gib: int too large to convert to float"),
+            ({"scaling": {"a": 0.1, "b": 10**400, "c": 5}}, "instance 'solo': b: int too large to convert to float"),
         ],
     )
     def test_catalog_rejected_in_one_line(self, capsys, tmp_path, entry, message):

@@ -6,7 +6,7 @@ import math
 import random
 import re
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import itemgetter
 
@@ -37,7 +37,7 @@ from spotplan import (
     s_hybrid,
 )
 from spotplan.catalog import MAX_PRICE_PLACES
-from spotplan.planner import _SLACK, MAX_INSTANCES, _plan, _rows, _SingleAnchorRow, _TieringRow
+from spotplan.planner import _BUDGET_CONTEXT, _SLACK, MAX_INSTANCES, _plan, _rows, _SingleAnchorRow, _TieringRow
 from spotplan.scaling import DEFAULT_SCALING
 
 
@@ -473,7 +473,7 @@ def _reference_walk(row, n_top, top_k, scaling):
 def _reference_recommend(catalog, req, scaling=None, sat=None):
     """recommend() as it was before it visited rows best-first and before
     _rows dropped dominated rows: every affordable row is walked and all the
-    candidates are pooled."""
+    candidates are pooled, budgets in the planner's exact context."""
     scaling = scaling or DEFAULT_SCALING
     pw, cap, top_k = req.pw, req.max_instances, req.top_k
     candidates = (
@@ -482,7 +482,8 @@ def _reference_recommend(catalog, req, scaling=None, sat=None):
         if (n_top := row.n_top(pw, cap)) > 0
         for candidate in _reference_walk(row, n_top, top_k, scaling)
     )
-    return [_plan(c) for c in heapq.nsmallest(top_k, candidates, key=itemgetter(0))]
+    with localcontext(_BUDGET_CONTEXT):  # the candidates are drawn, and their budgets computed, in here
+        return [_plan(c) for c in heapq.nsmallest(top_k, candidates, key=itemgetter(0))]
 
 
 def _outcome(plan, *args):

@@ -1,10 +1,11 @@
 """The planning table: FLOPP and n_sat once per catalog, not once per request.
 
 Each catalog keeps one table in its __dict__, as it keeps its views: the
-FloppScore of each available GPU, per saturation table the n_sat of every
-(GPU, CPU) pair, and the CPUs in (price, index) order, the order in which
-_rows drops dominated tiering rows.  recommend(), run_sweep() and the
-sweep's baselines read it, and it is no part of the catalog's value.
+single-anchor row of each available GPU, built from its flopp(), per
+saturation table the n_sat of every (GPU, CPU) pair, and the CPUs in
+(price, index) order, the order in which _rows drops dominated tiering rows.
+recommend(), run_sweep() and the baselines read it, and it is no part of the
+catalog's value.
 """
 import dataclasses
 import pickle
@@ -28,6 +29,7 @@ from spotplan import (
     run_sweep,
 )
 from spotplan import planner
+from spotplan.saturation import default_saturation_table, min_cpu_count, n_sat_lookup
 
 # Requests whose memory filters keep all, some and none of the bundled catalogs' CPUs.
 REQUESTS = [PlanRequest(pw=pw, ckpt_size=ckpt, buffer_count=2, max_instances=cap, top_k=k)
@@ -76,6 +78,47 @@ def test_flopp_and_n_sat_run_once_per_catalog_and_saturation_table(table_work, s
 
     recommend(load(), REQUESTS[0])  # a new catalog, as a price update makes, has its own table
     assert table_work == {"flopp": 2 * gpus, "n_sat_lookup": 3 * gpus * cpus}
+
+
+@pytest.mark.parametrize("load", [bundled_simulated_catalog, bundled_aws_catalog])
+def test_requests_baselines_and_sweeps_reuse_the_catalog_s_single_anchor_rows(monkeypatch, table_work, load):
+    """Every planner reads the catalog's own single-anchor row objects, built from one flopp() call per GPU."""
+    used = []
+
+    def n_top(row, pw, cap, real=planner._SingleAnchorRow.n_top):
+        used.append(row)
+        return real(row, pw, cap)
+
+    monkeypatch.setattr(planner._SingleAnchorRow, "n_top", n_top)
+    catalog = load()
+    runs = {"request": lambda: recommend(catalog, REQUESTS[0]),
+            "other request": lambda: recommend(catalog, REQUESTS[2]),
+            "cost_first": lambda: plan_cost_first(catalog, REQUESTS[0]),
+            "performance_first": lambda: plan_performance_first(catalog, REQUESTS[0]),
+            "sweep": lambda: run_sweep(catalog, SPEC)}
+    rows = {}
+    for name, run in runs.items():
+        used.clear()
+        run()
+        rows[name] = {id(row): row for row in used}
+    anchors = {id(row): row for row in vars(catalog)["_planning"][0]}
+    assert [row.v for row in anchors.values()] == list(catalog.gpu_view)
+    assert rows["request"] == rows["other request"] == rows["sweep"] == anchors  # the same objects
+    assert len(rows["cost_first"]) == len(rows["performance_first"]) == 1
+    assert rows["cost_first"].items() <= anchors.items() and rows["performance_first"].items() <= anchors.items()
+    assert table_work["flopp"] == len(catalog.gpu_view)
+
+
+@pytest.mark.parametrize("load", [bundled_simulated_catalog, bundled_aws_catalog])
+def test_a_tiering_plan_holds_the_fewest_cpus_its_row_allows(load):
+    """A candidate carries no m: the plan takes min_cpu_count(n_gpu, n_sat) from its row."""
+    catalog, sat = load(), default_saturation_table()
+    plans = [plan for req in REQUESTS for plan in recommend(catalog, dataclasses.replace(req, top_k=20))]
+    plans += [plan for point in run_sweep(catalog, SPEC).curve("planner") if (plan := point.plan)]
+    tiering = [plan for plan in plans if plan.cpu_instance]
+    assert tiering and all(
+        plan.m_cpu == min_cpu_count(plan.n_gpu, n_sat_lookup(sat, plan.gpu_instance, plan.cpu_instance))
+        for plan in tiering)
 
 
 @pytest.mark.parametrize("load, limit", [(bundled_simulated_catalog, 82), (bundled_aws_catalog, 31)])
@@ -151,8 +194,8 @@ def test_threads_sharing_fresh_catalogs_plan_as_one_thread_does():
             for _ in range(10):
                 shared = bundled_simulated_catalog()
                 assert list(pool.map(lambda req: recommend(shared, req), requests, timeout=60)) == expected
-                scores, n_sats, by_price = vars(shared)["_planning"]
-                assert [s.instance for s in scores] == list(shared.gpu_view) and len(n_sats) == 1
+                anchors, n_sats, by_price = vars(shared)["_planning"]
+                assert [row.v for row in anchors] == list(shared.gpu_view) and len(n_sats) == 1
                 assert by_price == sorted(range(len(shared.cpu_view)), key=lambda j: shared.cpu_view[j].od_price)
     finally:
         sys.setswitchinterval(interval)

@@ -139,6 +139,18 @@ class TestEstimateCost:
         with pytest.raises(ValueError, match="not finite and positive"):
             estimate_cost(plan, total_ops=1e9)
 
+    def test_a_plan_performing_below_one_is_priced_and_an_overflowing_cost_refused(self):
+        # Raw performance about 6.3e-4, so no bound of 1 on it holds; 1e300 ops take 4.4e299 h, costing inf.
+        gpu = InstanceSpec(name="g", kind=Kind.GPU, od_price="1e10", spot_price="1e10", network_bw=10,
+                           eflops=1e-3, memory=16)
+        plan = recommend(Catalog((gpu,)), PlanRequest(pw="1e10", top_k=1))[0]
+        assert (plan.architecture, plan.n_gpu) == (SINGLE_ANCHOR, 1) and 0 < evaluate_performance(plan) < 1e-3
+        makespan, cost = estimate_cost(plan, total_ops=1e6)
+        assert 0 < makespan < math.inf and 0 < cost < math.inf
+        assert cost == pytest.approx(makespan * 1e10, rel=1e-12)
+        with pytest.raises(ValueError, match="not finite and positive"):
+            estimate_cost(plan, total_ops=1e300)
+
 
 class TestSweepSpec:
     def test_default_grid_has_101_points(self):

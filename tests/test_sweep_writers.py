@@ -22,6 +22,7 @@ from spotplan import (ScalingSource, SweepSpec, bundled_simulated_catalog, recom
                       sweep_to_csv, sweep_to_json)
 from spotplan.catalog import InstanceSpec, Kind
 from spotplan.planner import ClusterPlan, PlanRequest
+from spotplan.scaling import LogisticParams
 from spotplan.simulator import DEFAULT_POLICIES, SweepPoint, SweepResult
 
 from test_sweep_output import assert_same_output
@@ -120,7 +121,11 @@ _REFUSED = {
     # The CSV writer keys names on equality, so a str subclass would share an equal plain name's field.
     "instance name _Name('A')": lambda: InstanceSpec(name=_Name("A"), kind=Kind.GPU, od_price="1", spot_price="1",
                                                      network_bw=10, eflops=1),
+    "logistic a=10**400": lambda: LogisticParams(10**400, 1, 1),
 }
+# Cases refused in words that name the field: ints beyond float range, which float() refuses with an OverflowError.
+_NAMED = {f"plan score_z={10**400!r}": "score_z", f"point normalized={10**400!r}": "normalized",
+          "logistic a=10**400": "a"}
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSED))
@@ -128,6 +133,8 @@ def test_each_invariant_is_refused_by_its_constructor(case):
     with pytest.raises(ValueError) as excinfo:
         _REFUSED[case]()
     assert "\n" not in str(excinfo.value)
+    if case in _NAMED:
+        assert str(excinfo.value) == f"{_NAMED[case]}: int too large to convert to float"
 
 
 def test_a_non_finite_z_is_refused_in_the_planner_s_words(simulated_catalog):

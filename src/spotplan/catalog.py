@@ -255,7 +255,7 @@ def _read_json(source: Union[bytes, str, IO], what: str, error: type[Exception])
         if hasattr(source, "read"):
             source = source.read()
         if isinstance(source, bytes):
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")  # drops a leading byte-order mark, as spreadsheets write
         return json.loads(source, parse_float=Decimal)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise error(f"malformed {what} document: {exc}") from exc

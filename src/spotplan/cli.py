@@ -22,6 +22,16 @@ class _Parser(ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
+    # A request flag's help states its PlanRequest or SweepSpec default, read only when help is printed.
+    def format_help(self):
+        from . import PlanRequest, SweepSpec
+
+        fields = {**PlanRequest.__dataclass_fields__, **SweepSpec.__dataclass_fields__}
+        for action in self._actions:
+            if action.default is SUPPRESS and action.dest in fields:
+                action.help = f"(default: {fields[action.dest].default})"
+        return super().format_help()
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -46,7 +56,7 @@ def _build_parser() -> _Parser:
 
     p_plan = sub.add_parser("plan", help="recommend cluster configurations")
     add_catalog_flags(p_plan)
-    p_plan.add_argument("--pw", default="3", help="hourly price ceiling (default 3)")
+    p_plan.add_argument("--pw", default="3", help="hourly price ceiling (default: 3)")
     add_request_flags(p_plan)
     p_plan.add_argument("--top-k", type=int, default=SUPPRESS)
     add_output_flags(p_plan, ("table", "json", "csv"), "table")
@@ -175,7 +185,7 @@ def _read_samples(path: str) -> list:
 
     from .scaling import SpeedupSample
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark, as spreadsheets write
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -204,22 +214,12 @@ def cmd_fit(args) -> int:
     for path in args.inputs:
         samples = _read_samples(path)
         models.append(params := fit_logistic(samples))
-        fits.append(
-            {
-                "file": path,
-                "a": params.a,
-                "b": params.b,
-                "c": params.c,
-                "residual": sum_squared_residuals(params, samples),
-            }
-        )
+        fits.append({"file": path, **vars(params), "residual": sum_squared_residuals(params, samples)})
 
     if args.average and len(fits) > 1:
-        avg = average_params(models)
-        payload = {"a": avg.a, "b": avg.b, "c": avg.c, "residual": None, "fits": fits}
+        payload = {**vars(average_params(models)), "residual": None, "fits": fits}
     elif len(fits) == 1:
-        payload = dict(fits[0])
-        payload.pop("file")
+        payload = {**vars(models[0]), "residual": fits[0]["residual"]}
     else:
         payload = {"fits": fits}
 

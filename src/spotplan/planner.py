@@ -15,8 +15,8 @@ the GPU count n, so the feasible counts are exactly 1..n_top, and n_top is
 exact, in Decimal at MAX_PREC.  The score Z does not fall as n rises within a
 row, by these invariants (checked by property tests):
 
-* S_hybrid(n) does not fall over n, and S_hybrid(1) > 0; the catalog and
-  ScalingSource reject scaling models with S_hybrid(1) <= 0;
+* S_hybrid(n) does not fall over n, and S_hybrid(1) > 0; the catalog
+  rejects scaling models with S_hybrid(1) <= 0;
 * S_hybrid is concave: linear up to b, logistic beyond it, with the slopes
   matching at b.  So the n with K(n) > 1 form one interval, whose start
   scaling.superlinear_from finds by bisection.  The planner uses such

@@ -200,14 +200,14 @@ def superlinear_from(params: LogisticParams) -> int | None:
 
 
 def average_params(models: Sequence[LogisticParams]) -> LogisticParams:
-    """Component-wise arithmetic mean of (a, b, c)."""
+    """Component-wise mean of (a, b, c), each sum rounded once (math.fsum): the same in any order, on any Python."""
     if not models:
         raise ValueError("cannot average an empty parameter list")
     k = len(models)
     return LogisticParams(
-        a=sum(m.a for m in models) / k,
-        b=sum(m.b for m in models) / k,
-        c=sum(m.c for m in models) / k,
+        a=math.fsum(m.a for m in models) / k,
+        b=math.fsum(m.b for m in models) / k,
+        c=math.fsum(m.c for m in models) / k,
     )
 
 
@@ -401,32 +401,24 @@ class ScalingSource:
     """Resolves the speedup model, a LogisticParams, to use for an instance.
 
     A catalog entry may carry its own fitted parameters; instances without
-    one fall back to the default (DEFAULT_PARAMS, the bundled reference
-    average, unless overridden), which must give S_hybrid(1) > 0.  A source
-    is immutable and hashable and keeps no state between calls, so planning
+    one fall back to DEFAULT_PARAMS, the bundled reference average.
+    InstanceSpec checks that a model gives S_hybrid(1) > 0.  A source is
+    immutable and hashable and keeps no state between calls, so planning
     with it is a pure function of its inputs.  A model that implies K(n) > 1
     for some n (a superlinear speedup) is used as-is; superlinear_from
     reports from which n.
     """
 
-    default: LogisticParams = DEFAULT_PARAMS
-
-    def __post_init__(self):
-        if not (isinstance(self.default, LogisticParams) and s_hybrid(self.default, 1) > 0):
-            raise ValueError(f"a scaling model must be LogisticParams with S_hybrid(1) > 0, not {self.default!r}")
-
     def model_for(self, instance: "InstanceSpec") -> LogisticParams:
-        """The instance's own scaling_params, or the default."""
-        params = getattr(instance, "scaling_params", None)
-        return self.default if params is None else params
+        """The instance's own scaling_params, or DEFAULT_PARAMS."""
+        return instance.scaling_params or DEFAULT_PARAMS
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
         """K(n) for the instance's model, bit for bit
         scaling_factor(model_for(instance), n)."""
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
-        params = instance.scaling_params
-        return s_hybrid(self.default if params is None else params, n) / n
+        return s_hybrid(instance.scaling_params or DEFAULT_PARAMS, n) / n
 
 
 class UnitScaling(ScalingSource):

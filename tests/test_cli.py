@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,13 +17,16 @@ from spotplan import (
     SweepSpec,
     bundled_aws_catalog,
     bundled_simulated_catalog,
+    fit_logistic,
+    load_catalog,
     recommend,
     run_sweep,
     sweep_to_csv,
 )
-from spotplan.cli import _build_parser, main
+from spotplan.cli import _build_parser, _read_samples, main
 
 BUNDLED = pathlib.Path(spotplan.__file__).parent / "data" / "catalogs"
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that spreadsheet exports write first
 
 REF_ROWS = {
     "resnet18": (0.1222, 11.7094, 4.0927),
@@ -333,6 +337,33 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, loaded):
     assert proc.stdout.splitlines()[-1].split() == loaded
 
 
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("plan", {"--ckpt-size-gib": "0.5", "--buffer-count": "2", "--max-limit": "256", "--top-k": "3"}),
+        ("simulate", {"--pw-min": "0", "--pw-max": "10", "--pw-step": "0.1", "--ckpt-size-gib": "0.5",
+                      "--buffer-count": "2", "--max-limit": "256"}),
+    ],
+)
+def test_help_states_each_request_flags_default(capsys, command, defaults):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps a help line where it likes
+    assert excinfo.value.code == 0
+    stated = dict(re.findall(r"(--[\w-]+) [A-Z_]+ \(default: ([^)]*)\)", text))
+    assert stated == defaults
+
+
+def test_catalog_and_saturation_files_may_open_with_a_byte_order_mark(capsys, tmp_path):
+    sat = BUNDLED.parent / "saturation.json"
+    (tmp_path / "cat.json").write_bytes(BOM + (BUNDLED / "aws-2023-10.json").read_bytes())
+    (tmp_path / "sat.json").write_bytes(BOM + sat.read_bytes())
+    plain = run(capsys, "plan", "--catalog", str(BUNDLED / "aws-2023-10.json"), "--saturation", str(sat))
+    assert plain[0] == 0
+    assert run(capsys, "plan", "--catalog", str(tmp_path / "cat.json"), "--saturation", str(tmp_path / "sat.json")) \
+        == plain
+
+
 class TestSimulateCommand:
     def test_coarse_grid_row_count(self, capsys):
         code, out, _ = run(capsys, "simulate", "--pw-step", "5")
@@ -428,6 +459,23 @@ class TestFitCommand:
         assert payload["b"] == pytest.approx(38.6227 / 3, rel=1e-4)
         assert payload["c"] == pytest.approx(18.5382 / 3, rel=1e-4)
         assert len(payload["fits"]) == 3
+
+    def test_one_file_json_is_a_catalog_scaling_object(self, capsys, tmp_path):
+        path = tmp_path / "resnet18.csv"
+        write_samples(path, *REF_ROWS["resnet18"])
+        code, out, _ = run(capsys, "fit", str(path))
+        assert code == 0
+        catalog = load_catalog('{"instances": [{"name": "v", "kind": "gpu", "od_price": 1, "spot_price": 0.5, '
+                               '"network_gbps": 10, "eflops": 100, "scaling": %s}]}' % out)
+        model, fitted = catalog.instances[0].scaling_params, fit_logistic(_read_samples(str(path)))
+        assert [x.hex() for x in vars(model).values()] == [x.hex() for x in vars(fitted).values()]
+
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_samples(plain, *REF_ROWS["resnet18"])
+        marked.write_bytes(BOM + plain.read_bytes())
+        code, out, err = run(capsys, "fit", str(marked))
+        assert (code, out, err) == run(capsys, "fit", str(plain)) and code == 0
 
     def test_too_few_rows_exits_1(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spotplan import (
-    DEFAULT_PARAMS,
     Catalog,
     ClusterPlan,
     CatalogParseError,
@@ -30,7 +29,6 @@ from spotplan import (
     LogisticParams,
     PlanRequest,
     SaturationTable,
-    ScalingSource,
     SpeedupSample,
     SweepPoint,
     SweepResult,
@@ -211,7 +209,6 @@ _CPU = InstanceSpec(name="w", kind=Kind.CPU, od_price="0.5", spot_price="0.2", n
 VALID = {
     LogisticParams: dict(a=0.2, b=10.0, c=5.0),
     SpeedupSample: dict(n=2, speedup=1.5),
-    ScalingSource: dict(default=DEFAULT_PARAMS),
     Catalog: dict(instances=()),
     PlanRequest: dict(pw="3", ckpt_size=0.5, buffer_count=2, max_instances=256, top_k=3),
     SweepSpec: dict(pw_min="0", pw_max="10", pw_step="0.5", policies=("planner",), ckpt_size=0.5, buffer_count=2,

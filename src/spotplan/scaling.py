@@ -414,15 +414,15 @@ class ScalingSource:
         return instance.scaling_params or DEFAULT_PARAMS
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
-        """K(n) for the instance's model, bit for bit
-        scaling_factor(model_for(instance), n)."""
+        """K(n) for the instance's model: here bit for bit scaling_factor(model_for(instance), n),
+        though a subclass may override it, as UnitScaling does."""
         if n < 1:
             raise ValueError(f"node count must be >= 1, got {n}")
         return s_hybrid(instance.scaling_params or DEFAULT_PARAMS, n) / n
 
 
 class UnitScaling(ScalingSource):
-    """Scaling source that ignores parallel overhead entirely (K = 1)."""
+    """Scaling source that ignores parallel overhead entirely: factor is 1 whatever model_for returns."""
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
         if n < 1:

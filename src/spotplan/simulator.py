@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from operator import lt
 from typing import Optional
 
@@ -101,13 +101,18 @@ def evaluate_performance(plan: Optional[ClusterPlan], scaling: ScalingSource | N
     """Common evaluation metric: trainer count x eflops x scaling factor.
 
     The single-anchor On-Demand node trains, so it counts; tiering CPU
-    memory nodes do not.  An infeasible (None) plan scores 0.
+    memory nodes do not.  An infeasible (None) plan scores 0, and one that overflows float raises ValueError.
     """
     if plan is None:
         return 0.0
-    scaling = scaling or DEFAULT_SCALING
     v = plan.gpu_instance
-    return plan.n_gpu * v.eflops * scaling.factor(v, plan.n_gpu)
+    return _raw(plan.n_gpu, v, (scaling or DEFAULT_SCALING).factor(v, plan.n_gpu))
+
+
+def _raw(n: int, v, k: float) -> float:
+    if not math.isfinite(raw := n * v.eflops * k):  # n x eflops x K(n), a plan's raw performance
+        raise ValueError(f"the plan of {n} x {v.name!r} performs {raw}: it overflows float")
+    return raw
 
 
 def estimate_cost(
@@ -148,26 +153,21 @@ class SweepSpec:
             raise ValueError("need 0 <= pw_min < pw_max")
         if not self.pw_step > 0:
             raise ValueError("pw_step must be positive")
-        unknown = [p for p in self.policies if p not in DEFAULT_POLICIES]
-        if unknown:
-            raise ValueError(f"unknown policies: {unknown}")
-        self._points()
+        bad = [p for i, p in enumerate(self.policies) if p not in DEFAULT_POLICIES or p in self.policies[:i]]
+        if bad:
+            raise ValueError(f"unknown or repeated policies: {bad}")
+        with localcontext(_BUDGET_CONTEXT):  # (pw_max - pw_min) // pw_step + 1 points, exactly
+            points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
+            if points > MAX_GRID_POINTS:
+                raise ValueError(f"the PW grid has {points} points; the limit is {MAX_GRID_POINTS}")
+            object.__setattr__(self, "_grid", tuple(self.pw_min + i * self.pw_step for i in range(points)))
         req = self.request_at(self.pw_max)  # the request converts and checks the template's fields
         for name in ("ckpt_size", "buffer_count", "max_instances"):
             object.__setattr__(self, name, getattr(req, name))
 
-    def _points(self) -> int:
-        """(pw_max - pw_min) // pw_step + 1, exactly, in the budget context; at most MAX_GRID_POINTS."""
-        with localcontext(_BUDGET_CONTEXT):
-            points = int((self.pw_max - self.pw_min) // self.pw_step) + 1
-        if points > MAX_GRID_POINTS:
-            raise ValueError(f"the PW grid has {points} points; the limit is {MAX_GRID_POINTS}")
-        return points
-
     def grid(self) -> tuple[Decimal, ...]:
-        """Exact-decimal grid pw_min, pw_min + step, ... up to pw_max."""
-        with localcontext(_BUDGET_CONTEXT):
-            return tuple(self.pw_min + i * self.pw_step for i in range(self._points()))
+        """Exact-decimal grid pw_min, pw_min + step, ... up to pw_max, built once and kept out of the fields."""
+        return self._grid
 
     def request_at(self, pw: Decimal) -> PlanRequest:
         return PlanRequest(
@@ -326,10 +326,8 @@ def _sweep_plans(
             if (n := row.n_top(pw, spec.max_instances)) > count:
                 baselines[policy], changed[policy] = (row, n), row.candidate(n, row.z(n, tables[row.v_idx][n - 1]))
         for policy, candidate in changed.items():
-            plan, ((*_, n), row) = _plan(candidate), candidate
-            if not math.isfinite(raw := n * row.v.eflops * tables[row.v_idx][n - 1]):  # evaluate_performance()
-                raise ValueError(f"the plan of {n} x {row.v.name!r} performs {raw}: it overflows float")
-            runs[policy].append((i, plan, raw))
+            (*_, n), row = candidate
+            runs[policy].append((i, _plan(candidate), _raw(n, row.v, tables[row.v_idx][n - 1])))
         changed.clear()
     return runs
 
@@ -377,9 +375,9 @@ def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, lis
     """The grid's pw_text(float(pw)); per curve, render(policy, point) of each
     point, once per run of consecutive points that share their raw, normalized
     and plan objects, as run_sweep makes them; and the rows, (pw text, point
-    text), policy by policy within each run of grid points of one float.  As
-    SweepResult's grid rises and its curves follow it, that is the order of a
-    stable sort of the points, curves in insertion order, on (float(pw), policy order).
+    text), grid point by grid point, policies in DEFAULT_POLICIES order.  As
+    SweepResult's grid strictly rises, that is the order of a sort of the
+    points on (pw, policy order), however many budgets round to one float.
     """
     texts = {}
     for policy, points in result.curves.items():  # each curve once, in its own order
@@ -389,10 +387,8 @@ def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, lis
                 text = render(policy, p)
             texts[policy].append(text)
             last = p
-    floats = [float(pw) for pw in result.grid]
-    pws, curves = list(map(pw_text, floats)), [texts[policy] for policy in DEFAULT_POLICIES if policy in texts]
-    groups = [list(group) for _, group in groupby(range(len(pws)), floats.__getitem__)]
-    return pws, texts, [(pws[i], curve[i]) for group in groups for curve in curves for i in group]
+    pws, curves = [pw_text(float(pw)) for pw in result.grid], [texts[p] for p in DEFAULT_POLICIES if p in texts]
+    return pws, texts, [(pw, curve[i]) for i, pw in enumerate(pws) for curve in curves]
 
 
 def sweep_rows(result: SweepResult) -> list[dict]:

@@ -171,3 +171,13 @@ def test_no_private_module_level_name_is_unreferenced():
     # A simplification that inlines a helper must delete it too.
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert _unreferenced_private_names(sources) == []
+
+
+def test_package_data_globs_match_every_data_file():
+    # An installed spotplan has only the data files these globs name; tier-1 reads them from src/.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    globs = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["tool"]["setuptools"]
+    package = root / "src" / "spotplan"
+    files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert files and {path for glob in globs["package-data"]["spotplan"] for path in package.glob(glob)} == files

@@ -46,7 +46,7 @@ from spotplan import (
     sweep_to_json,
 )
 from spotplan.catalog import MAX_PRICE_PLACES
-from spotplan.planner import MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
+from spotplan.planner import _BUDGET_CONTEXT, MAX_INSTANCES, FloppScore, _rows, _SingleAnchorRow, _TieringRow
 from spotplan.simulator import DEFAULT_POLICIES, MAX_GRID_POINTS, _noscale_wake, _z_tables
 
 from oracles import brute_force_best, brute_force_candidates, plan_tuple
@@ -152,6 +152,23 @@ class TestEstimateCost:
             estimate_cost(plan, total_ops=1e300)
 
 
+    def test_an_overflowing_raw_performance_is_refused_as_the_sweep_refuses_it(self):
+        """3 x 'a' performs 1.9e308, beyond float: evaluate_performance gave inf, estimate_cost a
+        makespan and cost of 0.0, and the sweep its own message; all three now give the sweep's."""
+        a = InstanceSpec(name="a", kind=Kind.GPU, od_price="10", spot_price="10", network_bw=10, eflops=1e308,
+                         memory=16)
+        catalog = Catalog((a,))
+        plan = recommend(catalog, PlanRequest(pw="30"))[0]
+        assert (plan.gpu_instance.name, plan.n_gpu) == ("a", 3)
+        message = "^the plan of 3 x 'a' performs inf: it overflows float$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_performance(plan)
+        with pytest.raises(ValueError, match=message):
+            estimate_cost(plan, 1e6)
+        with pytest.raises(ValueError, match="^the plan of 2 x 'a' performs inf: it overflows float$"):
+            run_sweep(catalog, SweepSpec(pw_max="30", pw_step="10"))
+
+
 class TestSweepSpec:
     def test_default_grid_has_101_points(self):
         grid = SweepSpec().grid()
@@ -171,6 +188,29 @@ class TestSweepSpec:
             SweepSpec(pw_step="0")
         with pytest.raises(ValueError):
             SweepSpec(policies=("nonsense",))
+
+    @pytest.mark.parametrize(("policies", "bad"), [
+        (("planner", "planner", "cost_first"), "['planner']"),
+        (["noscale", "x", "noscale", "noscale"], "['x', 'noscale', 'noscale']"),
+    ])
+    def test_a_policy_named_twice_is_refused(self, policies, bad):
+        """("planner", "planner", "cost_first") swept 2 curves, 202 rows, where len(policies) was 3."""
+        with pytest.raises(ValueError, match=f"^unknown or repeated policies: {re.escape(bad)}$"):
+            SweepSpec(policies=policies)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"pw_max": "9.999", "pw_step": "0.001"},
+         {"pw_min": "0." + "3" * 28, "pw_max": "1", "pw_step": "0.0" + "1234567" * 4}],
+    )
+    def test_the_grid_is_built_once_exactly(self, kw):
+        spec = SweepSpec(**kw)
+        assert spec.grid() is spec.grid()
+        with localcontext(_BUDGET_CONTEXT):
+            points = int((spec.pw_max - spec.pw_min) // spec.pw_step) + 1
+            expected = [spec.pw_min + i * spec.pw_step for i in range(points)]
+        assert [pw.as_tuple() for pw in spec.grid()] == [pw.as_tuple() for pw in expected]
+        assert spec == SweepSpec(**kw) and hash(spec) == hash(SweepSpec(**kw)) and "_grid" not in repr(spec)
 
     @pytest.mark.parametrize("policies", ["planner", "", 5, None, {"planner": 1}])
     def test_policies_must_be_a_tuple_of_names(self, policies):

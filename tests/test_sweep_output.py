@@ -49,7 +49,7 @@ def reference_sweep_rows(result):
         for point in points:
             plan = point.plan
             rows.append(
-                {
+                (point.pw, _policy_order(policy), {
                     "pw": float(point.pw),
                     "policy": policy,
                     "raw": point.raw,
@@ -60,10 +60,10 @@ def reference_sweep_rows(result):
                     "cpu": plan.cpu_instance.name if plan and plan.cpu_instance else None,
                     "cpu_count": plan.m_cpu if plan and plan.cpu_instance else None,
                     "hourly_price": float(plan.hourly_price) if plan else None,
-                }
+                })
             )
-    rows.sort(key=lambda r: (r["pw"], _policy_order(r["policy"])))
-    return rows
+    rows.sort(key=lambda r: r[:2])  # by the exact budget, not its float
+    return [row for *_, row in rows]
 
 
 def reference_sweep_to_csv(result):
@@ -127,7 +127,7 @@ def test_grid_points_that_round_to_one_float(simulated_catalog):
     result = run_sweep(simulated_catalog, spec)
     assert len(result.grid) == 11 and {float(pw) for pw in result.grid} == {3.0}
     rows = sweep_rows(result)
-    assert [r["policy"] for r in rows[:12]] == ["planner"] * 11 + ["noscale"]  # policy-major
+    assert [r["policy"] for r in rows[:5]] == [*DEFAULT_POLICIES, "planner"]  # grid point by grid point
     assert_same_output(result)
 
 

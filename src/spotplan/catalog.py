@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -224,18 +225,16 @@ _KNOWN_TOP_KEYS = {"instances", "comment"}
 def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     """Parse and validate a catalog document (JSON text, bytes, or file).
 
-    Unknown fields are ignored with a warning.  ``memory_gib`` defaults to
-    8 GiB and ``eflops`` to 0 when omitted.
+    Unknown fields are ignored, with one warning each once the catalog has
+    loaded.  ``memory_gib`` defaults to 8 GiB and ``eflops`` to 0 when omitted.
     """
     doc = _read_json(source, "catalog", CatalogParseError)
     if not isinstance(doc, dict):
         raise CatalogParseError("catalog document must be a JSON object")
 
-    unknown_top = set(doc) - _KNOWN_TOP_KEYS
-    if unknown_top:
-        warnings.warn(
-            f"ignoring unknown catalog field(s): {sorted(unknown_top)}", stacklevel=2
-        )
+    unknown = []  # messages naming unknown fields, warned of once the catalog has loaded
+    if keys := set(doc) - _KNOWN_TOP_KEYS:
+        unknown.append(f"ignoring unknown catalog field(s): {sorted(keys)}")
     if "instances" not in doc or not isinstance(doc["instances"], list):
         raise CatalogParseError('catalog document must contain an "instances" list')
 
@@ -243,14 +242,19 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     for idx, entry in enumerate(doc["instances"]):
         if not isinstance(entry, dict):
             raise CatalogParseError(f"instance entry #{idx} is not an object")
-        specs.append(_parse_entry(idx, entry))
-    return Catalog(tuple(specs))
+        specs.append(_parse_entry(idx, entry, unknown))
+    catalog = Catalog(tuple(specs))
+    for message in unknown:
+        warnings.warn(message, stacklevel=2)
+    return catalog
 
 
 def _read_json(source: Union[bytes, str, IO], what: str, error: type[Exception]):
     """The JSON document in source (text, UTF-8 bytes or a file), with floats
     as Decimal; raises error(...) if it cannot be decoded or parsed.  The read
     is inside the try, since a text file decodes as it reads."""
+    if isinstance(source, os.PathLike):
+        raise error(f"load_{what} reads a document, not the path {source!r}: use load_{what}_file")
     try:
         if hasattr(source, "read"):
             source = source.read()
@@ -261,17 +265,14 @@ def _read_json(source: Union[bytes, str, IO], what: str, error: type[Exception])
         raise error(f"malformed {what} document: {exc}") from exc
 
 
-def _parse_entry(idx: int, entry: dict) -> InstanceSpec:
+def _parse_entry(idx: int, entry: dict, unknown: list[str]) -> InstanceSpec:
     """The entry's values by field, kind as a Kind and a scaling object as
-    LogisticParams, for InstanceSpec to convert and check."""
+    LogisticParams, for InstanceSpec to convert and check; a message naming its
+    unknown fields, if any, goes on unknown."""
     name = entry.get("name")
     label = name if isinstance(name, str) else f"#{idx}"
-    unknown = set(entry) - _KNOWN_ENTRY_KEYS
-    if unknown:
-        warnings.warn(
-            f"instance {label!r}: ignoring unknown field(s) {sorted(unknown)}",
-            stacklevel=3,
-        )
+    if keys := set(entry) - _KNOWN_ENTRY_KEYS:
+        unknown.append(f"instance {label!r}: ignoring unknown field(s) {sorted(keys)}")
     try:
         fields = {field: entry[key] for key, field in _ENTRY_KEYS[:5]}
         fields["kind"] = Kind(fields["kind"])

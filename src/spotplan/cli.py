@@ -145,7 +145,7 @@ def cmd_plan(args) -> int:
             f"{'price/h':>10}  {'score_z':>12}"
         ]
         for rank, p in enumerate(plans, 1):  # a plan has no CPU or m_cpu >= 1 of one
-            architecture, gpu, n, cpu, m, price, z = p.summary().values()
+            architecture, gpu, n, cpu, m, price, z = p._values
             lines.append(f"{rank:>2}  {architecture:<14} {gpu:<14} {n:>4}  {cpu or '-':<14} {m or '-':>4}  "
                          f"{_fmt(price):>10}  {_fmt(z):>12}")
         text = "\n".join(lines) + "\n"

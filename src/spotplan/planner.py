@@ -79,6 +79,7 @@ __all__ = [
 SINGLE_ANCHOR = "single_anchor"
 TIERING = "tiering"
 _ARCHITECTURES = (SINGLE_ANCHOR, TIERING)  # position is the tie-break rank
+_SUMMARY_KEYS = ("architecture", "gpu", "gpu_count", "cpu", "cpu_count", "hourly_price", "score_z")
 
 # Relative margin by which Z must fall below the pooled top_k-th best Z before
 # a row's walk stops, and by which a row's bound exceeds its Z(n_top); float
@@ -170,8 +171,10 @@ def flopp(instance: InstanceSpec) -> FloppScore:
 @dataclass(frozen=True)
 class ClusterPlan:
     """A concrete recommendation: single_anchor with no CPU and m_cpu None, or tiering with m_cpu >= 1 nodes of
-    a CPU.  The constructor converts and checks each field, and refuses a Z that is not finite."""
+    a CPU.  The constructor converts and checks each field, and refuses a Z that is not finite.  It keeps the
+    values of summary() in the _values slot, out of the fields and __dict__, so a copy or pickle is rebuilt by it."""
 
+    __slots__ = ("_values", "__dict__", "__weakref__")
     architecture: str
     gpu_instance: InstanceSpec
     n_gpu: int
@@ -201,17 +204,14 @@ class ClusterPlan:
         if not z - z == 0.0:  # not finite
             raise ValueError(f"the {architecture} plan of {n} x {gpu.name!r} scores Z = {z}: "
                              "the instance's eflops, prices or scaling overflow float")
+        values = architecture, gpu.name, n, None if cpu is None else cpu.name, m, float(self.hourly_price), z
+        object.__setattr__(self, "_values", values)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())  # __dict__ holds the fields, in order
 
     def summary(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "gpu": self.gpu_instance.name,
-            "gpu_count": self.n_gpu,
-            "cpu": self.cpu_instance.name if self.cpu_instance else None,
-            "cpu_count": self.m_cpu,
-            "hourly_price": float(self.hourly_price),
-            "score_z": self.score_z,
-        }
+        return dict(zip(_SUMMARY_KEYS, self._values))
 
 
 class _SingleAnchorRow:
@@ -302,7 +302,7 @@ def _rows(catalog: Catalog, req: PlanRequest, sat: SaturationTable) -> list:
 
 def _plan(candidate: tuple) -> ClusterPlan:
     """The plan of a chosen candidate; ClusterPlan refuses a Z that is not finite."""
-    (neg_z, price, rank, *_, n), row = candidate
+    (neg_z, price, rank, _, _, n), row = candidate
     m = min_cpu_count(n, row.n_sat) if rank else None
     return ClusterPlan(_ARCHITECTURES[rank], row.v, n, row.w, m, price, -neg_z)
 

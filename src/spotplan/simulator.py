@@ -23,8 +23,8 @@ from operator import lt
 from typing import Optional
 
 from .catalog import Catalog
-from .planner import (_BUDGET_CONTEXT, ClusterPlan, PlanRequest, _budget, _plan, _planning, _rows, _SingleAnchorRow,
-                      recommend)
+from .planner import (_BUDGET_CONTEXT, _SUMMARY_KEYS, ClusterPlan, PlanRequest, _budget, _plan, _planning, _rows,
+                      _SingleAnchorRow, recommend)
 from .saturation import SaturationTable, default_saturation_table
 from .scaling import DEFAULT_SCALING, ScalingSource, UnitScaling, _number
 
@@ -326,7 +326,7 @@ def _sweep_plans(
             if (n := row.n_top(pw, spec.max_instances)) > count:
                 baselines[policy], changed[policy] = (row, n), row.candidate(n, row.z(n, tables[row.v_idx][n - 1]))
         for policy, candidate in changed.items():
-            (*_, n), row = candidate
+            (_, _, _, _, _, n), row = candidate
             runs[policy].append((i, _plan(candidate), _raw(n, row.v, tables[row.v_idx][n - 1])))
         changed.clear()
     return runs
@@ -354,21 +354,20 @@ def run_sweep(
     with localcontext(_BUDGET_CONTEXT):
         runs = _sweep_plans(catalog, spec, grid, scaling, sat)
     normalizer = runs[PLANNER_POLICY][-1][2]
-    top = max((raw for policy in spec.policies for *_, raw in runs[policy]), default=0.0)
+    top = max((raw for policy in spec.policies for _, _, raw in runs[policy]), default=0.0)
     if normalizer > 0 and not math.isfinite(top / normalizer):
         raise ValueError(f"raw performance {top} over the normalizer {normalizer} overflows float")
     curves = {}
     for policy in spec.policies:
         points, starts = [], runs[policy]
-        for (i, plan, raw), (end, *_) in zip(starts, [*starts[1:], (len(grid),)]):
+        for (i, plan, raw), (end, _, _) in zip(starts, [*starts[1:], (len(grid), None, None)]):
             normalized = raw / normalizer if normalizer > 0 else 0.0  # one float per run of one plan
             points += [SweepPoint(pw, raw, normalized, plan) for pw in grid[i:end]]
         curves[policy] = tuple(points)
     return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
 
 
-_CSV_COLUMNS = ("pw", "policy", "raw", "normalized", "architecture", "gpu", "gpu_count", "cpu", "cpu_count",
-                "hourly_price")
+_CSV_COLUMNS = ("pw", "policy", "raw", "normalized", *_SUMMARY_KEYS[:-1])
 
 
 def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, list[tuple]]:
@@ -395,8 +394,7 @@ def sweep_rows(result: SweepResult) -> list[dict]:
     """Flatten a sweep into one row per (grid point, policy): pw, policy, raw, normalized and the plan's
     summary() but score_z, all None for no plan.  Each run's plan is read once, and no row sorted."""
     def render(policy, p: SweepPoint) -> tuple:
-        plan = p.plan.summary() if p.plan else {}
-        return (policy, p.raw, p.normalized, *map(plan.get, _CSV_COLUMNS[4:]))
+        return policy, p.raw, p.normalized, *(p.plan._values[:-1] if p.plan else (None,) * 6)
 
     return [dict(zip(_CSV_COLUMNS, (pw, *values))) for pw, values in _in_row_order(result, render, float)[2]]
 
@@ -421,7 +419,7 @@ def sweep_to_csv(result: SweepResult) -> str:
         head = f"{quote(policy)},{point.raw!r},{point.normalized!r},"
         if not point.plan:
             return head + ",,,,,\n"
-        architecture, gpu, n, cpu, m, price, _ = point.plan.summary().values()
+        architecture, gpu, n, cpu, m, price, _ = point.plan._values
         return f"{head}{quote(architecture)},{quote(gpu)},{n},{quote(cpu)},{'' if m is None else m},{price!r}\n"
 
     rows = _in_row_order(result, render, lambda pw: float.__repr__(pw) + ",")[2]
@@ -472,7 +470,7 @@ def sweep_to_json(result: SweepResult) -> str:
         if not point.plan:
             tail, summary = _json_texts(*("null",) * 7)[0], "null"
         else:
-            architecture, gpu, n, cpu, m, price, z = point.plan.summary().values()
+            architecture, gpu, n, cpu, m, price, z = point.plan._values
             tail, summary = _json_texts(_json_string(architecture), _json_string(gpu), n,
                                         "null" if cpu is None else _json_string(cpu), "null" if m is None else m,
                                         _json_float(price), _json_float(z))

@@ -120,15 +120,21 @@ def generic_renders(monkeypatch):
 @pytest.fixture()
 def writer_work(monkeypatch):
     """writer_work(f, *args): the work of a sweep writer f(*args), as (reads,
-    sorts).  reads counts, per plan id, the plan's reads through
-    ClusterPlan.summary, which every writer takes once per render; sorts lists
-    the length of each sorted() in simulator.  Work counts, so machine noise
-    does not move them."""
-    reads, sorts = Counter(), []
+    sorts, summaries).  reads counts, per plan id, the reads of the plan's
+    values tuple, ClusterPlan._values, which every writer takes once per
+    render; sorts lists the length of each sorted() in simulator; summaries
+    counts the ClusterPlan.summary() calls.  Work counts, so machine noise does
+    not move them."""
+    reads, sorts, summaries = Counter(), [], [0]
+    values = ClusterPlan._values  # the slot's member descriptor
     real_summary = ClusterPlan.summary
 
-    def summary(plan):
+    def read(plan):
         reads[id(plan)] += 1
+        return values.__get__(plan)
+
+    def summary(plan):
+        summaries[0] += 1
         return real_summary(plan)
 
     def counting_sorted(items, **kwargs):
@@ -136,14 +142,16 @@ def writer_work(monkeypatch):
         sorts.append(len(items))
         return sorted(items, **kwargs)
 
+    monkeypatch.setattr(ClusterPlan, "_values", property(read, values.__set__))
     monkeypatch.setattr(ClusterPlan, "summary", summary)
     monkeypatch.setattr(simulator, "sorted", counting_sorted, raising=False)
 
     def count(f, *args):
         reads.clear()
         sorts.clear()
+        summaries[0] = 0
         f(*args)
-        return Counter(reads), list(sorts)
+        return Counter(reads), list(sorts), summaries[0]
 
     return count
 

@@ -18,6 +18,7 @@ from spotplan import (
     SweepSpec,
     as_price,
     load_catalog,
+    load_saturation,
     recommend,
     run_sweep,
 )
@@ -334,6 +335,16 @@ def test_unknown_top_level_field_warns_but_loads():
     with pytest.warns(UserWarning, match=r"^ignoring unknown catalog field\(s\): \['extra'\]$"):
         cat = load_catalog('{"instances": [], "extra": 1}')
     assert cat.instances == ()
+
+
+@pytest.mark.parametrize("load, error", [(load_catalog, CatalogParseError), (load_saturation, ValueError)],
+                         ids=["catalog", "saturation"])
+def test_a_loader_refuses_a_path_and_names_its_file_loader(tmp_path, load, error):
+    path = tmp_path / "doc.json"
+    path.write_text('{"instances": [], "entries": [[10, 4]]}')
+    with pytest.raises(error) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{load.__name__} reads a document, not the path {path!r}: use {load.__name__}_file"
 
 
 def test_by_name_raises_key_error_for_a_missing_name(simulated_catalog):

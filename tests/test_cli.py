@@ -277,6 +277,24 @@ def _python(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
+_GPU_ENTRY = {"name": "X", "kind": "gpu", "od_price": 0.2, "spot_price": 0.1, "network_gbps": 10, "eflops": 5}
+
+
+@pytest.mark.parametrize("doc", [
+    None,  # the bundled saturation table: unknown "entries", and no "instances"
+    {"extra": 1, "instances": [{**_GPU_ENTRY, "color": "red"}, _GPU_ENTRY]},  # refused: a duplicate name
+], ids=["saturation-table", "duplicate-name"])
+def test_a_refused_catalog_with_unknown_fields_prints_one_line(tmp_path, doc):
+    # In a child process, so that stderr shows the warnings as a user sees them.
+    path = BUNDLED.parent / "saturation.json" if doc is None else tmp_path / "cat.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    proc = _python("import sys; from spotplan.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "validate-catalog", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_import_leaves_numpy_unloaded():
     # The package has no runtime dependencies: importing the CLI loads no numpy.
     proc = _python("import sys, spotplan.cli; print('numpy' in sys.modules)")

@@ -203,9 +203,10 @@ def test_writers_render_each_plan_once_and_sort_no_row(request, fixture, writer,
     result = _counted(run_sweep(request.getfixturevalue(fixture), SweepSpec()))
     plans = {id(p.plan) for points in result.curves.values() for p in points if p.plan}
     _CountedPw.floats = 0
-    reads, sorts = writer_work(writer, result)
+    reads, sorts, summaries = writer_work(writer, result)
     assert len(plans) > 100
     assert reads == dict.fromkeys(plans, 1)
+    assert summaries == 0  # the writers read each plan's values tuple, and build no summary() dict
     assert max(sorts, default=0) <= len(result.curves)  # the policy order only
     assert _CountedPw.floats == len(result.grid)  # so no row has a sort key
 
@@ -221,7 +222,7 @@ def test_a_result_out_of_grid_order_is_sorted(simulated_catalog, writer, writer_
     reversed_policies = dataclasses.replace(result, curves=dict(reversed(result.curves.items())))
     assert list(reversed_policies.curves) != list(result.curves)
     _CountedPw.floats = 0
-    _, sorts = writer_work(writer, reversed_policies)
+    _, sorts, _ = writer_work(writer, reversed_policies)
     assert sorts == []
     assert _CountedPw.floats == len(result.grid)
     assert sweep_rows(reversed_policies) == sweep_rows(result)

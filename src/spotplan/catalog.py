@@ -225,9 +225,13 @@ _KNOWN_TOP_KEYS = {"instances", "comment"}
 def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     """Parse and validate a catalog document (JSON text, bytes, or file).
 
-    Unknown fields are ignored, with one warning each once the catalog has
-    loaded.  ``memory_gib`` defaults to 8 GiB and ``eflops`` to 0 when omitted.
+    Unknown fields are ignored, with one warning each at the caller's line once
+    the catalog has loaded.  ``memory_gib`` defaults to 8 GiB and ``eflops`` to 0.
     """
+    return _load_catalog(source)
+
+
+def _load_catalog(source: Union[bytes, str, IO]) -> Catalog:  # load_catalog's body, which load_catalog_file shares
     doc = _read_json(source, "catalog", CatalogParseError)
     if not isinstance(doc, dict):
         raise CatalogParseError("catalog document must be a JSON object")
@@ -245,7 +249,7 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
         specs.append(_parse_entry(idx, entry, unknown))
     catalog = Catalog(tuple(specs))
     for message in unknown:
-        warnings.warn(message, stacklevel=2)
+        warnings.warn(message, stacklevel=3)  # the line that called load_catalog or load_catalog_file
     return catalog
 
 
@@ -304,7 +308,7 @@ def _parse_entry(idx: int, entry: dict, unknown: list[str]) -> InstanceSpec:
 def load_catalog_file(path) -> Catalog:
     """Load a catalog from a filesystem path."""
     with open(path, "rb") as fh:
-        return load_catalog(fh)
+        return _load_catalog(fh)
 
 
 def _bundled(name: str) -> Catalog:

@@ -5,6 +5,7 @@ one CLI process loads and compiles no more of the package than it needs.
 """
 import os
 import sys
+import warnings
 from argparse import SUPPRESS, ArgumentParser
 
 __all__ = ["main"]
@@ -17,10 +18,9 @@ CATALOG_ENV = "SPOTPLAN_CATALOG"
 
 
 class _Parser(ArgumentParser):
-    # Usage errors must exit 1, not argparse's default 2 (2 means infeasible).
+    # A usage error is refused as any bad input is, in one line and with exit 1 (argparse's 2 means infeasible).
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        raise ValueError(f"{self.prog}: {message}")
 
     # A request flag's help states its PlanRequest or SweepSpec default, read only when help is printed.
     def format_help(self):
@@ -262,13 +262,15 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # CatalogError and NonConvergenceError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings(record=True) as caught:  # under the caller's filters; shown unless refused
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.func(args)
+        except (ValueError, OSError) as exc:  # usage errors, CatalogError and NonConvergenceError among them
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+    sys.stderr.writelines(f"warning: {warning.message}\n" for warning in caught)
+    return code
 
 
 if __name__ == "__main__":

@@ -204,7 +204,9 @@ class ClusterPlan:
         if not z - z == 0.0:  # not finite
             raise ValueError(f"the {architecture} plan of {n} x {gpu.name!r} scores Z = {z}: "
                              "the instance's eflops, prices or scaling overflow float")
-        values = architecture, gpu.name, n, None if cpu is None else cpu.name, m, float(self.hourly_price), z
+        if not 0 < (price := _number("hourly_price", self.hourly_price)) < math.inf:  # NaN among them
+            raise ValueError(f"hourly_price must be positive and finite as a float, not {self.hourly_price}")
+        values = architecture, gpu.name, n, None if cpu is None else cpu.name, m, price, z
         object.__setattr__(self, "_values", values)
 
     def __reduce__(self):

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -287,27 +288,20 @@ def fit_logistic(samples: Sequence[SpeedupSample]) -> LogisticParams:
     b_starts = _linspace(1.0, 2.0 * max(ns), _GRID_B)
     c_starts = _linspace(y_max, 4.0 * y_max, _GRID_C)
 
-    # Residual scan over the whole grid; the flat index of (i, j, k) is
-    # (i * _GRID_B + j) * _GRID_C + k.  The residuals at (a, b, c) are c times
-    # those of the unit logistic against ys / c, so each (a, b) pair's unit
-    # curve and each c's scaled samples are computed once, and math.dist sums
-    # the squares in C.
+    # Residual scan over the whole grid, a, then b, then c.  The residuals at
+    # (a, b, c) are c times those of the unit logistic against ys / c, so each
+    # (a, b) pair's unit curve and each c's scaled samples are computed once,
+    # and math.dist sums the squares in C.
     scaled_ys = [(c, [y / c for y in ys]) for c in c_starts]
-    ssr = []
+    scores = []
     for a in _A_STARTS:
         for b in b_starts:
             unit = [1.0 / d for d in _denominators(a, b, ns)]
             for c, scaled in scaled_ys:
                 root = c * math.dist(unit, scaled)
-                ssr.append(root * root)
-    # The three best starts by (residual, flat index): nsmallest is stable.
-    best = heapq.nsmallest(3, range(len(ssr)), key=ssr.__getitem__)
-
-    runs = []
-    for flat in best:
-        ij, k = divmod(flat, _GRID_C)
-        i, j = divmod(ij, _GRID_B)
-        runs.append(_refine(ns, ys, (_A_STARTS[i], b_starts[j], c_starts[k])))
+                scores.append((root * root, (a, b, c)))
+    # The three best starts by residual, equal residuals in scan order: nsmallest is stable.
+    runs = [_refine(ns, ys, start) for _, start in heapq.nsmallest(3, scores, key=itemgetter(0))]
     theta, best_ssr, converged = min(runs, key=lambda run: run[1])
 
     params = LogisticParams(*theta)
@@ -414,11 +408,8 @@ class ScalingSource:
         return instance.scaling_params or DEFAULT_PARAMS
 
     def factor(self, instance: "InstanceSpec", n: int) -> float:
-        """K(n) for the instance's model: here bit for bit scaling_factor(model_for(instance), n),
-        though a subclass may override it, as UnitScaling does."""
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        return s_hybrid(instance.scaling_params or DEFAULT_PARAMS, n) / n
+        """K(n) for the instance's model; a subclass may override it, as UnitScaling does."""
+        return scaling_factor(self.model_for(instance), n)
 
 
 class UnitScaling(ScalingSource):

@@ -288,12 +288,8 @@ def _sweep_plans(
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
     runs = {policy: [(0, None, 0.0)] for policy in policies}
-    if not grid[-1] > 0:
-        # All prices are positive, so a zero ceiling admits no plan.
-        return runs
-    req = spec.request_at(grid[-1])
-    rows = [(row, top) for row in _rows(catalog, req, sat)
-            if (top := row.n_top(req.pw, req.max_instances)) >= 1]
+    rows = [(row, top) for row in _rows(catalog, spec.request_at(spec.pw_max), sat)  # at pw 0 no n_top reaches 1
+            if (top := row.n_top(grid[-1], spec.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
     records = [(row, top, tables[row.v_idx, row.rank]) for row, top in rows]
     baselines = {p: (row, 0) for p in _BASELINE_GPUS if p in policies and (row := _baseline_row(p, catalog))}
@@ -436,12 +432,11 @@ _json_string = json.encoder.encode_basestring_ascii
 
 
 def _json_texts(a, g, n, c, m, p, z) -> tuple[str, str]:
-    """A plan's JSON row tail and summary() block, from its values' texts."""
-    return (f'      "architecture": {a},\n      "gpu": {g},\n      "gpu_count": {n},\n      "cpu": {c},\n'
-            f'      "cpu_count": {m},\n      "hourly_price": {p}',
-            f'{{\n          "architecture": {a},\n          "gpu": {g},\n          "gpu_count": {n},\n'
-            f'          "cpu": {c},\n          "cpu_count": {m},\n          "hourly_price": {p},\n'
-            f'          "score_z": {z}\n        }}')
+    """A plan's JSON row tail and summary() block, from its values' texts: the block is the tail's lines, indented
+    four more, and score_z.  No text holds a newline, as JSON escapes those in strings."""
+    tail = (f'      "architecture": {a},\n      "gpu": {g},\n      "gpu_count": {n},\n      "cpu": {c},\n'
+            f'      "cpu_count": {m},\n      "hourly_price": {p}')
+    return tail, "{\n    " + tail.replace("\n", "\n    ") + f',\n          "score_z": {z}\n        }}'
 
 
 def _json_array(out: list, items, pad: str) -> None:

@@ -18,6 +18,7 @@ from spotplan import (
     SweepSpec,
     as_price,
     load_catalog,
+    load_catalog_file,
     load_saturation,
     recommend,
     run_sweep,
@@ -335,6 +336,16 @@ def test_unknown_top_level_field_warns_but_loads():
     with pytest.warns(UserWarning, match=r"^ignoring unknown catalog field\(s\): \['extra'\]$"):
         cat = load_catalog('{"instances": [], "extra": 1}')
     assert cat.instances == ()
+
+
+@pytest.mark.parametrize("load", [lambda path: load_catalog(path.read_bytes()), load_catalog_file],
+                         ids=["document", "file"])
+def test_an_unknown_field_warns_at_the_line_that_loads_the_catalog(tmp_path, load):
+    path = tmp_path / "cat.json"
+    path.write_text('{"instances": [], "extra": 1}')
+    with pytest.warns(UserWarning) as record:
+        load(path)
+    assert [(w.filename, str(w.message)) for w in record] == [(__file__, "ignoring unknown catalog field(s): ['extra']")]
 
 
 @pytest.mark.parametrize("load, error", [(load_catalog, CatalogParseError), (load_saturation, ValueError)],

@@ -95,7 +95,8 @@ _REFUSED = {
         ("architecture", "single_anchor"), ("architecture", _Name("tiering")), ("architecture", ["tiering"]),
         ("n_gpu", True), ("n_gpu", 0), ("n_gpu", 2.0), ("m_cpu", None), ("m_cpu", 0), ("m_cpu", "2"),
         ("m_cpu", [4, 5]), ("hourly_price", 2.5), ("score_z", [6.5]), ("score_z", "fast"), ("score_z", 10**400),
-        ("gpu_instance", None), ("cpu_instance", "M")]},
+        ("gpu_instance", None), ("cpu_instance", "M"),
+        *(("hourly_price", Decimal(price)) for price in ("NaN", "Infinity", "-5", "0", "1e-400", "sNaN"))]},
     **{f"single-anchor plan {key}={value!r}": lambda key=key, value=value: ClusterPlan(**{**_ANCHOR, key: value})
        for key, value in [("architecture", "tiering"), ("m_cpu", 4), ("m_cpu", {"m": [1, 2]})]},
     **{f"point {key}={value!r}": lambda key=key, value=value: SweepPoint(**{"pw": _GRID[0], "raw": 1.0,
@@ -123,9 +124,16 @@ _REFUSED = {
                                                      network_bw=10, eflops=1),
     "logistic a=10**400": lambda: LogisticParams(10**400, 1, 1),
 }
-# Cases refused in words that name the field: ints beyond float range, which float() refuses with an OverflowError.
-_NAMED = {f"plan score_z={10**400!r}": "score_z", f"point normalized={10**400!r}": "normalized",
-          "logistic a=10**400": "a"}
+# Cases refused in words that name the field, by message: ints beyond float range, which float() refuses with an
+# OverflowError, and a plan's prices that summary() would show as NaN, inf, 0, a negative or not at all.
+_NAMED = {
+    **{case: f"{name}: int too large to convert to float" for case, name in [
+        (f"plan score_z={10**400!r}", "score_z"), (f"point normalized={10**400!r}", "normalized"),
+        ("logistic a=10**400", "a")]},
+    **{f"plan hourly_price={Decimal(price)!r}": f"hourly_price must be positive and finite as a float, not {price}"
+       for price in ("NaN", "Infinity", "-5", "0", "1E-400")},
+    "plan hourly_price=Decimal('sNaN')": "hourly_price: cannot convert signaling NaN to float",
+}
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSED))
@@ -134,7 +142,7 @@ def test_each_invariant_is_refused_by_its_constructor(case):
         _REFUSED[case]()
     assert "\n" not in str(excinfo.value)
     if case in _NAMED:
-        assert str(excinfo.value) == f"{_NAMED[case]}: int too large to convert to float"
+        assert str(excinfo.value) == _NAMED[case]
 
 
 def test_a_non_finite_z_is_refused_in_the_planner_s_words(simulated_catalog):

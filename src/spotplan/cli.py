@@ -15,6 +15,7 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 CATALOG_ENV = "SPOTPLAN_CATALOG"
+_LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}  # what splitlines() breaks on
 
 
 class _Parser(ArgumentParser):
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
             code = args.func(args)
         except (ValueError, OSError) as exc:  # usage errors, CatalogError and NonConvergenceError among them
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)  # in one line, whatever argv held
             return EXIT_ERROR
     sys.stderr.writelines(f"warning: {warning.message}\n" for warning in caught)
     return code

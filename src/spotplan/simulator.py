@@ -92,8 +92,8 @@ def plan_noscale(
     return recommend(catalog, req, scaling=UnitScaling(), sat=sat)
 
 
-# Largest grid a SweepSpec accepts.  Every point is planned, kept and
-# serialized: `simulate --format json` on 10,000 points peaks at about 80 MiB.
+# Largest grid a SweepSpec accepts.  A result keeps one point per plan change, so the writers' text
+# bounds the rest: `simulate --format json` on 10,000 points writes 22.1 MB at a peak RSS of 66 MiB.
 MAX_GRID_POINTS = 10_000
 
 
@@ -199,13 +199,13 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's grid, a tuple of finite Decimals that strictly rise, and each policy's
-    curve over it: one SweepPoint per grid value, whose pw is that Decimal or one of the
-    same sign, digits and exponent.  normalizer is the full planner's raw performance at
-    the top of the grid, taken through float(); when it is 0.0, so is every normalized."""
+    """A sweep's grid, a tuple of finite Decimals that strictly rise, and each policy's steps:
+    one SweepPoint per run of grid values that share a plan, at the run's first value (or a
+    Decimal of its sign, digits and exponent), the first at grid[0].  normalizer is the full
+    planner's raw performance at the top of the grid, as a float; when 0.0, so is every normalized."""
 
     grid: tuple[Decimal, ...]
-    curves: dict[str, tuple[SweepPoint, ...]] = field(default_factory=dict)
+    steps: dict[str, tuple[SweepPoint, ...]] = field(default_factory=dict)
     normalizer: float = 0.0
 
     def __post_init__(self):
@@ -214,18 +214,29 @@ class SweepResult:
                 and all(map(lt, grid, grid[1:]))):
             raise ValueError(f"a sweep grid is a tuple of finite Decimals that strictly rise, not {grid!r}")
         object.__setattr__(self, "normalizer", _number("normalizer", self.normalizer))
-        if not isinstance(self.curves, dict):
-            raise ValueError(f"curves must be a dict of each policy's points, not {self.curves!r}")
-        for policy, points in self.curves.items():
+        if not isinstance(self.steps, dict):
+            raise ValueError(f"steps must be a dict of each policy's steps, not {self.steps!r}")
+        runs = {}  # per policy, (first grid index, end, step) of each run, kept out of the fields
+        for policy, steps in self.steps.items():
             if type(policy) is not str or policy not in DEFAULT_POLICIES:
                 raise ValueError(f"a curve's policy is one of {DEFAULT_POLICIES}, not {policy!r}")
-            at_grid = (isinstance(p, SweepPoint) and (p.pw is pw or isinstance(p.pw, Decimal)
-                                                      and p.pw.compare_total(pw) == 0) for p, pw in zip(points, grid))
-            if type(points) is not tuple or len(points) != len(grid) or not all(at_grid):
-                raise ValueError(f"the {policy} curve must hold one SweepPoint per grid value, in grid order")
+            starts = [bisect_left(grid, p.pw) if isinstance(p, SweepPoint) and isinstance(p.pw, Decimal)
+                      and p.pw.is_finite() else len(grid) for p in steps] if type(steps) is tuple else None
+            # The first step at grid[0], none on an empty grid, and each at its own grid value.
+            if not (starts is not None and starts[:1] == [0][:len(grid)] and all(map(lt, starts, starts[1:]))
+                    and all(i < len(grid) and grid[i].compare_total(p.pw) == 0 for i, p in zip(starts, steps))):
+                raise ValueError(f"the {policy} steps must be SweepPoints at grid values from the first, in grid order")
+            runs[policy] = tuple(zip(starts, [*starts[1:], len(grid)], steps))
+        object.__setattr__(self, "_runs", runs)
 
     def curve(self, policy: str) -> tuple[SweepPoint, ...]:
-        return self.curves[policy]
+        """The policy's SweepPoint at each grid value, built on each call: its step's raw, normalized and plan."""
+        return tuple(SweepPoint(pw, p.raw, p.normalized, p.plan) for i, end, p in self._runs[policy]
+                     for pw in self.grid[i:end])
+
+    @property
+    def curves(self) -> dict[str, tuple[SweepPoint, ...]]:
+        return {policy: self.curve(policy) for policy in self.steps}
 
 
 def _z_tables(rows: list, scaling: ScalingSource) -> dict:
@@ -265,10 +276,10 @@ def _sweep_plans(
     grid: tuple[Decimal, ...],
     scaling: ScalingSource,
     sat: SaturationTable,
-) -> dict[str, list[tuple[int, Optional[ClusterPlan], float]]]:
+) -> dict[str, dict[int, tuple[Optional[ClusterPlan], float]]]:
     """The runs of the planner's and spec's policies' plans over the grid, in
-    one ascending pass: per policy, (first grid index, plan, raw performance)
-    of each run of one plan, the first from index 0 with (None, 0.0).
+    one ascending pass: per policy, {first grid index: (plan, raw performance)}
+    of each run of one plan, from {0: (None, 0.0)}, which a change at 0 replaces.
 
     A row's planner candidate at n_top is its best with top_k = 1, the first n
     <= n_top with the largest Z: Z = peaks[n_top - 1] at n = bisect_left(peaks,
@@ -287,7 +298,7 @@ def _sweep_plans(
     of 80 rows remain).
     """
     policies = dict.fromkeys((PLANNER_POLICY, *spec.policies))
-    runs = {policy: [(0, None, 0.0)] for policy in policies}
+    runs = {policy: {0: (None, 0.0)} for policy in policies}
     rows = [(row, top) for row in _rows(catalog, spec.request_at(spec.pw_max), sat)  # at pw 0 no n_top reaches 1
             if (top := row.n_top(grid[-1], spec.max_instances)) >= 1]
     tables = _z_tables(rows, scaling)
@@ -323,7 +334,7 @@ def _sweep_plans(
                 baselines[policy], changed[policy] = (row, n), row.candidate(n, row.z(n, tables[row.v_idx][n - 1]))
         for policy, candidate in changed.items():
             (_, _, _, _, _, n), row = candidate
-            runs[policy].append((i, _plan(candidate), _raw(n, row.v, tables[row.v_idx][n - 1])))
+            runs[policy][i] = _plan(candidate), _raw(n, row.v, tables[row.v_idx][n - 1])
         changed.clear()
     return runs
 
@@ -336,52 +347,40 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every policy at every grid point.
 
-    One ascending pass over the grid gives every point the plans that
-    recommend(), plan_noscale(), plan_cost_first() and
-    plan_performance_first() return there with top_k = 1.  The normalizer
-    is the full planner's raw performance at the last grid point.  Raises
-    ValueError when a plan's Z, or a raw or normalized performance, is not
-    finite.  Work bound: one K(n) call per Z-table entry, the sum over GPUs
-    of the largest n_top of their scheduled rows (636 on the simulated catalog).
+    One ascending pass over the grid gives every point the plan that recommend(), plan_noscale(),
+    plan_cost_first() and plan_performance_first() return there with top_k = 1, kept as one step per
+    run of one plan.  The normalizer is the full planner's raw performance at the last grid point.
+    Raises ValueError when a plan's Z, or a raw or normalized performance, is not finite.  Work
+    bound: one K(n) call per Z-table entry, the sum over GPUs of the largest n_top of their scheduled
+    rows (636 on the simulated catalog), and one SweepPoint per step (276 on the simulated catalog,
+    189 on AWS); sweep_rows() and the writers build none, and curve() one per grid value.
     """
     scaling = scaling or DEFAULT_SCALING
     sat = sat or default_saturation_table()
     grid = spec.grid()
     with localcontext(_BUDGET_CONTEXT):
         runs = _sweep_plans(catalog, spec, grid, scaling, sat)
-    normalizer = runs[PLANNER_POLICY][-1][2]
-    top = max((raw for policy in spec.policies for _, _, raw in runs[policy]), default=0.0)
+    normalizer = runs[PLANNER_POLICY][max(runs[PLANNER_POLICY])][1]
+    top = max((raw for policy in spec.policies for _, raw in runs[policy].values()), default=0.0)
     if normalizer > 0 and not math.isfinite(top / normalizer):
         raise ValueError(f"raw performance {top} over the normalizer {normalizer} overflows float")
-    curves = {}
-    for policy in spec.policies:
-        points, starts = [], runs[policy]
-        for (i, plan, raw), (end, _, _) in zip(starts, [*starts[1:], (len(grid), None, None)]):
-            normalized = raw / normalizer if normalizer > 0 else 0.0  # one float per run of one plan
-            points += [SweepPoint(pw, raw, normalized, plan) for pw in grid[i:end]]
-        curves[policy] = tuple(points)
-    return SweepResult(grid=grid, curves=curves, normalizer=normalizer)
+    steps = {policy: tuple(SweepPoint(grid[i], raw, raw / normalizer if normalizer > 0 else 0.0, plan)
+                           for i, (plan, raw) in runs[policy].items()) for policy in spec.policies}
+    return SweepResult(grid=grid, steps=steps, normalizer=normalizer)
 
 
 _CSV_COLUMNS = ("pw", "policy", "raw", "normalized", *_SUMMARY_KEYS[:-1])
 
 
 def _in_row_order(result: SweepResult, render, pw_text) -> tuple[list, dict, list[tuple]]:
-    """The grid's pw_text(float(pw)); per curve, render(policy, point) of each
-    point, once per run of consecutive points that share their raw, normalized
-    and plan objects, as run_sweep makes them; and the rows, (pw text, point
-    text), grid point by grid point, policies in DEFAULT_POLICIES order.  As
-    SweepResult's grid strictly rises, that is the order of a sort of the
+    """The grid's pw_text(float(pw)); per policy, render(policy, step) of each
+    step, once, repeated over its run of grid points; and the rows, (pw text,
+    point text), grid point by grid point, policies in DEFAULT_POLICIES order.
+    As SweepResult's grid strictly rises, that is the order of a sort of the
     points on (pw, policy order), however many budgets round to one float.
     """
-    texts = {}
-    for policy, points in result.curves.items():  # each curve once, in its own order
-        texts[policy], last = [], None
-        for p in points:
-            if not (last and p.plan is last.plan and p.raw is last.raw and p.normalized is last.normalized):
-                text = render(policy, p)
-            texts[policy].append(text)
-            last = p
+    texts = {policy: [text for i, end, step in runs for text in [render(policy, step)] * (end - i)]
+             for policy, runs in result._runs.items()}  # each policy once, in its own order
     pws, curves = [pw_text(float(pw)) for pw in result.grid], [texts[p] for p in DEFAULT_POLICIES if p in texts]
     return pws, texts, [(pw, curve[i]) for i, pw in enumerate(pws) for curve in curves]
 
@@ -402,7 +401,7 @@ class _Echo:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per run, so
+    """The rows of sweep_rows() as CSV: pw, a comma and the rest, once per step, so
     on a run_sweep result each plan once, and no row sorted (_in_row_order).  csv
     quotes each field on its own and a float's repr needs no quotes, so the rest is
     f"{policy},{raw!r},{normalized!r},{columns}"."""
@@ -458,7 +457,7 @@ def sweep_to_json(result: SweepResult) -> str:
     "normalizer", "rows": sweep_rows(), "plans": {policy: [{"pw", "plan":
     plan.summary() or None}, ...]}}, written without building the payload.
     Each grid pw and policy is rendered once, and a row's text after its pw
-    and the plan's summary once per run: on a run_sweep result, each plan once,
+    and the plan's summary once per step: on a run_sweep result, each plan once,
     and no row is sorted (_in_row_order).  Policies, of DEFAULT_POLICIES, need no escapes.
     """
     def render(policy, point: SweepPoint) -> tuple[str, str]:
@@ -482,5 +481,5 @@ def sweep_to_json(result: SweepResult) -> str:
         out += (",\n    " if i else "\n    ", f'"{policy}": ')
         _json_array(out, (('{\n        "pw": ', pw, ',\n        "plan": ', summary, "\n      }")
                           for pw, (_, summary) in zip(grid, points)), "    ")
-    out.append("\n  }\n}" if result.curves else "}\n}")
+    out.append("\n  }\n}" if result.steps else "}\n}")
     return "".join(out)

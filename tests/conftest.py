@@ -94,6 +94,13 @@ def factor_calls(monkeypatch):
 
 
 @pytest.fixture()
+def point_builds(monkeypatch):
+    """point_builds(f, *args): the SweepPoints that f(*args) builds.  A work
+    count, so machine noise does not move it."""
+    return _method_calls(monkeypatch, (simulator.SweepPoint,), "__init__")
+
+
+@pytest.fixture()
 def generic_renders(monkeypatch):
     """generic_renders(f, *args): the csv.writer rows that f(*args) renders:
     the CSV writer's header and the names it quotes.  A work count, so machine

@@ -684,6 +684,16 @@ def test_non_finite_flopp_catalog_exits_1_in_one_line(capsys, tmp_path, command,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("brk", "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", ids=ascii)
+def test_an_argument_with_a_line_break_exits_1_in_one_line(capsys, brk):
+    """argparse puts the raw argv in its message; each character str.splitlines() breaks on prints escaped, and
+    printable text as it is."""
+    code, out, err = run(capsys, "plan", f"gépu{brk}b")
+    assert code == 1 and out == ""
+    assert err == f"error: spotplan: unrecognized arguments: gépu{ascii(brk)[1:-1]}b\n"
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [["plan", "--pw", "1e40"], ["simulate"]], ids=["plan", "simulate"])
 def test_max_limit_over_the_cap_exits_1_in_one_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-limit", "10001")

@@ -2,8 +2,9 @@
 
 Every run ends one of three ways: exit 0 with its output, exit 2 when nothing
 fits, or exit 1 with exactly one stderr line, "error: ...".  Flag values come
-from valid numbers, boundaries, non-numbers and missing values; no run is
-given --out, so none writes a file.
+from valid numbers, boundaries, non-numbers and missing values, and a stray
+value, which may hold a character that str.splitlines() breaks on, lands
+anywhere after the command; no run is given --out, so none writes a file.
 """
 import contextlib
 import io
@@ -33,24 +34,29 @@ _FLAGS = {"plan": ("--pw", "--ckpt-size-gib", "--buffer-count", "--max-limit", "
           "simulate": ("--pw-min", "--pw-max", "--pw-step", "--ckpt-size-gib", "--buffer-count", "--max-limit")}
 _COUNT_FLAGS = {"--buffer-count", "--max-limit", "--top-k"}
 _FORMATS = st.sampled_from(["table", "json", "csv", "xml", ""])  # both commands take the first three
+_STRAYS = st.text(st.sampled_from("ab é\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), min_size=1, max_size=4)
 
 
 @st.composite
 def _argv(draw) -> tuple[list[str], dict]:
-    """An argv and the flags it gives a value, each at most once, in a drawn order."""
+    """An argv and the flags it gives a value, each at most once, in a drawn order; in a quarter of the runs, a
+    stray value follows the command somewhere, which a flag may take as its value."""
     command = draw(st.sampled_from(["plan", "simulate", "validate-catalog"]))
+    argv, given = [command], {}
     if command == "validate-catalog":
-        return [command, *draw(st.sampled_from([[], *([path] for path in _PATHS)]))], {}
-    valid = draw(st.booleans())  # in half the runs, each value is a valid number for its flag
-    given, options = {}, [(flag, _VALUES if not valid else _COUNTS if flag in _COUNT_FLAGS else _AMOUNTS)
-                          for flag in _FLAGS[command]]
-    options += [("--catalog", st.sampled_from(_PATHS)), ("--format", _FORMATS)]
-    argv = [command]
-    for flag, values in draw(st.permutations(options)):
-        if draw(st.booleans()):
-            value = draw(values)
-            argv += [flag] if value is None else [flag, value]
-            given[flag] = value
+        argv += draw(st.sampled_from([[], *([path] for path in _PATHS)]))
+    else:
+        valid = draw(st.booleans())  # in half the runs, each value is a valid number for its flag
+        options = [(flag, _VALUES if not valid else _COUNTS if flag in _COUNT_FLAGS else _AMOUNTS)
+                   for flag in _FLAGS[command]]
+        options += [("--catalog", st.sampled_from(_PATHS)), ("--format", _FORMATS)]
+        for flag, values in draw(st.permutations(options)):
+            if draw(st.booleans()):
+                value = draw(values)
+                argv += [flag] if value is None else [flag, value]
+                given[flag] = value
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_STRAYS))
     return argv, given
 
 
@@ -75,6 +81,7 @@ def test_every_run_exits_0_1_or_2_and_a_refusal_prints_one_line(case):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.splitlines()) == 1
     else:
         assert not any(line.startswith("error:") for line in err.splitlines())
     if code == 0 and argv[0] == "plan":  # the run's plans, printed as JSON: the last --format wins

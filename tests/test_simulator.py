@@ -889,6 +889,40 @@ def test_sweep_takes_k_once_per_table_entry(request, factor_calls, sat_table, ca
     assert factor_calls(run_sweep, catalog, spec) == entries
 
 
+@pytest.mark.parametrize(("catalog", "spec", "steps"), [
+    ("simulated_catalog", SweepSpec(), 276), ("aws_catalog", SweepSpec(), 189),
+    ("simulated_catalog", SweepSpec(pw_step="0.002"), 378), ("aws_catalog", SweepSpec(pw_step="0.002"), 198)])
+def test_sweep_builds_one_point_per_step(request, point_builds, catalog, spec, steps):
+    """run_sweep builds a SweepPoint per step, and sweep_rows and the writers
+    none.  A point per grid value and policy was 404 at the default step and
+    20,004 at 0.002, on either catalog; curve() builds those on demand."""
+    catalog = request.getfixturevalue(catalog)
+    assert point_builds(run_sweep, catalog, spec) == steps
+    result = run_sweep(catalog, spec)
+    assert sum(map(len, result.steps.values())) == steps
+    assert [point_builds(writer, result) for writer in (sweep_rows, sweep_to_csv, sweep_to_json)] == [0, 0, 0]
+    assert point_builds(result.curve, "planner") == len(result.grid)
+
+
+@pytest.mark.parametrize("spec", [SweepSpec(), SweepSpec(pw_min="2.5"), SweepSpec(pw_max="1", pw_step="2")])
+def test_a_sweep_keeps_a_step_per_plan_change_and_curves_expand_them(simulated_catalog, aws_catalog, spec):
+    """Each policy's first step is at the grid's first value, where a plan that
+    already fits replaces the empty start; a later step is where the plan
+    changes.  curve() gives each grid value its run's step, at the grid's pw."""
+    for catalog in (simulated_catalog, aws_catalog):
+        result = run_sweep(catalog, spec)
+        grid = result.grid
+        assert list(result.steps) == list(result.curves) == list(spec.policies)
+        for policy, steps in result.steps.items():
+            assert steps[0].pw is grid[0] and (steps[0].plan is None) == (grid[0] == 0)
+            assert all(a.plan != b.plan and a.pw < b.pw and b.pw in grid for a, b in zip(steps, steps[1:]))
+            curve = result.curve(policy)
+            assert [p.pw for p in curve] == list(grid) and all(p.pw is pw for p, pw in zip(curve, grid))
+            at = [steps[bisect_right([s.pw for s in steps], pw) - 1] for pw in grid]
+            assert [(p.raw, p.normalized, p.plan) for p in curve] == [(s.raw, s.normalized, s.plan) for s in at]
+            assert result.curves[policy] == curve
+
+
 def test_sweep_prices_only_rows_that_can_win(price_calls, simulated_catalog, aws_catalog):
     """Dropping the dominated tiering rows (simulated 80 rows -> 38, AWS 27 ->
     11) takes the price() calls of the default simulated sweep from 2,051 to

@@ -141,25 +141,26 @@ def test_hand_built_results_match_reference(simulated_catalog):
     grid = tuple(Decimal(x) for x in ("0", "0.5", "0.5000000000000000001", "2.718281828459045235"))
     odd = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, 5e-324, 3.0]
 
-    def points(plans, raws):
-        return tuple(SweepPoint(pw, raw, raw / 2, plan) for pw, raw, plan in zip(grid, raws, plans))
+    def steps(plans, raws, at=range(4)):
+        """A step at each grid index of at: runs of one or more grid values, equal values in a row or not."""
+        return tuple(SweepPoint(grid[i], raw, raw / 2, plan) for i, raw, plan in zip(at, raws, plans))
 
     result = SweepResult(
         grid=grid,
-        curves={  # not in policy order
-            "cost_first": points([None, shared, _plan(gpu, m=None, n=1, z=5e-324), None], odd[:4]),
-            "performance_first": points([shared, shared, None, _plan(gpu, cpu, 1, price="1E+2")], odd[4:]),
-            "planner": points([None] * 4, [0.0] * 4),
-            "noscale": points([_plan(gpu)] * 4, odd[2:6]),
+        steps={  # not in policy order
+            "cost_first": steps([None, shared, _plan(gpu, m=None, n=1, z=5e-324)], odd[:3], at=(0, 1, 3)),
+            "performance_first": steps([shared, shared, None, _plan(gpu, cpu, 1, price="1E+2")], odd[4:]),
+            "planner": steps([None], [0.0], at=(0,)),
+            "noscale": steps([_plan(gpu)] * 2, odd[2:4], at=(0, 2)),
         },
         normalizer=math.nan,
     )
     assert_same_output(result)
     for normalizer in (0.0, math.inf, 7.25):
-        assert_same_output(SweepResult(grid=grid[:2], curves={"planner": points([shared] * 2, [1.0, 2.0])},
+        assert_same_output(SweepResult(grid=grid[:2], steps={"planner": steps([shared] * 2, [1.0, 2.0])},
                                        normalizer=normalizer))
     assert_same_output(SweepResult(grid=()))
-    assert_same_output(SweepResult(grid=(), curves={"planner": ()}))
+    assert_same_output(SweepResult(grid=(), steps={"planner": ()}))
 
 
 @pytest.mark.parametrize("fixture", ["simulated_catalog", "aws_catalog"])

@@ -2,12 +2,13 @@
 write, and their work bound.
 
 ClusterPlan, SweepPoint and SweepResult convert and check their own fields,
-so every result the writers see has a rising grid of finite Decimals, curves
-of known policies that follow it point for point, and plans of exact types.
-On every such result, including grids whose floats collide, NaN and infinite
-raws and runs that do or do not share their objects, the writers equal the
-reference writers of test_sweep_output byte for byte; each invariant the
-constructors hold is refused in one ValueError line.
+so every result the writers see has a rising grid of finite Decimals, steps
+of known policies at rising grid values from the first, and plans of exact
+types.  On every such result, including grids whose floats collide, NaN and
+infinite raws and steps in a row that carry equal values or the same objects,
+the writers equal the reference writers of test_sweep_output, which read the
+curves point for point, byte for byte; each invariant the constructors hold is
+refused in one ValueError line.
 """
 import dataclasses
 import math
@@ -49,24 +50,20 @@ def _plans(simulated_catalog):
 def _results(draw, plans):
     values = sorted(set(draw(st.lists(st.sampled_from(PWS), max_size=8))), key=PWS.index)
     grid = tuple(Decimal(x) for x in values)
-    curves = {}
+    steps = {}
     for policy in draw(st.permutations(DEFAULT_POLICIES))[:draw(st.integers(0, len(DEFAULT_POLICIES)))]:
         # The grid's own objects, or copies: equal values of the same digits, other objects.
         pws = grid if draw(st.booleans()) else [Decimal(str(pw)) for pw in grid]
-        points, i = [], 0
-        while i < len(pws):
-            size = draw(st.integers(1, 3))
+        points = []
+        for i in range(len(pws)):  # a step at the first grid value, and at each later one that starts a run
+            if i and draw(st.booleans()):
+                continue
             raw, plan = draw(st.sampled_from(RAWS)), draw(st.sampled_from(plans))
-            normalized = raw / 2
-            shared = draw(st.booleans())
-            for pw in pws[i:i + size]:
-                if not shared:  # equal, but not the same objects
-                    raw, normalized = float(str(raw)), float(str(normalized))
-                    plan = plan and dataclasses.replace(plan)
-                points.append(SweepPoint(pw, raw, normalized, plan))
-            i += size
-        curves[policy] = tuple(points)
-    return SweepResult(grid=grid, curves=curves, normalizer=draw(st.sampled_from(RAWS)))
+            if draw(st.booleans()):  # equal, but not the same objects
+                raw, plan = float(str(raw)), plan and dataclasses.replace(plan)
+            points.append(SweepPoint(pws[i], raw, raw / 2, plan))
+        steps[policy] = tuple(points)
+    return SweepResult(grid=grid, steps=steps, normalizer=draw(st.sampled_from(RAWS)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,11 +109,13 @@ _REFUSED = {
     **{f"policy {policy!r}": lambda policy=policy: SweepResult(_GRID, {policy: _POINTS})
        for policy in ("unknown", _Name("planner"), 7, math.nan, None, ("planner",))},
     **{f"curve {name}": lambda curve=curve: SweepResult(_GRID, {"noscale": curve}) for name, curve in [
-        ("short", _POINTS[:1]), ("long", _POINTS + _POINTS[1:]), ("shuffled", _POINTS[::-1]),
+        ("from after the first grid value", _POINTS[1:]), ("with two steps at one grid value", _POINTS + _POINTS[1:]),
+        ("with no step on a grid", ()), ("shuffled", _POINTS[::-1]),
         ("as a list", [*_POINTS]), ("off the grid", (_POINTS[0], SweepPoint(Decimal(2), 1.0, 0.5, None))),
         ("with a pw of other digits", (_POINTS[0], SweepPoint(Decimal("1.0"), 1.0, 0.5, None))),
         ("with a pw of another type", (_POINTS[0], SweepPoint(1, 1.0, 0.5, None))),
         ("of plain values", ((_GRID[0], 1.0, 0.5, None), _POINTS[1]))]},
+    "curve with a step on an empty grid": lambda: SweepResult((), {"noscale": _POINTS[:1]}),
     "curve with a pw of the other sign": lambda: SweepResult(
         (Decimal("-0"),), {"noscale": (SweepPoint(Decimal(0), 1.0, 0.5, None),)}),
     # The CSV writer keys names on equality, so a str subclass would share an equal plain name's field.
@@ -198,11 +197,11 @@ class _CountedPw(Decimal):
 
 
 def _counted(result):
-    """result with each budget a _CountedPw, shared by the grid and the curves as before."""
+    """result with each budget a _CountedPw, shared by the grid and the steps as before."""
     pws = {id(pw): _CountedPw(pw) for pw in result.grid}
-    curves = {policy: tuple(dataclasses.replace(p, pw=pws[id(p.pw)]) for p in points)
-              for policy, points in result.curves.items()}
-    return SweepResult(tuple(pws.values()), curves, result.normalizer)
+    steps = {policy: tuple(dataclasses.replace(p, pw=pws[id(p.pw)]) for p in points)
+             for policy, points in result.steps.items()}
+    return SweepResult(tuple(pws.values()), steps, result.normalizer)
 
 
 @pytest.mark.parametrize("fixture", ["simulated_catalog", "aws_catalog"])
@@ -221,14 +220,15 @@ def test_writers_render_each_plan_once_and_sort_no_row(request, fixture, writer,
 
 @pytest.mark.parametrize("writer", WRITERS)
 def test_a_result_out_of_grid_order_is_sorted(simulated_catalog, writer, writer_work):
-    # A curve out of grid order is refused, so no writer sees one; curves inserted
+    # Steps out of grid order are refused, so no writer sees them; policies inserted
     # out of policy order give rows in grid-major, policy order with no sort (the
-    # JSON "plans" map alone keeps the curves' own order, as the reference does).
+    # JSON "plans" map alone keeps the policies' own order, as the reference does).
     result = _counted(run_sweep(simulated_catalog, SweepSpec(pw_max="2", pw_step="0.5")))
+    assert all(len(steps) > 1 for steps in result.steps.values())
     with pytest.raises(ValueError, match="in grid order"):
-        dataclasses.replace(result, curves={policy: points[::-1] for policy, points in result.curves.items()})
-    reversed_policies = dataclasses.replace(result, curves=dict(reversed(result.curves.items())))
-    assert list(reversed_policies.curves) != list(result.curves)
+        dataclasses.replace(result, steps={policy: steps[::-1] for policy, steps in result.steps.items()})
+    reversed_policies = dataclasses.replace(result, steps=dict(reversed(result.steps.items())))
+    assert list(reversed_policies.steps) != list(result.steps)
     _CountedPw.floats = 0
     _, sorts, _ = writer_work(writer, reversed_policies)
     assert sorts == []

@@ -217,7 +217,7 @@ VALID = {
     ClusterPlan: dict(architecture="tiering", gpu_instance=_GPU, n_gpu=4, cpu_instance=_CPU, m_cpu=1,
                       hourly_price=Decimal("4.5"), score_z=12.0),
     SweepPoint: dict(pw=Decimal(1), raw=1.0, normalized=0.5, plan=None),
-    SweepResult: dict(grid=(Decimal(1),), curves={"planner": (SweepPoint(Decimal(1), 1.0, 0.5, None),)},
+    SweepResult: dict(grid=(Decimal(1),), steps={"planner": (SweepPoint(Decimal(1), 1.0, 0.5, None),)},
                       normalizer=2.0),
 }
 CYCLE = []
